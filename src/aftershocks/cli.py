@@ -17,9 +17,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import logging
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, fields, replace
 from datetime import datetime
 from pathlib import Path
@@ -647,6 +648,9 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument("--seed", type=int, help="master seed for generators and bootstrap")
     sub.add_argument("--svg", action=argparse.BooleanOptionalAction, help="also render SVG charts")
+    # not a RunConfig field: report.json echoes the config, and logging must
+    # leave the output tree unchanged
+    sub.add_argument("-v", "--verbose", action="store_true", help="log progress messages to stderr")
 
 
 def _add_input_flags(sub: argparse.ArgumentParser) -> None:
@@ -880,6 +884,22 @@ def _print_summary(report: dict, outdir: Path) -> None:
     print(f"report written to {outdir / 'report.json'}")
 
 
+@contextmanager
+def _info_to_stderr():
+    """Print the package's INFO log records on stderr while the block runs."""
+    logger = logging.getLogger("aftershocks")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(name)s: %(message)s"))
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -887,7 +907,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_OK
     try:
-        return args.func(args)
+        with _info_to_stderr() if getattr(args, "verbose", False) else nullcontext():
+            return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -88,6 +88,10 @@ def bootstrap_ci(
     ``fit_options`` may carry keyword arguments for the underlying fits
     under the "omori" and "mu" keys.
 
+    For "sum" each resample fits mu first and refits the Omori law only
+    when the mu fit succeeded; a resample on which either fit raises counts
+    as one failure, and more than 10% failures raise :class:`DataError`.
+
     Each resample draws from its own spawned seed, so the interval is
     deterministic in (events, seed) and independent of evaluation order.
     """
@@ -128,9 +132,10 @@ def _point_estimate(
     omori_opts: dict,
     mu_opts: dict,
 ) -> float:
+    # mu first: its fit is cheap and is the one that fails on minute data,
+    # so a resample it loses never pays for the Omori refit. Addition is
+    # commutative, so the order leaves the sum bit-identical.
     value = 0.0
-    if estimator in ("omori", "sum"):
-        value += fit_omori(events, **omori_opts).p
     if estimator in ("mu", "sum"):
         opts = dict(mu_opts)
         method = opts.pop("method", "mle")
@@ -141,6 +146,8 @@ def _point_estimate(
         waits = waiting_times(events)
         data = build_histogram(waits, bin_size) if method == "lsq" else waits
         value += fit_mu(data, fit_range=fit_range, method=method, **opts).mu
+    if estimator in ("omori", "sum"):
+        value += fit_omori(events, **omori_opts).p
     return value
 
 

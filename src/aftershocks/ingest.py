@@ -129,6 +129,17 @@ def _parse_stream(
         indices[role] = names.index(wanted)
     needed = max(indices.values()) + 1
 
+    # A minute-bar file repeats each date on every row of its day and each
+    # time on every day, so each distinct string is parsed once.
+    dates: dict[str, datetime] = {}
+    clocks: dict[str, datetime] = {}
+
+    def parsed(cache: dict[str, datetime], text: str, fmt: str) -> datetime:
+        value = cache.get(text)
+        if value is None:
+            value = cache[text] = datetime.strptime(text, fmt)
+        return value
+
     records: list[RawRecord] = []
     row_no = 0
     for row in reader:
@@ -141,8 +152,8 @@ def _parse_stream(
         time_s = row[indices["time"]].strip()
         price_s = row[indices["price"]].strip()
         try:
-            date_part = datetime.strptime(date_s, date_format)
-            time_part = datetime.strptime(time_s, time_format)
+            date_part = parsed(dates, date_s, date_format)
+            time_part = parsed(clocks, time_s, time_format)
         except ValueError as exc:
             raise DataError(f"malformed row {row_no}: unparseable date-time ({exc})") from None
         wall_clock = date_part.replace(

@@ -68,13 +68,23 @@ def unit_model(t: np.ndarray, p: float, c: float) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("t must be nonnegative")
+    return _unit(t, p, c)
+
+
+def _unit(t: np.ndarray, p: float, c: float, lt: np.ndarray | None = None) -> np.ndarray:
+    """:func:`unit_model` without the input check. ``lt`` may carry
+    ``log1p(t / c)``, the only term that depends on c and not on p, so a
+    search over p at one c computes it once; the cached array is returned
+    as is on the log branch and must not be modified."""
     if abs(p - 1.0) < LOG_BRANCH_WINDOW:
-        return np.log1p(t / c)
+        return np.log1p(t / c) if lt is None else lt
     q = 1.0 - p
     if c > 0:
+        if lt is None:
+            lt = np.log1p(t / c)
         # c**q * expm1(q * log1p(t/c)) == ((t+c)**q - c**q): exact zero at
         # t = 0 and continuous across the p -> 1 branch switch.
-        return c**q * np.expm1(q * np.log1p(t / c)) / q
+        return c**q * np.expm1(q * lt) / q
     return t**q / q
 
 
@@ -102,9 +112,12 @@ def cumulative_count(events: EventSequence, grid) -> np.ndarray:
     return np.searchsorted(events.times, grid, side="right").astype(float)
 
 
-def _lsq_cell(y: np.ndarray, grid: np.ndarray, p: float, c: float) -> tuple[float, float]:
-    """Exact (rss, amplitude) for one (p, c) candidate."""
-    g = unit_model(grid, p, c)
+def _lsq_cell(
+    y: np.ndarray, grid: np.ndarray, p: float, c: float, lt: np.ndarray | None
+) -> tuple[float, float]:
+    """Exact (rss, amplitude) for one (p, c) candidate; ``lt`` is
+    ``log1p(grid / c)`` for c > 0 (see :func:`_unit`)."""
+    g = _unit(grid, p, c, lt)
     sgg = float(g @ g)
     syg = float(y @ g)
     if sgg <= 0 or syg <= 0:
@@ -158,14 +171,11 @@ def _coarse_scan(
         elif c == 0:
             rss[log_branch | (p_values >= 1.0), j] = np.inf
 
-    best = (math.inf, 0.0, 0.0)
-    for i, p in enumerate(p_values):
-        for j, c in enumerate(c_values):
-            if rss[i, j] < best[0]:
-                best = (float(rss[i, j]), float(p), float(c))
-    if not math.isfinite(best[0]):
+    # argmin takes the first minimum in row-major order: smallest p, then c
+    i, j = divmod(int(np.argmin(rss)), n_c)
+    if not math.isfinite(rss[i, j]):
         raise DataError("no admissible (p, c) cell: cumulative counts do not support the model")
-    return best[1], best[2]
+    return float(p_values[i]), float(c_values[j])
 
 
 def fit_omori(
@@ -188,6 +198,8 @@ def fit_omori(
     search is two-dimensional: a coarse scan over p in steps of ``p_step``
     and c on a logarithmic grid (plus c = 0), refined by golden-section
     around the best cell. Ties resolve to the smallest p, then smallest c.
+    The refinement tries many p at each c it visits; ``log1p(grid / c)``
+    is computed once per visited c and only the current c's array is held.
 
     ``c_search=False`` pins c = 0, which restricts p to (0, 1).
     ``horizon`` defaults to the last event time.
@@ -219,14 +231,26 @@ def fit_omori(
     # returned fit always use the full one
     stride = max(1, len(grid) // 4000)
     p0, c0 = _coarse_scan(y[::stride], grid[::stride], p_values, c_values)
-    best_rss, best_a = _lsq_cell(y, grid, p0, c0)
+
+    # Only the current c's log1p(grid / c) is held: the searches below
+    # move through c one value at a time, and an array per visited c would
+    # hold megabytes.
+    held_c, held_lt = math.nan, None
+
+    def cell(p: float, c: float) -> tuple[float, float]:
+        nonlocal held_c, held_lt
+        if c != held_c:
+            held_c, held_lt = c, (np.log1p(grid / c) if c > 0 else None)
+        return _lsq_cell(y, grid, p, c, held_lt)
+
+    best_rss, best_a = cell(p0, c0)
     best = (best_rss, p0, c0, best_a)
 
     def consider(p: float, c: float) -> None:
         nonlocal best
         if c == 0.0 and p >= 1.0 - LOG_BRANCH_WINDOW:
             return
-        r, a = _lsq_cell(y, grid, p, c)
+        r, a = cell(p, c)
         if r < best[0]:
             best = (r, p, c, a)
 
@@ -235,7 +259,7 @@ def fit_omori(
         hi = min(p_range[1], p0 + 8 * p_step)
         if c == 0.0:
             hi = min(hi, 1.0 - 2 * LOG_BRANCH_WINDOW)
-        return golden_section(lambda p: _lsq_cell(y, grid, p, c)[0], lo, hi, tol=1e-5)
+        return golden_section(lambda p: cell(p, c)[0], lo, hi, tol=1e-5)
 
     if c_search and c0 > 0:
         # (p, c) ride a correlated ridge: refine c with p re-optimized at
@@ -260,7 +284,7 @@ def fit_omori(
     p_hi = min(p_range[1], best[1] + p_step)
     if c_fin == 0.0:
         p_hi = min(p_hi, 1.0 - 2 * LOG_BRANCH_WINDOW)
-    p_fin, _ = golden_section(lambda p: _lsq_cell(y, grid, p, c_fin)[0], p_lo, p_hi, tol=1e-6)
+    p_fin, _ = golden_section(lambda p: cell(p, c_fin)[0], p_lo, p_hi, tol=1e-6)
     consider(p_fin, c_fin)
 
     rss, p_hat, c_hat, a_hat = best
@@ -291,7 +315,10 @@ def fit_omori_mle(
     Cross-check for :func:`fit_omori`: treats events on (0, horizon] as an
     inhomogeneous Poisson process. The amplitude again has a closed form at
     fixed (p, c), A = M / unit_cumulative(horizon). Events at t = 0 are
-    excluded (the pure power rate is undefined there for c = 0).
+    excluded (the pure power rate is undefined there for c = 0). The
+    search tabulates every (p, c) cell, then refines p at the best c by
+    golden section; ``sum(log(t + c))`` and ``log1p(horizon / c)``, which
+    depend on c alone, are computed once per c.
     Returned ``rss`` is the negative log-likelihood.
     """
     if horizon is None:
@@ -303,17 +330,25 @@ def fit_omori_mle(
     if m < 10:
         raise DataError(f"need at least 10 events in (0, horizon], got {m}")
 
+    c_values = [0.0] + ([float(c) for c in c_grid] if c_search else [])
+    # the terms that depend on c alone, once per c: log1p(horizon / c) for
+    # the unit cumulative and sum(log(t + c)) for the rate
+    h = np.asarray([horizon])
+    per_c = {
+        c: (np.log1p(h / c) if c > 0 else None, float(np.sum(np.log(times + c))))
+        for c in c_values
+    }
+
     def negloglik(p: float, c: float) -> float:
         if c == 0.0 and p >= 1.0 - LOG_BRANCH_WINDOW:
             return math.inf
-        lam_unit = float(unit_model(np.asarray([horizon]), p, c)[0])
+        lt, s_log = per_c[c]
+        lam_unit = float(_unit(h, p, c, lt)[0])
         if not (lam_unit > 0 and math.isfinite(lam_unit)):
             return math.inf
-        s_log = float(np.sum(np.log(times + c))) if c > 0 else float(np.sum(np.log(times)))
         # profile likelihood: amplitude = m / lam_unit
         return -(m * math.log(m / lam_unit) - p * s_log - m)
 
-    c_values = [0.0] + ([float(c) for c in c_grid] if c_search else [])
     p_values = np.arange(p_range[0], p_range[1] + p_step / 2.0, p_step)
     best = (math.inf, 0.0, 0.0)
     for p in p_values:

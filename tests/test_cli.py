@@ -105,6 +105,27 @@ class TestAnalyze:
         assert report["config"]["c_search"] is False
         assert report["thresholds"][0]["omori"]["c"] == 0.0
 
+    def test_verbose_logs_crash_snap_and_leaves_outputs_unchanged(
+        self, minute_bars_path, tmp_path, capsys, monkeypatch
+    ):
+        # the report echoes the outdir, so both runs write to the same relative one
+        monkeypatch.chdir(tmp_path)
+        argv = [
+            "analyze",
+            "--input", str(minute_bars_path),
+            "--delimiter", ";",
+            "--crash", "2014-12-15 09:30",  # before the open, snaps to 10:00
+            "--resamples", "0",
+            "--outdir", "out",
+        ]
+        snap = "crash instant 2014-12-15 09:30:00 snapped forward to recorded minute 2014-12-15 10:00:00"
+        assert _run(*argv, "-v") == EXIT_OK
+        assert snap in capsys.readouterr().err
+        verbose = _tree_digest(tmp_path / "out")
+        assert _run(*argv) == EXIT_OK
+        assert snap not in capsys.readouterr().err
+        assert _tree_digest(tmp_path / "out") == verbose
+
 
 class TestConfigFile:
     def test_file_values_used_and_flags_win(self, minute_bars_path, tmp_path):

@@ -7,20 +7,38 @@ from aftershocks import (
     DataError,
     EventSequence,
     OmoriFit,
+    OmoriGenSpec,
     ParetoGenSpec,
     WaitingFit,
     bootstrap_ci,
     build_report,
+    gen_omori,
     gen_pareto_waits,
     markov_relation,
     serialize_report,
 )
+from aftershocks import diagnostics
 from aftershocks.diagnostics import to_jsonable
 
 
 def _events_from_waits(mu, count, seed):
     waits = gen_pareto_waits(ParetoGenSpec(mu=mu, tau_min=1.0, count=count, seed=seed))
     return EventSequence(times=np.concatenate([[0.0], np.cumsum(waits.taus)]))
+
+
+def _minute_catalog(amplitude, horizon, seed):
+    spec = OmoriGenSpec(
+        p=0.6, amplitude=amplitude, c=0.0, horizon=horizon, seed=seed, round_to_minutes=True
+    )
+    return gen_omori(spec), horizon
+
+
+def _pipeline_options(horizon):
+    # what the analyze pipeline passes for the Markov interval, c pinned
+    return {
+        "omori": {"grid_step": max(1.0, horizon / 512.0), "horizon": horizon, "c_search": False},
+        "mu": {"method": "lsq", "bin_size": 1.0, "fit_range": (None, None)},
+    }
 
 
 class TestMarkovRelation:
@@ -94,6 +112,52 @@ class TestBootstrapCi:
         ev = EventSequence(times=np.array([0.0, 1.0, 3.0, 6.0, 10.0, 15.0]))
         with pytest.raises(DataError, match="resamples"):
             bootstrap_ci(ev, "omori", resamples=100, seed=0)
+
+    def test_failed_mu_fit_skips_omori_refit(self, monkeypatch):
+        # 42 of the 100 resamples of this minute catalog give a nonpositive
+        # least-squares mu; the error text is the one the per-resample
+        # p-then-mu order gave
+        ev, horizon = _minute_catalog(6.0, 4000.0, seed=3)
+        fit_mu, fit_omori = diagnostics.fit_mu, diagnostics.fit_omori
+        state = {"mu_ok": None, "mu_failed": 0, "refits": 0}
+
+        def counted_mu(*args, **kwargs):
+            state["mu_ok"] = False
+            try:
+                fit = fit_mu(*args, **kwargs)
+            except DataError:
+                state["mu_failed"] += 1
+                raise
+            state["mu_ok"] = True
+            return fit
+
+        def counted_omori(*args, **kwargs):
+            assert state["mu_ok"], "Omori refit of a resample whose mu fit failed"
+            state["refits"] += 1
+            return fit_omori(*args, **kwargs)
+
+        monkeypatch.setattr(diagnostics, "fit_mu", counted_mu)
+        monkeypatch.setattr(diagnostics, "fit_omori", counted_omori)
+        with pytest.raises(DataError) as info:
+            bootstrap_ci(ev, "sum", resamples=100, seed=1, fit_options=_pipeline_options(horizon))
+        assert str(info.value) == "estimator failed on 42/100 resamples"
+        assert state["mu_failed"] == 42
+        assert state["refits"] == 58
+
+    @pytest.mark.parametrize(
+        "estimator,expected",
+        [
+            ("sum", (0.5835223463464286, 0.8391262958778251)),
+            ("omori", (0.4686561747492522, 0.49522033237073604)),
+            ("mu", (0.10759713447858192, 0.3380315759137409)),
+        ],
+    )
+    def test_interval_equals_recorded_value(self, estimator, expected):
+        # every resample of this catalog fits; the intervals were recorded
+        # when each resample fitted p before mu
+        ev, horizon = _minute_catalog(8.0, 3000.0, seed=1)
+        ci = bootstrap_ci(ev, estimator, resamples=100, seed=1, fit_options=_pipeline_options(horizon))
+        assert ci == expected
 
     def test_coverage_of_nominal_interval(self):
         # 95% interval should cover the true exponent in >= 90 of 100 trials

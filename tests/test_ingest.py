@@ -3,6 +3,8 @@ from datetime import datetime
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aftershocks import DataError, align_origin, compact_gaps, load_records, window_length_for_days
 from aftershocks.ingest import ColumnMap, RawRecord
@@ -10,6 +12,55 @@ from aftershocks.ingest import ColumnMap, RawRecord
 
 def _records(*stamps: str, price: float = 1.0) -> list[RawRecord]:
     return [RawRecord(wall_clock=datetime.fromisoformat(s), price=price) for s in stamps]
+
+
+# Small pools, so that cells repeat across rows as they do in real exports.
+_GOOD_CELLS = (
+    ("20141215", "20141216", " 20150102 "),
+    ("100000", "100100", "235959", " 000000"),
+    ("58.17", "0.5", "1e-3", "72"),
+)
+_BAD_CELLS = (
+    ("2014-12-15", "20141332", "", "2O141215"),
+    ("10:00", "246000", "", "1000000"),
+    ("0", "-1.5", "abc", ""),
+)
+
+
+@st.composite
+def _csv_rows(draw):
+    """Rows of date, time and price cells, a few of them corrupted: a bad
+    cell in one column, or a row cut short."""
+    row = st.tuples(*(st.sampled_from(pool) for pool in _GOOD_CELLS)).map(list)
+    rows = draw(st.lists(row, max_size=40))
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        i = draw(st.integers(0, len(rows) - 1))
+        column = draw(st.integers(0, 3))
+        if column == 3:
+            rows[i] = rows[i][:2]
+        elif column < len(rows[i]):
+            rows[i][column] = draw(st.sampled_from(_BAD_CELLS[column]))
+    return rows
+
+
+def _parse_every_row(rows):
+    """Reference: strptime on every row. Returns the records, or the
+    1-based number of the first row that must be rejected."""
+    records = []
+    for row_no, row in enumerate(rows, start=1):
+        if len(row) < 3:
+            return row_no
+        try:
+            day = datetime.strptime(row[0].strip(), "%Y%m%d")
+            clock = datetime.strptime(row[1].strip(), "%H%M%S")
+            price = float(row[2].strip())
+        except ValueError:
+            return row_no
+        if price <= 0:
+            return row_no
+        wall_clock = day.replace(hour=clock.hour, minute=clock.minute, second=clock.second)
+        records.append(RawRecord(wall_clock=wall_clock, price=price))
+    return records
 
 
 class TestLoadRecords:
@@ -60,6 +111,17 @@ class TestLoadRecords:
             time_format="%H:%M",
         )
         assert records[0].wall_clock == datetime(2014, 12, 15, 10, 0)
+
+    @given(rows=_csv_rows())
+    @settings(max_examples=200, deadline=None)
+    def test_fuzzed_rows_match_per_row_reference(self, rows):
+        text = "DATE,TIME,CLOSE\n" + "".join(",".join(row) + "\n" for row in rows)
+        expected = _parse_every_row(rows)
+        if isinstance(expected, int):
+            with pytest.raises(DataError, match=rf"\brow {expected}:"):
+                load_records(io.StringIO(text))
+        else:
+            assert load_records(io.StringIO(text)) == expected
 
     def test_finam_style_brackets(self, minute_bars_path):
         records = load_records(minute_bars_path, delimiter=";")

@@ -160,3 +160,39 @@ class TestFitOmori:
         assert fit.method == "rate-mle"
         assert fit.p == pytest.approx(0.5, abs=0.05)
         assert fit.amplitude == pytest.approx(5.0, rel=0.2)
+
+    @pytest.mark.parametrize(
+        "spec,lsq_c0,lsq_c,mle",
+        [
+            (
+                OmoriGenSpec(p=0.6, amplitude=5.0, c=0.0, horizon=20_000.0, seed=3),
+                (0.5843123403911193, 0.0, 4.706731257064729, 407651.7160632649),
+                (0.5876548282440676, 0.050120471785396775, 4.847858607781691, 426492.79937708715),
+                (0.6003032306271558, 0.0, 5.282106944393669, 2604.2373496344753),
+            ),
+            (
+                OmoriGenSpec(
+                    p=0.6, amplitude=5.0, c=0.0, horizon=20_000.0, seed=3, round_to_minutes=True
+                ),
+                (0.5318150824620563, 0.0, 2.9264248435777627, 380660.94218049746),
+                (0.5481077793623597, 3.7733144631834126, 3.3823331952232003, 350693.9229546116),
+                (0.5642939041222347, 10.0, 3.856661829241118, 2608.9436103735193),
+            ),
+            (
+                OmoriGenSpec(p=1.1, amplitude=30.0, c=5.0, horizon=5000.0, seed=9),
+                (0.8422241980696898, 0.0, 5.1195388711559495, 100813.01557391649),
+                (1.311098917170174, 29.53629364003784, 133.98963021631988, 15073.743287694215),
+                (1.205366208378817, 15.848931924611142, 62.428464506396786, 354.64331101540716),
+            ),
+        ],
+    )
+    def test_fits_equal_recorded_values(self, spec, lsq_c0, lsq_c, mle):
+        # (p, c, amplitude, rss) recorded before the per-c terms were
+        # cached; the searches must visit the same points, so equality is exact
+        ev = gen_omori(spec)
+        for fit, expected in (
+            (fit_omori(ev, c_search=False), lsq_c0),
+            (fit_omori(ev, c_search=True), lsq_c),
+            (fit_omori_mle(ev), mle),
+        ):
+            assert (fit.p, fit.c, fit.amplitude, fit.rss) == expected
