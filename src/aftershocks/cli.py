@@ -21,7 +21,7 @@ import logging
 import os
 import sys
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from datetime import datetime
 from pathlib import Path
 
@@ -37,7 +37,14 @@ from .events import (
     waiting_times,
     write_events_csv,
 )
-from .ingest import ColumnMap, align_origin, compact_gaps, load_records, window_length_for_days
+from .ingest import (
+    ColumnMap,
+    PriceSeries,
+    align_origin,
+    compact_gaps,
+    load_records,
+    window_length_for_days,
+)
 from .omori import cumulative_count, fit_omori, fit_omori_mle, omori_model
 from .stats import compute_returns, window_stats
 from .svgplot import line_chart
@@ -86,34 +93,99 @@ class SimulateSpec:
     round_to_minutes: bool = False
 
 
+def _parse_floats(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split(",") if v.strip())
+
+
+def _parse_ints(text: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in text.split(",") if v.strip())
+
+
+def _parse_crash(text: str) -> datetime:
+    try:
+        return datetime.fromisoformat(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad crash instant {text!r}: {exc}") from None
+
+
+def _parse_fit_range(text: str) -> tuple[float | None, float | None]:
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise argparse.ArgumentTypeError("fit range must be 'lo,hi' (blank side = open)")
+    lo = float(parts[0]) if parts[0].strip() else None
+    hi = float(parts[1]) if parts[1].strip() else None
+    return (lo, hi)
+
+
+def _parse_bool(text: str) -> bool:
+    lowered = text.strip().lower()
+    if lowered in ("1", "true", "yes", "on"):
+        return True
+    if lowered in ("0", "false", "no", "off"):
+        return False
+    raise argparse.ArgumentTypeError(f"bad boolean {text!r}")
+
+
+# the sub-commands that take a setting as a flag
+_INPUT = ("ingest", "analyze")
+_ANALYSIS = ("analyze", "simulate")
+_CORRELATION = ("analyze", "simulate", "collapse")
+_EVERY = ("ingest", "analyze", "simulate", "collapse")
+
+
+def _setting(default, parse, commands: tuple[str, ...], help: str):
+    """A :class:`RunConfig` field: ``parse`` reads its config-file value and
+    its flag, which ``commands`` take with the help text ``help``."""
+    return field(default=default, metadata={"parse": parse, "commands": commands, "help": help})
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a pipeline run depends on; defaults reproduce the
-    standard post-crash study configuration."""
+    standard post-crash study configuration.
 
-    input: Path | None = None
-    delimiter: str = ","
-    date_column: str = "DATE"
-    time_column: str = "TIME"
-    price_column: str = "CLOSE"
-    date_format: str = "%Y%m%d"
-    time_format: str = "%H%M%S"
-    crash: datetime | None = None
-    window_days: int = 100
-    window_minutes: int | None = None
-    thresholds: tuple[float, ...] = (2.0, 3.0)
-    grid_step: float = 1.0
-    horizon: float | None = None
-    c_search: bool = False
-    bin_size: float = 1.0
-    fit_range: tuple[float | None, float | None] = (None, None)
-    n_w: tuple[int, ...] = (0, 10, 20, 30, 40, 50)
-    n_max: int = 60
-    reference: int = 0
-    resamples: int = 200
-    seed: int = 0
-    outdir: Path = Path("aftershocks-out")
-    svg: bool = False
+    Every field but ``simulate`` is a setting: the config-file key and the
+    ``--field-name`` flag are generated from its declaration. Bool settings
+    are ``--x``/``--no-x`` flags.
+    """
+
+    input: Path | None = _setting(None, Path, _INPUT, "delimiter-separated minute-bar file")
+    delimiter: str = _setting(",", str, _INPUT, "field delimiter (default ',')")
+    date_column: str = _setting("DATE", str, _INPUT, "date column name (default DATE)")
+    time_column: str = _setting("TIME", str, _INPUT, "time column name (default TIME)")
+    price_column: str = _setting("CLOSE", str, _INPUT, "price column name (default CLOSE)")
+    date_format: str = _setting("%Y%m%d", str, _INPUT, "strptime date format (default %%Y%%m%%d)")
+    time_format: str = _setting("%H%M%S", str, _INPUT, "strptime time format (default %%H%%M%%S)")
+    crash: datetime | None = _setting(
+        None, _parse_crash, _INPUT, "crash instant, ISO format (e.g. '2014-12-15 20:17')"
+    )
+    window_days: int = _setting(100, int, _ANALYSIS, "exchange days after the crash (default 100)")
+    window_minutes: int | None = _setting(None, int, _ANALYSIS, "window length override, exchange minutes")
+    thresholds: tuple[float, ...] = _setting(
+        (2.0, 3.0), _parse_floats, _ANALYSIS, "sigma multiples, comma separated (default 2,3)"
+    )
+    grid_step: float = _setting(1.0, float, _ANALYSIS, "Omori fitting grid step, minutes (default 1)")
+    horizon: float | None = _setting(
+        None, float, _ANALYSIS, "Omori fitting horizon, minutes (default: window end)"
+    )
+    c_search: bool = _setting(
+        False, _parse_bool, _ANALYSIS, "search the Omori time offset c (default: pinned to 0)"
+    )
+    bin_size: float = _setting(1.0, float, _ANALYSIS, "waiting histogram bin, minutes (default 1)")
+    fit_range: tuple[float | None, float | None] = _setting(
+        (None, None), _parse_fit_range, _ANALYSIS, "waiting fit range 'lo,hi'"
+    )
+    n_w: tuple[int, ...] = _setting(
+        (0, 10, 20, 30, 40, 50), _parse_ints, _CORRELATION, "waiting event times (default 0,10,20,30,40,50)"
+    )
+    n_max: int = _setting(60, int, _CORRELATION, "event-time extent of correlation curves (default 60)")
+    reference: int = _setting(0, int, _CORRELATION, "reference n_w for the collapse (default 0)")
+    resamples: int = _setting(200, int, _ANALYSIS, "bootstrap resamples, 0 disables (default 200)")
+    outdir: Path = _setting(
+        Path("aftershocks-out"), Path, _EVERY, f"output directory (default ${ENV_OUTDIR} or ./aftershocks-out)"
+    )
+    seed: int = _setting(0, int, _EVERY, "master seed for generators and bootstrap")
+    svg: bool = _setting(False, _parse_bool, _EVERY, "also render SVG charts")
     simulate: SimulateSpec | None = None
 
 
@@ -136,8 +208,18 @@ def _config_echo(config: RunConfig) -> dict:
     return out
 
 
-def _column_map(config: RunConfig) -> ColumnMap:
-    return ColumnMap(date=config.date_column, time=config.time_column, price=config.price_column)
+def _load_series(config: RunConfig) -> PriceSeries:
+    """The configured input file as a compacted series, aligned to the
+    crash instant when one is set."""
+    records = load_records(
+        config.input,
+        ColumnMap(date=config.date_column, time=config.time_column, price=config.price_column),
+        delimiter=config.delimiter,
+        date_format=config.date_format,
+        time_format=config.time_format,
+    )
+    series = compact_gaps(records)
+    return series if config.crash is None else align_origin(series, config.crash)
 
 
 # ---------------------------------------------------------------------------
@@ -156,20 +238,18 @@ def run_pipeline(config: RunConfig) -> dict:
     artifacts: list[str] = []
     notes: list[str] = list(_METHOD_NOTES)
 
-    if config.simulate is not None:
-        report = _run_synthetic(config, outdir, artifacts, notes)
-    else:
-        report = _run_analysis(config, outdir, artifacts, notes)
-
+    run = _run_analysis if config.simulate is None else _run_synthetic
+    sections = run(config, outdir, artifacts, notes)
+    report = build_report(
+        config=_config_echo(config),
+        rng={"algorithm": RNG_ALGORITHM, "seed": config.seed},
+        notes=notes,
+        artifacts=sorted(artifacts) + ["report.json"],
+        **sections,
+    )
+    if config.svg:
+        _add_charts(report, outdir, report.get("thresholds", []))
     (outdir / "report.json").write_text(serialize_report(report), encoding="utf-8")
-    return report
-
-
-def _finish_report(run_config: RunConfig, outdir: Path, **sections) -> dict:
-    report = build_report(**sections)
-    if run_config.svg:
-        svgs = render_svgs(report, outdir)
-        report["artifacts"] = sorted(set(report.get("artifacts", [])) | set(svgs))
     return report
 
 
@@ -180,15 +260,7 @@ def _run_analysis(config: RunConfig, outdir: Path, artifacts: list[str], notes: 
         raise _UsageError("analyze requires a crash instant")
 
     with _stage("ingest"):
-        records = load_records(
-            config.input,
-            _column_map(config),
-            delimiter=config.delimiter,
-            date_format=config.date_format,
-            time_format=config.time_format,
-        )
-        series = compact_gaps(records)
-        series = align_origin(series, config.crash)
+        series = _load_series(config)
     if series.origin_wall_clock != config.crash:
         notes.append(
             f"crash instant {config.crash.isoformat(sep=' ')} fell in a no-trading gap; "
@@ -224,84 +296,46 @@ def _run_analysis(config: RunConfig, outdir: Path, artifacts: list[str], notes: 
         r_th = multiple * sw.sigma
         label = f"thr{multiple:g}sigma"
         with _stage(f"events {label}"):
-            ev = detect_events(returns, r_th, sigma_multiple=multiple, window=(0, window))
+            ev = detect_events(returns, r_th, window=(0, window))
         section = _analyze_catalog(ev, config, label, horizon, outdir, artifacts, notes, boot_seed)
         section["multiple"] = multiple
         section["r_th"] = r_th
         threshold_sections.append(section)
-
-    return _finish_report(
-        config,
-        outdir,
-        config=_config_echo(config),
-        sigma=sigma_section,
-        thresholds=threshold_sections,
-        rng={"algorithm": RNG_ALGORITHM, "seed": config.seed},
-        notes=notes,
-        artifacts=sorted(artifacts) + ["report.json"],
-    )
+    return {"sigma": sigma_section, "thresholds": threshold_sections}
 
 
 def _run_synthetic(config: RunConfig, outdir: Path, artifacts: list[str], notes: list[str]) -> dict:
     spec = config.simulate
     assert spec is not None
-    synthetic: dict = {"kind": spec.kind, "seed": config.seed}
-    threshold_sections = []
-    fit_horizon = float(config.horizon) if config.horizon is not None else float(spec.horizon)
-    boot_seed = derive_seeds(config.seed, 1)[0]
+    with _stage("simulate"):
+        if spec.kind == "omori":
+            params = {
+                "p": spec.p,
+                "amplitude": spec.amplitude,
+                "c": spec.c,
+                "horizon": spec.horizon,
+                "round_to_minutes": spec.round_to_minutes,
+            }
+            sample = gen_omori(OmoriGenSpec(**params, seed=config.seed))
+        elif spec.kind == "stationary":
+            params = {"rate": spec.rate, "horizon": spec.horizon}
+            sample = gen_stationary(spec.rate, spec.horizon, config.seed)
+        elif spec.kind == "pareto":
+            params = {"mu": spec.mu, "tau_min": spec.tau_min, "count": spec.count}
+            sample = gen_pareto_waits(ParetoGenSpec(**params, seed=config.seed))
+        else:
+            raise _UsageError(f"unknown simulate kind {spec.kind!r}")
+    synthetic = {"kind": spec.kind, "seed": config.seed, "params": params}
 
-    if spec.kind == "omori":
-        gen = OmoriGenSpec(
-            p=spec.p,
-            amplitude=spec.amplitude,
-            c=spec.c,
-            horizon=spec.horizon,
-            seed=config.seed,
-            round_to_minutes=spec.round_to_minutes,
-        )
-        with _stage("simulate"):
-            ev = gen_omori(gen)
-        synthetic["params"] = {
-            "p": spec.p,
-            "amplitude": spec.amplitude,
-            "c": spec.c,
-            "horizon": spec.horizon,
-            "round_to_minutes": spec.round_to_minutes,
-        }
-        synthetic["event_count"] = len(ev)
-        threshold_sections.append(
-            _analyze_catalog(ev, config, "catalog", fit_horizon, outdir, artifacts, notes, boot_seed)
-        )
-    elif spec.kind == "stationary":
-        with _stage("simulate"):
-            ev = gen_stationary(spec.rate, spec.horizon, config.seed)
-        synthetic["params"] = {"rate": spec.rate, "horizon": spec.horizon}
-        synthetic["event_count"] = len(ev)
-        threshold_sections.append(
-            _analyze_catalog(ev, config, "catalog", fit_horizon, outdir, artifacts, notes, boot_seed)
-        )
-    elif spec.kind == "pareto":
-        gen = ParetoGenSpec(mu=spec.mu, tau_min=spec.tau_min, count=spec.count, seed=config.seed)
-        with _stage("simulate"):
-            waits = gen_pareto_waits(gen)
-        synthetic["params"] = {"mu": spec.mu, "tau_min": spec.tau_min, "count": spec.count}
-        synthetic["tau_count"] = len(waits)
-        threshold_sections.append(
-            {"label": "catalog", "waiting": _waiting_section(waits, config, "catalog", outdir, artifacts)}
-        )
+    if spec.kind == "pareto":
+        synthetic["tau_count"] = len(sample)
+        section = {"label": "catalog", "waiting": _waiting_section(sample, config, "catalog", outdir, artifacts)}
     else:
-        raise _UsageError(f"unknown simulate kind {spec.kind!r}")
-
-    return _finish_report(
-        config,
-        outdir,
-        config=_config_echo(config),
-        thresholds=threshold_sections,
-        synthetic=synthetic,
-        rng={"algorithm": RNG_ALGORITHM, "seed": config.seed},
-        notes=notes,
-        artifacts=sorted(artifacts) + ["report.json"],
-    )
+        synthetic["event_count"] = len(sample)
+        horizon = float(config.horizon if config.horizon is not None else spec.horizon)
+        boot_seed = derive_seeds(config.seed, 1)[0]
+        section = _analyze_catalog(sample, config, "catalog", horizon, outdir, artifacts, notes, boot_seed)
+    return {"thresholds": [section], "synthetic": synthetic}
 
 
 def _analyze_catalog(
@@ -318,6 +352,9 @@ def _analyze_catalog(
     one event catalog; writes that catalog's artifact files."""
     section: dict = {"label": label, "event_count": len(ev)}
 
+    def note(text: str) -> None:
+        notes.append(f"{label}: {text}")
+
     events_csv = f"events_{label}.csv"
     write_events_csv(ev, outdir / events_csv)
     artifacts.append(events_csv)
@@ -333,20 +370,20 @@ def _analyze_catalog(
         try:
             section["omori_mle"] = fit_omori_mle(ev, horizon=horizon, c_search=config.c_search)
         except DataError as exc:
-            notes.append(f"{label}: rate-MLE cross-check unavailable ({exc})")
+            note(f"rate-MLE cross-check unavailable ({exc})")
         curve_csv = f"omori_{label}.csv"
         _write_omori_curve_csv(ev, omori_fit, horizon, outdir / curve_csv)
         artifacts.append(curve_csv)
         section["omori_csv"] = curve_csv
     else:
-        notes.append(f"{label}: too few events ({len(ev)}) for an Omori fit")
+        note(f"too few events ({len(ev)}) for an Omori fit")
 
     waits = waiting_times(ev)
     wsec = _waiting_section(waits, config, label, outdir, artifacts) if len(waits) else None
     if wsec is not None:
         section["waiting"] = wsec
     elif len(ev):
-        notes.append(f"{label}: no waiting times to histogram")
+        note("no waiting times to histogram")
 
     lsq_fit = wsec.get("lsq") if wsec else None
     if omori_fit is not None and lsq_fit is not None:
@@ -364,44 +401,48 @@ def _analyze_catalog(
                 with _stage(f"bootstrap {label}"):
                     ci = bootstrap_ci(ev, "sum", config.resamples, boot_seed, boot_opts)
             except DataError as exc:
-                notes.append(f"{label}: bootstrap failed ({exc}); Markov verdict uses the point estimate")
+                note(f"bootstrap failed ({exc}); Markov verdict uses the point estimate")
         elif config.resamples:
-            notes.append(f"{label}: fewer than 100 resamples requested; bootstrap skipped")
+            note("fewer than 100 resamples requested; bootstrap skipped")
         else:
-            notes.append(f"{label}: bootstrap disabled; Markov verdict uses the point estimate")
+            note("bootstrap disabled; Markov verdict uses the point estimate")
         section["markov"] = markov_relation(omori_fit.p, lsq_fit.mu, ci)
 
     min_events = config.n_max + max(config.n_w) + 2
     if len(ev) >= min_events:
         with _stage(f"correlation {label}"):
-            curves = corr.aging_curves(ev, config.n_w, config.n_max)
-            result = corr.collapse(curves, reference_n_w=config.reference)
-        corr_section: dict = {
-            "n_w": list(config.n_w),
-            "n_max": config.n_max,
-            "reference": config.reference,
-            "scale_factors": result.scale_factors,
-            "collapse_residual": result.collapse_residual,
-        }
-        try:
-            a, gamma = corr.fit_f(result.scale_factors)
-            corr_section["a"] = a
-            corr_section["gamma"] = gamma
-        except DataError as exc:
-            notes.append(f"{label}: scale-factor law not fitted ({exc})")
-        corr.write_curves_csv(curves, outdir / f"corr_{label}.csv")
-        corr.write_collapsed_csv(curves, result.scale_factors, outdir / f"collapsed_{label}.csv")
-        corr.write_scale_factors_csv(result.scale_factors, outdir / f"scale_factors_{label}.csv")
-        for name in (f"corr_{label}.csv", f"collapsed_{label}.csv", f"scale_factors_{label}.csv"):
-            artifacts.append(name)
-        corr_section["curves_csv"] = f"corr_{label}.csv"
-        corr_section["collapsed_csv"] = f"collapsed_{label}.csv"
-        corr_section["scale_factors_csv"] = f"scale_factors_{label}.csv"
-        section["correlation"] = corr_section
+            section["correlation"] = _correlation_section(ev, config, label, outdir, artifacts, note)
     else:
-        notes.append(
-            f"{label}: {len(ev)} events < {min_events} needed for the correlation study; skipped"
-        )
+        note(f"{len(ev)} events < {min_events} needed for the correlation study; skipped")
+    return section
+
+
+def _correlation_section(
+    ev: EventSequence, config: RunConfig, label: str, outdir: Path, artifacts: list[str], note
+) -> dict:
+    """Aging curves of one catalog and their collapse; writes the catalog's
+    three correlation CSVs. ``note`` records why the scale-factor law is
+    missing when it cannot be fitted."""
+    curves = corr.aging_curves(ev, config.n_w, config.n_max)
+    result = corr.collapse(curves, reference_n_w=config.reference)
+    section: dict = {
+        "n_w": list(config.n_w),
+        "n_max": config.n_max,
+        "reference": config.reference,
+        "scale_factors": result.scale_factors,
+        "collapse_residual": result.collapse_residual,
+        "curves_csv": f"corr_{label}.csv",
+        "collapsed_csv": f"collapsed_{label}.csv",
+        "scale_factors_csv": f"scale_factors_{label}.csv",
+    }
+    try:
+        section["a"], section["gamma"] = corr.fit_f(result.scale_factors)
+    except DataError as exc:
+        note(f"scale-factor law not fitted ({exc})")
+    corr.write_curves_csv(curves, outdir / section["curves_csv"])
+    corr.write_collapsed_csv(curves, result.scale_factors, outdir / section["collapsed_csv"])
+    corr.write_scale_factors_csv(result.scale_factors, outdir / section["scale_factors_csv"])
+    artifacts.extend([section["curves_csv"], section["collapsed_csv"], section["scale_factors_csv"]])
     return section
 
 
@@ -445,11 +486,11 @@ def _read_csv(path: Path) -> list[list[float]]:
         return [[float(v) for v in row] for row in reader if row]
 
 
-def render_svgs(report: dict, outdir: Path) -> list[str]:
-    """Render the standard charts from a run's CSV artifacts; returns the
-    SVG file names written."""
+def render_svgs(sections: list[dict], outdir: Path) -> list[str]:
+    """Render the standard charts of report threshold sections from a run's
+    CSV artifacts; returns the SVG file names written."""
     written: list[str] = []
-    for section in report.get("thresholds", []):
+    for section in sections:
         label = section["label"]
         if "omori_csv" in section:
             rows = _read_csv(outdir / section["omori_csv"])
@@ -529,6 +570,14 @@ def _write_svg(outdir: Path, name: str, content: str) -> str:
     return name
 
 
+def _add_charts(report: dict, outdir: Path, sections: list[dict]) -> list[str]:
+    """Render the charts of ``sections`` and list them in the report's
+    artifacts; returns the SVG file names written."""
+    svgs = render_svgs(sections, outdir)
+    report["artifacts"] = sorted(set(report.get("artifacts", [])) | set(svgs))
+    return svgs
+
+
 # ---------------------------------------------------------------------------
 # argument parsing
 
@@ -539,67 +588,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(",") if v.strip())
-
-
-def _parse_ints(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.split(",") if v.strip())
-
-
-def _parse_crash(text: str) -> datetime:
-    try:
-        return datetime.fromisoformat(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad crash instant {text!r}: {exc}") from None
-
-
-def _parse_fit_range(text: str) -> tuple[float | None, float | None]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError("fit range must be 'lo,hi' (blank side = open)")
-    lo = float(parts[0]) if parts[0].strip() else None
-    hi = float(parts[1]) if parts[1].strip() else None
-    return (lo, hi)
-
-
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise argparse.ArgumentTypeError(f"bad boolean {text!r}")
-
-
-_COERCERS = {
-    "input": Path,
-    "delimiter": str,
-    "date_column": str,
-    "time_column": str,
-    "price_column": str,
-    "date_format": str,
-    "time_format": str,
-    "crash": _parse_crash,
-    "window_days": int,
-    "window_minutes": int,
-    "thresholds": _parse_floats,
-    "grid_step": float,
-    "horizon": float,
-    "c_search": _parse_bool,
-    "bin_size": float,
-    "fit_range": _parse_fit_range,
-    "n_w": _parse_ints,
-    "n_max": int,
-    "reference": int,
-    "resamples": int,
-    "seed": int,
-    "outdir": Path,
-    "svg": _parse_bool,
-}
-
-
 def _read_config_file(path: Path) -> dict:
+    parsers = {f.name: f.metadata["parse"] for f in fields(RunConfig) if f.metadata}
     values = {}
     try:
         text = path.read_text(encoding="utf-8")
@@ -613,10 +603,10 @@ def _read_config_file(path: Path) -> dict:
             raise _UsageError(f"{path}:{line_no}: expected 'key = value'")
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in _COERCERS:
+        if key not in parsers:
             raise _UsageError(f"{path}:{line_no}: unknown key {key!r}")
         try:
-            values[key] = _COERCERS[key](value.strip())
+            values[key] = parsers[key](value.strip())
         except (ValueError, argparse.ArgumentTypeError) as exc:
             raise _UsageError(f"{path}:{line_no}: {exc}") from None
     return values
@@ -627,7 +617,7 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     defaults = RunConfig()
     merged = {}
     for f in fields(RunConfig):
-        if f.name == "simulate":
+        if not f.metadata:
             continue
         flag_value = getattr(args, f.name, None)
         if flag_value is not None:
@@ -641,51 +631,22 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**merged)
 
 
-def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="key = value config file; flags override it")
-    sub.add_argument(
-        "--outdir", type=Path, help=f"output directory (default ${ENV_OUTDIR} or ./aftershocks-out)"
-    )
-    sub.add_argument("--seed", type=int, help="master seed for generators and bootstrap")
-    sub.add_argument("--svg", action=argparse.BooleanOptionalAction, help="also render SVG charts")
+def _add_setting_flags(sub: argparse.ArgumentParser, command: str) -> None:
+    """A flag for each :class:`RunConfig` setting that ``command`` takes, in
+    field order; ``--config`` heads the settings every command shares."""
+    for f in fields(RunConfig):
+        if command not in f.metadata.get("commands", ()):
+            continue
+        if f.name == "outdir":
+            sub.add_argument("--config", help="key = value config file; flags override it")
+        flag, parse, help = "--" + f.name.replace("_", "-"), f.metadata["parse"], f.metadata["help"]
+        if parse is _parse_bool:
+            sub.add_argument(flag, action=argparse.BooleanOptionalAction, help=help)
+        else:
+            sub.add_argument(flag, type=parse, help=help)
     # not a RunConfig field: report.json echoes the config, and logging must
     # leave the output tree unchanged
     sub.add_argument("-v", "--verbose", action="store_true", help="log progress messages to stderr")
-
-
-def _add_input_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--input", type=Path, help="delimiter-separated minute-bar file")
-    sub.add_argument("--delimiter", help="field delimiter (default ',')")
-    sub.add_argument("--date-column", dest="date_column", help="date column name (default DATE)")
-    sub.add_argument("--time-column", dest="time_column", help="time column name (default TIME)")
-    sub.add_argument("--price-column", dest="price_column", help="price column name (default CLOSE)")
-    sub.add_argument("--date-format", dest="date_format", help="strptime date format (default %%Y%%m%%d)")
-    sub.add_argument("--time-format", dest="time_format", help="strptime time format (default %%H%%M%%S)")
-    sub.add_argument("--crash", type=_parse_crash, help="crash instant, ISO format (e.g. '2014-12-15 20:17')")
-
-
-def _add_analysis_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--window-days", dest="window_days", type=int,
-                     help="exchange days after the crash (default 100)")
-    sub.add_argument("--window-minutes", dest="window_minutes", type=int,
-                     help="window length override, exchange minutes")
-    sub.add_argument("--thresholds", type=_parse_floats,
-                     help="sigma multiples, comma separated (default 2,3)")
-    sub.add_argument("--grid-step", dest="grid_step", type=float,
-                     help="Omori fitting grid step, minutes (default 1)")
-    sub.add_argument("--horizon", type=float, help="Omori fitting horizon, minutes (default: window end)")
-    sub.add_argument("--c-search", dest="c_search", action=argparse.BooleanOptionalAction,
-                     help="search the Omori time offset c (default: pinned to 0)")
-    sub.add_argument("--bin-size", dest="bin_size", type=float,
-                     help="waiting histogram bin, minutes (default 1)")
-    sub.add_argument("--fit-range", dest="fit_range", type=_parse_fit_range,
-                     help="waiting fit range 'lo,hi'")
-    sub.add_argument("--n-w", dest="n_w", type=_parse_ints,
-                     help="waiting event times (default 0,10,20,30,40,50)")
-    sub.add_argument("--n-max", dest="n_max", type=int,
-                     help="event-time extent of correlation curves (default 60)")
-    sub.add_argument("--reference", type=int, help="reference n_w for the collapse (default 0)")
-    sub.add_argument("--resamples", type=int, help="bootstrap resamples, 0 disables (default 200)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -693,14 +654,11 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p_ingest = subs.add_parser("ingest", help="validate, compact and align an input file")
-    _add_input_flags(p_ingest)
-    _add_common_flags(p_ingest)
+    _add_setting_flags(p_ingest, "ingest")
     p_ingest.set_defaults(func=cmd_ingest)
 
     p_analyze = subs.add_parser("analyze", help="full post-crash analysis")
-    _add_input_flags(p_analyze)
-    _add_analysis_flags(p_analyze)
-    _add_common_flags(p_analyze)
+    _add_setting_flags(p_analyze, "analyze")
     p_analyze.set_defaults(func=cmd_analyze)
 
     p_sim = subs.add_parser("simulate", help="seeded synthetic catalog plus fits")
@@ -716,16 +674,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--rate", type=float, help="events per minute (stationary)")
     p_sim.add_argument("--round-minutes", dest="round_minutes", action="store_true",
                        help="floor event times to the minute grid")
-    _add_analysis_flags(p_sim)
-    _add_common_flags(p_sim)
+    _add_setting_flags(p_sim, "simulate")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_collapse = subs.add_parser("collapse", help="correlation study on an event CSV")
     p_collapse.add_argument("--events", type=Path, required=True, help="single-column event CSV")
-    p_collapse.add_argument("--n-w", dest="n_w", type=_parse_ints, help="waiting event times")
-    p_collapse.add_argument("--n-max", dest="n_max", type=int, help="curve extent (default 60)")
-    p_collapse.add_argument("--reference", type=int, help="reference n_w (default 0)")
-    _add_common_flags(p_collapse)
+    _add_setting_flags(p_collapse, "collapse")
     p_collapse.set_defaults(func=cmd_collapse)
 
     p_report = subs.add_parser("report", help="re-render charts from a run directory")
@@ -743,16 +697,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     config = _merge_config(args)
     if config.input is None:
         raise _UsageError("ingest requires an input file")
-    records = load_records(
-        config.input,
-        _column_map(config),
-        delimiter=config.delimiter,
-        date_format=config.date_format,
-        time_format=config.time_format,
-    )
-    series = compact_gaps(records)
-    if config.crash is not None:
-        series = align_origin(series, config.crash)
+    series = _load_series(config)
     outdir = Path(config.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     series_csv = outdir / "series.csv"
@@ -779,8 +724,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = _merge_config(args)
-    base = SimulateSpec(kind=args.kind)
-    overrides = {
+    given = {
         "p": args.p,
         "amplitude": args.amplitude,
         "c": args.c,
@@ -789,12 +733,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "tau_min": args.tau_min,
         "count": args.count,
         "rate": args.rate,
-        "round_to_minutes": True if args.round_minutes else None,
+        "round_to_minutes": args.round_minutes or None,
     }
-    spec = SimulateSpec(
-        kind=args.kind,
-        **{k: (v if v is not None else getattr(base, k)) for k, v in overrides.items()},
-    )
+    spec = SimulateSpec(kind=args.kind, **{k: v for k, v in given.items() if v is not None})
     config = replace(config, simulate=spec)
     report = run_pipeline(config)
     _print_summary(report, Path(config.outdir))
@@ -806,46 +747,18 @@ def cmd_collapse(args: argparse.Namespace) -> int:
     ev = read_events_csv(args.events)
     outdir = Path(config.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    curves = corr.aging_curves(ev, config.n_w, config.n_max)
-    result = corr.collapse(curves, reference_n_w=config.reference)
-    section: dict = {
-        "n_w": list(config.n_w),
-        "n_max": config.n_max,
-        "reference": config.reference,
-        "scale_factors": result.scale_factors,
-        "collapse_residual": result.collapse_residual,
-        "curves_csv": "corr_catalog.csv",
-        "collapsed_csv": "collapsed_catalog.csv",
-        "scale_factors_csv": "scale_factors_catalog.csv",
-    }
-    notes = []
-    try:
-        a, gamma = corr.fit_f(result.scale_factors)
-        section["a"] = a
-        section["gamma"] = gamma
-    except DataError as exc:
-        notes.append(f"scale-factor law not fitted ({exc})")
-    corr.write_curves_csv(curves, outdir / section["curves_csv"])
-    corr.write_collapsed_csv(curves, result.scale_factors, outdir / section["collapsed_csv"])
-    corr.write_scale_factors_csv(result.scale_factors, outdir / section["scale_factors_csv"])
-    artifacts = [section["curves_csv"], section["collapsed_csv"], section["scale_factors_csv"], "report.json"]
+    artifacts, notes = ["report.json"], []
+    section = _correlation_section(ev, config, "catalog", outdir, artifacts, notes.append)
     report = build_report(
-        config={
-            "events": args.events,
-            "n_w": list(config.n_w),
-            "n_max": config.n_max,
-            "reference": config.reference,
-        },
+        config={"events": args.events, **{k: section[k] for k in ("n_w", "n_max", "reference")}},
         correlation=section,
         notes=notes,
         artifacts=sorted(artifacts),
     )
     if config.svg:
-        shim = {"thresholds": [{"label": "catalog", "correlation": report["correlation"]}]}
-        svgs = render_svgs(shim, outdir)
-        report["artifacts"] = sorted(set(report["artifacts"]) | set(svgs))
+        _add_charts(report, outdir, [{"label": "catalog", "correlation": report["correlation"]}])
     (outdir / "report.json").write_text(serialize_report(report), encoding="utf-8")
-    factors = ", ".join(f"{k}:{v:.4g}" for k, v in sorted(result.scale_factors.items()))
+    factors = ", ".join(f"{k}:{v:.4g}" for k, v in sorted(section["scale_factors"].items()))
     print(f"scale factors {{{factors}}} -> {outdir / 'report.json'}")
     return EXIT_OK
 
@@ -856,8 +769,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     if not report_path.exists():
         raise DataError(f"{report_path} not found")
     report = json.loads(report_path.read_text(encoding="utf-8"))
-    svgs = render_svgs(report, outdir)
-    report["artifacts"] = sorted(set(report.get("artifacts", [])) | set(svgs))
+    svgs = _add_charts(report, outdir, report.get("thresholds", []))
     report_path.write_text(serialize_report(report), encoding="utf-8")
     print(f"rendered {len(svgs)} charts in {outdir}")
     return EXIT_OK

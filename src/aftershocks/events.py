@@ -20,14 +20,11 @@ class EventSequence:
 
     Times are floats so that synthetic catalogs with continuous times share
     the type; detector output is integer-valued. ``threshold`` is the
-    absolute return cutoff the events were detected at, ``threshold_sigma``
-    the same cutoff as a sigma multiple, when known.
+    absolute return cutoff the events were detected at, when known.
     """
 
     times: np.ndarray
     threshold: float | None = None
-    threshold_sigma: float | None = None
-    source_window: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
         times = np.asarray(self.times, dtype=float)
@@ -66,7 +63,6 @@ def detect_events(
     returns: ReturnSeries,
     r_th: float,
     *,
-    sigma_multiple: float | None = None,
     window: tuple[int, int] | None = None,
 ) -> EventSequence:
     """Every minute t >= 0 with |r(t)| strictly above ``r_th`` is one event.
@@ -79,16 +75,11 @@ def detect_events(
     if r_th <= 0:
         raise ValueError("r_th must be positive")
     if not len(returns):
-        return EventSequence(np.empty(0), threshold=float(r_th), threshold_sigma=sigma_multiple)
+        return EventSequence(np.empty(0), threshold=float(r_th))
     lo = 0 if window is None else max(0, int(window[0]))
     hi = int(returns.t[-1]) if window is None else int(window[1])
     mask = (returns.t >= lo) & (returns.t <= hi) & (np.abs(returns.r) > r_th)
-    return EventSequence(
-        times=returns.t[mask].astype(float),
-        threshold=float(r_th),
-        threshold_sigma=sigma_multiple,
-        source_window=(lo, hi),
-    )
+    return EventSequence(times=returns.t[mask].astype(float), threshold=float(r_th))
 
 
 def waiting_times(events: EventSequence) -> WaitingTimes:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import bisect
 import csv
 import logging
+import math
 from dataclasses import dataclass, replace
 from datetime import datetime
 from pathlib import Path
@@ -95,8 +96,8 @@ def load_records(
 
     Raises:
         DataError: on a missing configured column, an unparseable row, or
-            a non-positive price; the offending column or 1-based data row
-            is named in the message.
+            a non-finite or non-positive price; the offending column or
+            1-based data row is named in the message.
     """
     cmap = column_map or ColumnMap()
     if isinstance(source, (str, Path)):
@@ -163,6 +164,8 @@ def _parse_stream(
             price = float(price_s)
         except ValueError:
             raise DataError(f"malformed row {row_no}: unparseable price {price_s!r}") from None
+        if not math.isfinite(price):
+            raise DataError(f"row {row_no}: non-finite price {price_s}")
         if price <= 0:
             raise DataError(f"row {row_no}: non-positive price {price_s}")
         records.append(RawRecord(wall_clock=wall_clock, price=price))

@@ -132,9 +132,9 @@ def _coarse_scan(
     grid: np.ndarray,
     p_values: np.ndarray,
     c_values: list[float],
-) -> tuple[float, float]:
+) -> tuple[float, float, float]:
     """Best (p, c) cell by the closed-amplitude rss, ties to smallest p
-    then smallest c."""
+    then smallest c, and the best p in the ``c_values[0]`` column."""
     sy2 = float(y @ y)
     n_p, n_c = len(p_values), len(c_values)
     rss = np.full((n_p, n_c), np.inf)
@@ -175,7 +175,7 @@ def _coarse_scan(
     i, j = divmod(int(np.argmin(rss)), n_c)
     if not math.isfinite(rss[i, j]):
         raise DataError("no admissible (p, c) cell: cumulative counts do not support the model")
-    return float(p_values[i]), float(c_values[j])
+    return float(p_values[i]), float(c_values[j]), float(p_values[int(np.argmin(rss[:, 0]))])
 
 
 def fit_omori(
@@ -201,8 +201,9 @@ def fit_omori(
     The refinement tries many p at each c it visits; ``log1p(grid / c)``
     is computed once per visited c and only the current c's array is held.
 
-    ``c_search=False`` pins c = 0, which restricts p to (0, 1).
-    ``horizon`` defaults to the last event time.
+    ``c_search=False`` pins c = 0, which restricts p to (0, 1). With the
+    search, p at c = 0 is refined as well, so the fit is never worse than
+    the pinned one. ``horizon`` defaults to the last event time.
     """
     if len(events) < 10:
         raise DataError(f"need at least 10 events to fit, got {len(events)}")
@@ -230,7 +231,7 @@ def fit_omori(
     # coarse localization may run on a decimated grid; refinement and the
     # returned fit always use the full one
     stride = max(1, len(grid) // 4000)
-    p0, c0 = _coarse_scan(y[::stride], grid[::stride], p_values, c_values)
+    p0, c0, p0_pinned = _coarse_scan(y[::stride], grid[::stride], p_values, c_values)
 
     # Only the current c's log1p(grid / c) is held: the searches below
     # move through c one value at a time, and an array per visited c would
@@ -254,9 +255,9 @@ def fit_omori(
         if r < best[0]:
             best = (r, p, c, a)
 
-    def best_p_at(c: float) -> tuple[float, float]:
-        lo = max(p_range[0], p0 - 8 * p_step)
-        hi = min(p_range[1], p0 + 8 * p_step)
+    def best_p_at(c: float, centre: float = p0) -> tuple[float, float]:
+        lo = max(p_range[0], centre - 8 * p_step)
+        hi = min(p_range[1], centre + 8 * p_step)
         if c == 0.0:
             hi = min(hi, 1.0 - 2 * LOG_BRANCH_WINDOW)
         return golden_section(lambda p: cell(p, c)[0], lo, hi, tol=1e-5)
@@ -275,6 +276,10 @@ def fit_omori(
         p_ref, _ = best_p_at(c_ref)
         consider(p_ref, c_ref)
         consider(best_p_at(c0)[0], c0)
+        # The coarse scan runs on a decimated grid, so it can pick c0 > 0
+        # where c = 0 fits the full grid better. Refining p at c = 0 around
+        # the best coarse p there (always < 1) repeats the c-pinned refinement.
+        consider(best_p_at(0.0, p0_pinned)[0], 0.0)
     else:
         consider(best_p_at(c0)[0], c0)
 

@@ -36,7 +36,6 @@ class WaitingHistogram:
 
     bin_size: float
     counts: dict[float, int]
-    normalized: bool = False
     integer_data: bool = True
 
     def __post_init__(self) -> None:

@@ -15,3 +15,8 @@ def minute_bars_path() -> Path:
 @pytest.fixture
 def golden_report_path() -> Path:
     return DATA_DIR / "golden_report.json"
+
+
+@pytest.fixture
+def golden_collapse_report_path() -> Path:
+    return DATA_DIR / "golden_collapse_report.json"

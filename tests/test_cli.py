@@ -1,10 +1,12 @@
 import hashlib
 import json
+import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from aftershocks.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from aftershocks.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, RunConfig, main
 
 CRASH = "2014-12-15 13:00"
 
@@ -79,6 +81,20 @@ class TestAnalyze:
         assert code == EXIT_DATA
         assert "stage 'ingest'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("price", ["nan", "inf", "-inf"])
+    def test_non_finite_price_is_data_error(self, tmp_path, capsys, price):
+        bars = tmp_path / "bars.csv"
+        bars.write_text(
+            "DATE,TIME,CLOSE\n20141215,100000,58.17\n"
+            f"20141215,100100,{price}\n20141215,100200,58.2\n"
+        )
+        code = _run(
+            "analyze", "--input", str(bars), "--crash", "2014-12-15 10:00",
+            "--outdir", str(tmp_path / "out"),
+        )
+        assert code == EXIT_DATA
+        assert "stage 'ingest': row 2:" in capsys.readouterr().err
+
     def test_unknown_flag_is_usage_error(self, tmp_path):
         assert _run("analyze", "--frobnicate") == EXIT_USAGE
 
@@ -127,6 +143,64 @@ class TestAnalyze:
         assert _tree_digest(tmp_path / "out") == verbose
 
 
+# A non-default value for every setting but the input file, as config-file
+# text; the input is the minute-bar fixture rewritten to these columns,
+# delimiter and formats.
+_SETTINGS = {
+    "delimiter": "|",
+    "date_column": "day",
+    "time_column": "clock",
+    "price_column": "px",
+    "date_format": "%Y.%m.%d",
+    "time_format": "%H:%M",
+    "crash": CRASH,
+    "window_days": "3",
+    "window_minutes": "1500",
+    "thresholds": "2",
+    "grid_step": "2",
+    "horizon": "1200",
+    "c_search": "yes",
+    "bin_size": "2",
+    "fit_range": "1,",
+    "n_w": "0,5,10",
+    "n_max": "20",
+    "reference": "5",
+    "resamples": "0",
+    "seed": "7",
+    "outdir": "out",
+    "svg": "on",
+}
+
+
+@pytest.fixture(scope="module")
+def settings_run(tmp_path_factory):
+    """``run(name)`` runs analyze with every setting in _SETTINGS, ``name``
+    from a config file and the rest by flag, and returns report.json; the
+    second item is that report with every setting given by flag."""
+    root = tmp_path_factory.mktemp("settings")
+    bars = ["day|clock|px"]
+    for row in (Path(__file__).parent / "data" / "minute_bars.csv").read_text().splitlines()[1:]:
+        day, clock, price = row.split(";")
+        bars.append(f"{day[:4]}.{day[4:6]}.{day[6:]}|{clock[:2]}:{clock[2:4]}|{price}")
+    (root / "bars.csv").write_text("\n".join(bars) + "\n")
+    settings = {"input": str(root / "bars.csv"), **_SETTINGS, "outdir": str(root / "out")}
+
+    def run(name: str | None) -> bytes:
+        argv = ["analyze"]
+        for key, text in settings.items():
+            if key == name:
+                (root / "run.cfg").write_text(f"{key} = {text}\n")
+                argv += ["--config", str(root / "run.cfg")]
+            elif key in ("c_search", "svg"):
+                argv.append("--" + key.replace("_", "-"))
+            else:
+                argv += ["--" + key.replace("_", "-"), text]
+        assert main(argv) == EXIT_OK
+        return (root / "out" / "report.json").read_bytes()
+
+    return run, run(None)
+
+
 class TestConfigFile:
     def test_file_values_used_and_flags_win(self, minute_bars_path, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -147,6 +221,11 @@ class TestConfigFile:
                     "--outdir", str(tmp_path / "flag_wins")) == EXIT_OK
         report = json.loads((tmp_path / "flag_wins" / "report.json").read_text())
         assert [s["multiple"] for s in report["thresholds"]] == [2.5]
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(RunConfig) if f.name != "simulate"])
+    def test_setting_by_file_equals_setting_by_flag(self, settings_run, name):
+        run, by_flags = settings_run
+        assert run(name) == by_flags
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -273,12 +352,60 @@ class TestCollapseCommand:
         assert set(factors) == {"0", "10", "20"}
         assert (tmp_path / "col" / "scale_factors_catalog.csv").exists()
 
+    def test_golden_collapse_report(self, tmp_path, monkeypatch, golden_collapse_report_path):
+        # byte-for-byte reproduction of a verified collapse run; the law fit
+        # fails on this stationary catalog, so the report carries its note
+        monkeypatch.chdir(tmp_path)
+        assert _run(
+            "simulate", "--kind", "stationary", "--rate", "1", "--sim-horizon", "3000",
+            "--seed", "4", "--resamples", "0", "--outdir", "sim",
+        ) == EXIT_OK
+        assert _run(
+            "collapse", "--events", "sim/events_catalog.csv", "--n-w", "0,10,20", "--n-max", "30",
+            "--svg", "--outdir", "col",
+        ) == EXIT_OK
+        produced = (tmp_path / "col" / "report.json").read_bytes()
+        assert produced == golden_collapse_report_path.read_bytes()
+
     def test_too_few_events_is_data_error(self, tmp_path, capsys):
         events_csv = tmp_path / "tiny.csv"
         events_csv.write_text("t_minutes\n" + "".join(f"{t}\n" for t in range(40)))
         code = _run("collapse", "--events", str(events_csv), "--outdir", str(tmp_path / "col"))
         assert code == EXIT_DATA
         assert "too short" in capsys.readouterr().err
+
+
+_INPUT_FLAGS = [
+    "--input", "--delimiter", "--date-column", "--time-column", "--price-column",
+    "--date-format", "--time-format", "--crash",
+]
+_ANALYSIS_FLAGS = [
+    "--window-days", "--window-minutes", "--thresholds", "--grid-step", "--horizon",
+    "--c-search", "--no-c-search", "--bin-size", "--fit-range", "--n-w", "--n-max",
+    "--reference", "--resamples",
+]
+_COMMON_FLAGS = ["--config", "--outdir", "--seed", "--svg", "--no-svg", "-v", "--verbose"]
+_SIMULATE_FLAGS = [
+    "--kind", "--p", "--amplitude", "--c", "--sim-horizon", "--mu", "--tau-min", "--count",
+    "--rate", "--round-minutes",
+]
+
+
+class TestHelp:
+    @pytest.mark.parametrize(
+        "command,flags",
+        [
+            ("ingest", _INPUT_FLAGS + _COMMON_FLAGS),
+            ("analyze", _INPUT_FLAGS + _ANALYSIS_FLAGS + _COMMON_FLAGS),
+            ("simulate", _SIMULATE_FLAGS + _ANALYSIS_FLAGS + _COMMON_FLAGS),
+            ("collapse", ["--events", "--n-w", "--n-max", "--reference"] + _COMMON_FLAGS),
+            ("report", ["--outdir"]),
+        ],
+    )
+    def test_help_lists_every_flag_in_order(self, capsys, command, flags):
+        assert _run(command, "--help") == EXIT_OK
+        tokens = re.findall(r"(?<![\w-])--?[a-z][\w-]*", capsys.readouterr().out)
+        assert list(dict.fromkeys(t for t in tokens if t in flags)) == flags
 
 
 class TestReportCommand:

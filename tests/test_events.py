@@ -46,7 +46,6 @@ class TestDetectEvents:
     def test_window_restriction(self):
         ev = detect_events(_returns([0.5, 0.5, 0.5, 0.5]), 0.1, window=(1, 2))
         assert ev.times.tolist() == [1.0, 2.0]
-        assert ev.source_window == (1, 2)
 
     def test_planted_exceedances_recovered(self):
         # oracle: independent brute-force scan over a seeded return array

@@ -1,4 +1,5 @@
 import io
+import math
 from datetime import datetime
 
 import numpy as np
@@ -23,7 +24,7 @@ _GOOD_CELLS = (
 _BAD_CELLS = (
     ("2014-12-15", "20141332", "", "2O141215"),
     ("10:00", "246000", "", "1000000"),
-    ("0", "-1.5", "abc", ""),
+    ("0", "-1.5", "abc", "", "inf", "nan", "-inf"),
 )
 
 
@@ -56,7 +57,7 @@ def _parse_every_row(rows):
             price = float(row[2].strip())
         except ValueError:
             return row_no
-        if price <= 0:
+        if not math.isfinite(price) or price <= 0:
             return row_no
         wall_clock = day.replace(hour=clock.hour, minute=clock.minute, second=clock.second)
         records.append(RawRecord(wall_clock=wall_clock, price=price))
