@@ -33,8 +33,8 @@ from .events import (
 )
 from .ingest import (
     ColumnMap,
+    MinuteBars,
     PriceSeries,
-    RawRecord,
     align_origin,
     compact_gaps,
     load_records,
@@ -62,11 +62,11 @@ __all__ = [
     "DataError",
     "EventSequence",
     "MarkovCheck",
+    "MinuteBars",
     "OmoriFit",
     "OmoriGenSpec",
     "ParetoGenSpec",
     "PriceSeries",
-    "RawRecord",
     "ReturnSeries",
     "RNG_ALGORITHM",
     "WaitingFit",

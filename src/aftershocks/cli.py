@@ -66,6 +66,10 @@ EXIT_INTERNAL = 3
 
 ENV_OUTDIR = "AFTERSHOCKS_OUTDIR"
 
+# series.csv is written this many rows per write, so the file is never held
+# whole in memory
+_SERIES_CHUNK_ROWS = 8192
+
 _METHOD_NOTES = [
     "window statistics divide by the sample count (population form), not the nominal window length",
     "minute 0 counts as an event when its absolute return exceeds the threshold",
@@ -544,7 +548,9 @@ def render_svgs(sections: list[dict], outdir: Path) -> list[str]:
             series = [("f", n_ws, [r[1] for r in rows])]
             if csection.get("a") is not None:
                 a, gamma = csection["a"], csection["gamma"]
-                series.append(("law", n_ws, [a * nw**gamma + 1.0 for nw in n_ws]))
+                # with gamma < 0 the law is infinite at n_w = 0
+                law_nws = [nw for nw in n_ws if nw > 0 or gamma >= 0]
+                series.append(("law", law_nws, [a * nw**gamma + 1.0 for nw in law_nws]))
             chart = line_chart(
                 series,
                 title=f"collapse scale factors ({label})",
@@ -702,10 +708,18 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     series_csv = outdir / "series.csv"
     with open(series_csv, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "wall_clock", "x"])
-        for t, wc, x in zip(series.t, series.wall_clock, series.x):
-            writer.writerow([int(t), wc.isoformat(sep=" "), format(x, ".10g")])
+        fh.write("t,wall_clock,x\n")
+        for lo in range(0, len(series), _SERIES_CHUNK_ROWS):
+            hi = lo + _SERIES_CHUNK_ROWS
+            rows = zip(
+                range(series.t_start + lo, series.t_start + hi),
+                np.datetime_as_string(series.wall_clock[lo:hi], unit="s").tolist(),
+                series.x[lo:hi].tolist(),
+            )
+            chunk = "".join([f"{t},{wc},{x:.10g}\n" for t, wc, x in rows])
+            # numpy's ISO text has a "T" where datetime.isoformat(sep=" ") has a
+            # space; no integer or formatted price contains one
+            fh.write(chunk.replace("T", " "))
     origin = series.origin_wall_clock
     print(f"{len(series)} records -> {series_csv}")
     print(

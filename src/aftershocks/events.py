@@ -100,7 +100,11 @@ def write_events_csv(events: EventSequence, path: str | Path) -> None:
 
 def read_events_csv(path: str | Path, **metadata) -> EventSequence:
     """Inverse of :func:`write_events_csv`; extra kwargs become metadata."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    try:
+        fh = open(path, "r", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror}") from None
+    with fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or header[0] != EVENTS_CSV_HEADER:

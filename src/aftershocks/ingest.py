@@ -3,18 +3,22 @@
 Reads delimiter-separated exports (finam-style by default: DATE, TIME and
 CLOSE columns), compacts no-trading gaps onto a contiguous exchange-minute
 axis, and aligns the time origin to a configured crash instant.
+
+Timestamps are held as ``datetime64[s]`` columns: naive wall-clock time to
+the second.
 """
 
 from __future__ import annotations
 
-import bisect
 import csv
+import functools
 import logging
 import math
+from array import array
 from dataclasses import dataclass, replace
-from datetime import datetime
+from datetime import date, datetime
 from pathlib import Path
-from typing import IO, Sequence
+from typing import IO
 
 import numpy as np
 
@@ -24,6 +28,8 @@ log = logging.getLogger(__name__)
 
 DEFAULT_DATE_FORMAT = "%Y%m%d"
 DEFAULT_TIME_FORMAT = "%H%M%S"
+
+_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 
 
 @dataclass(frozen=True)
@@ -40,11 +46,15 @@ class ColumnMap:
 
 
 @dataclass(frozen=True)
-class RawRecord:
-    """One minute bar: wall-clock timestamp and a positive price."""
+class MinuteBars:
+    """Parsed minute bars in file order, as columns: the ``datetime64[s]``
+    wall-clock timestamp and the positive price of every row."""
 
-    wall_clock: datetime
-    price: float
+    wall_clock: np.ndarray
+    price: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.price)
 
 
 @dataclass(frozen=True)
@@ -53,21 +63,23 @@ class PriceSeries:
 
     The index runs contiguously (step 1) from ``t_start``; minutes in which
     no exchange took place carry no index at all.  ``wall_clock`` keeps the
-    original timestamp of every index, so gap removal is reversible.
-    ``origin_wall_clock`` is the instant mapped to ``t = 0`` once
-    :func:`align_origin` has been applied; records before it carry negative
-    indices.
+    original timestamp of every index as ``datetime64[s]``, so gap removal
+    is reversible. ``origin_wall_clock`` is the instant mapped to ``t = 0``
+    once :func:`align_origin` has been applied; records before it carry
+    negative indices.
     """
 
     x: np.ndarray
-    wall_clock: tuple[datetime, ...]
+    wall_clock: np.ndarray
     t_start: int = 0
     origin_wall_clock: datetime | None = None
 
     def __post_init__(self) -> None:
         x = np.asarray(self.x, dtype=float)
+        wall = np.asarray(self.wall_clock, dtype="datetime64[s]")
         object.__setattr__(self, "x", x)
-        if x.ndim != 1 or len(x) != len(self.wall_clock):
+        object.__setattr__(self, "wall_clock", wall)
+        if x.ndim != 1 or x.shape != wall.shape:
             raise ValueError("x and wall_clock must be 1-d and equally long")
         if len(x) and not np.all(x > 0):
             raise DataError("prices must be positive")
@@ -88,22 +100,30 @@ def load_records(
     delimiter: str = ",",
     date_format: str = DEFAULT_DATE_FORMAT,
     time_format: str = DEFAULT_TIME_FORMAT,
-) -> list[RawRecord]:
+) -> MinuteBars:
     """Parse minute-bar records from a delimited text stream or file path.
 
     Records come back in file order; nothing is sorted, deduplicated or
     dropped here (that is :func:`compact_gaps`'s job, and it is strict).
+    The date cell gives the day and the time cell the hour, minute and
+    second of each timestamp; any other field either format parses is
+    ignored.
 
     Raises:
-        DataError: on a missing configured column, an unparseable row, or
-            a non-finite or non-positive price; the offending column or
-            1-based data row is named in the message.
+        DataError: on a file that cannot be opened, a missing configured
+            column, an unparseable row, or a non-finite or non-positive
+            price; the path, the offending column or the 1-based data row
+            is named in the message.
     """
     cmap = column_map or ColumnMap()
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
-            return _parse_stream(fh, cmap, delimiter, date_format, time_format)
-    return _parse_stream(source, cmap, delimiter, date_format, time_format)
+    if not isinstance(source, (str, Path)):
+        return _parse_stream(source, cmap, delimiter, date_format, time_format)
+    try:
+        fh = open(source, "r", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise DataError(f"cannot read {source}: {exc.strerror}") from None
+    with fh:
+        return _parse_stream(fh, cmap, delimiter, date_format, time_format)
 
 
 def _normalize_header_cell(cell: str) -> str:
@@ -116,7 +136,7 @@ def _parse_stream(
     delimiter: str,
     date_format: str,
     time_format: str,
-) -> list[RawRecord]:
+) -> MinuteBars:
     reader = csv.reader(stream, delimiter=delimiter)
     try:
         header = next(reader)
@@ -129,65 +149,60 @@ def _parse_stream(
             raise DataError(f"missing configured {role} column {wanted!r} (header: {names})")
         indices[role] = names.index(wanted)
     needed = max(indices.values()) + 1
+    i_date, i_time, i_price = indices["date"], indices["time"], indices["price"]
 
     # A minute-bar file repeats each date on every row of its day and each
-    # time on every day, so each distinct string is parsed once.
-    dates: dict[str, datetime] = {}
-    clocks: dict[str, datetime] = {}
+    # time on every day, so each distinct cell is parsed once.
+    @functools.cache
+    def day_seconds(cell: str) -> int:
+        day = datetime.strptime(cell.strip(), date_format)
+        return (day.toordinal() - _EPOCH_ORDINAL) * 86400
 
-    def parsed(cache: dict[str, datetime], text: str, fmt: str) -> datetime:
-        value = cache.get(text)
-        if value is None:
-            value = cache[text] = datetime.strptime(text, fmt)
-        return value
+    @functools.cache
+    def clock_seconds(cell: str) -> int:
+        clock = datetime.strptime(cell.strip(), time_format)
+        return clock.hour * 3600 + clock.minute * 60 + clock.second
 
-    records: list[RawRecord] = []
-    row_no = 0
-    for row in reader:
-        if not row:
-            continue
-        row_no += 1
+    stamps = array("q")
+    prices = array("d")
+    for row_no, row in enumerate(filter(None, reader), start=1):
         if len(row) < needed:
             raise DataError(f"malformed row {row_no}: expected >= {needed} fields, got {len(row)}")
-        date_s = row[indices["date"]].strip()
-        time_s = row[indices["time"]].strip()
-        price_s = row[indices["price"]].strip()
         try:
-            date_part = parsed(dates, date_s, date_format)
-            time_part = parsed(clocks, time_s, time_format)
+            stamp = day_seconds(row[i_date]) + clock_seconds(row[i_time])
         except ValueError as exc:
             raise DataError(f"malformed row {row_no}: unparseable date-time ({exc})") from None
-        wall_clock = date_part.replace(
-            hour=time_part.hour, minute=time_part.minute, second=time_part.second
-        )
+        price_s = row[i_price].strip()
         try:
             price = float(price_s)
         except ValueError:
             raise DataError(f"malformed row {row_no}: unparseable price {price_s!r}") from None
-        if not math.isfinite(price):
-            raise DataError(f"row {row_no}: non-finite price {price_s}")
-        if price <= 0:
-            raise DataError(f"row {row_no}: non-positive price {price_s}")
-        records.append(RawRecord(wall_clock=wall_clock, price=price))
-    return records
+        if not 0.0 < price < math.inf:
+            problem = "non-positive" if math.isfinite(price) else "non-finite"
+            raise DataError(f"row {row_no}: {problem} price {price_s}")
+        stamps.append(stamp)
+        prices.append(price)
+    return MinuteBars(
+        wall_clock=np.array(stamps, dtype=np.int64).view("datetime64[s]"),
+        price=np.array(prices, dtype=float),
+    )
 
 
-def compact_gaps(records: Sequence[RawRecord]) -> PriceSeries:
+def compact_gaps(records: MinuteBars) -> PriceSeries:
     """Map the k-th record to exchange-minute index k.
 
     Timestamps must be strictly increasing: a duplicate is a hard error,
     because silently dropping one would shift the event clock downstream.
     """
-    wall = [r.wall_clock for r in records]
-    for i in range(1, len(wall)):
-        if wall[i] == wall[i - 1]:
-            raise DataError(f"duplicate timestamp {wall[i]} at record {i + 1}")
-        if wall[i] < wall[i - 1]:
-            raise DataError(
-                f"timestamps not sorted: record {i + 1} ({wall[i]}) precedes {wall[i - 1]}"
-            )
-    x = np.array([r.price for r in records], dtype=float)
-    return PriceSeries(x=x, wall_clock=tuple(wall))
+    wall = records.wall_clock
+    bad = np.flatnonzero(np.diff(wall) <= np.timedelta64(0, "s"))
+    if bad.size:
+        i = int(bad[0]) + 1
+        current, previous = wall[i].item(), wall[i - 1].item()
+        if current == previous:
+            raise DataError(f"duplicate timestamp {current} at record {i + 1}")
+        raise DataError(f"timestamps not sorted: record {i + 1} ({current}) precedes {previous}")
+    return PriceSeries(x=records.price, wall_clock=wall)
 
 
 def align_origin(series: PriceSeries, crash: datetime) -> PriceSeries:
@@ -202,12 +217,17 @@ def align_origin(series: PriceSeries, crash: datetime) -> PriceSeries:
     if not len(series):
         raise DataError("cannot align an empty series")
     wall = series.wall_clock
-    if crash < wall[0]:
-        raise DataError(f"crash instant {crash} precedes the first record at {wall[0]}")
-    if crash > wall[-1]:
-        raise DataError(f"crash instant {crash} is after the last record at {wall[-1]}")
-    idx = bisect.bisect_left(wall, crash)
-    origin = wall[idx]
+    first, last = wall[0].item(), wall[-1].item()
+    if crash < first:
+        raise DataError(f"crash instant {crash} precedes the first record at {first}")
+    if crash > last:
+        raise DataError(f"crash instant {crash} is after the last record at {last}")
+    # The search runs on whole seconds; an instant with a fractional second
+    # lies after the record at its whole second.
+    idx = int(np.searchsorted(wall, np.datetime64(crash.replace(microsecond=0), "s")))
+    if wall[idx].item() < crash:
+        idx += 1
+    origin = wall[idx].item()
     if origin != crash:
         log.info("crash instant %s snapped forward to recorded minute %s", crash, origin)
     return replace(series, t_start=-idx, origin_wall_clock=origin)
@@ -226,15 +246,7 @@ def window_length_for_days(series: PriceSeries, days: int, start_t: int = 0) -> 
     i0 = start_t - series.t_start
     if i0 < 0 or i0 >= len(series):
         raise DataError(f"window start t={start_t} outside the series")
-    count = 0
-    current = None
-    end = i0
-    for i in range(i0, len(series)):
-        d = series.wall_clock[i].date()
-        if d != current:
-            count += 1
-            current = d
-            if count > days:
-                break
-        end = i
-    return end - i0
+    dates = series.wall_clock[i0:].astype("datetime64[D]")
+    # offset of the last record of each date but the final one
+    day_ends = np.flatnonzero(dates[1:] != dates[:-1])
+    return int(day_ends[days - 1]) if len(day_ends) >= days else len(dates) - 1

@@ -20,3 +20,8 @@ def golden_report_path() -> Path:
 @pytest.fixture
 def golden_collapse_report_path() -> Path:
     return DATA_DIR / "golden_collapse_report.json"
+
+
+@pytest.fixture
+def golden_series_path() -> Path:
+    return DATA_DIR / "golden_series.csv"

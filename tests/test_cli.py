@@ -258,6 +258,30 @@ class TestIngest:
         assert first[0] == "-600"  # crash sits 600 compacted minutes in
         assert "origin 2014-12-15 13:00" in capsys.readouterr().out
 
+    def test_series_csv_matches_golden(self, minute_bars_path, tmp_path, golden_series_path):
+        # byte-for-byte reproduction of the export made by the per-record writer
+        assert _run(
+            "ingest", "--input", str(minute_bars_path), "--delimiter", ";", "--crash", CRASH,
+            "--outdir", str(tmp_path),
+        ) == EXIT_OK
+        assert (tmp_path / "series.csv").read_bytes() == golden_series_path.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ingest", "--input"],
+        ["analyze", "--crash", CRASH, "--input"],
+        ["collapse", "--events"],
+    ],
+    ids=["ingest", "analyze", "collapse"],
+)
+def test_missing_input_file_is_data_error(tmp_path, capsys, argv):
+    missing = tmp_path / "nope.csv"
+    code = _run(*argv, str(missing), "--outdir", str(tmp_path / "out"))
+    assert code == EXIT_DATA
+    assert f"cannot read {missing}: No such file or directory" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_simulate_only_report_sections(self, tmp_path):
@@ -288,6 +312,19 @@ class TestSimulate:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["synthetic"]["tau_count"] == 5000
         assert report["thresholds"][0]["waiting"]["mle"]["mu"] == pytest.approx(0.95, abs=0.05)
+
+    def test_negative_gamma_scale_factor_chart(self, tmp_path):
+        # the collapse law fitted here has gamma < 0, infinite at n_w = 0
+        assert _run(
+            "simulate", "--kind", "omori", "--p", "0.6", "--amplitude", "5",
+            "--sim-horizon", "8000", "--round-minutes", "--c-search", "--seed", "5",
+            "--resamples", "100", "--svg", "--outdir", str(tmp_path),
+        ) == EXIT_OK
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["thresholds"][0]["correlation"]["gamma"] < 0
+        svg = (tmp_path / "scale_factors_catalog.svg").read_text()
+        assert svg.count("<polyline") == 2
+        assert not re.search(r"inf|nan", svg, re.IGNORECASE)
 
     def test_golden_report(self, tmp_path, monkeypatch, golden_report_path):
         # byte-for-byte reproduction of the first verified synthetic run

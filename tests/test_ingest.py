@@ -1,6 +1,8 @@
+import bisect
 import io
 import math
-from datetime import datetime
+import re
+from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
@@ -8,18 +10,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aftershocks import DataError, align_origin, compact_gaps, load_records, window_length_for_days
-from aftershocks.ingest import ColumnMap, RawRecord
+from aftershocks.ingest import ColumnMap, MinuteBars, PriceSeries
 
 
-def _records(*stamps: str, price: float = 1.0) -> list[RawRecord]:
-    return [RawRecord(wall_clock=datetime.fromisoformat(s), price=price) for s in stamps]
+def _bars(walls: list[datetime], price: float = 1.0) -> MinuteBars:
+    return MinuteBars(
+        wall_clock=np.array(walls, dtype="datetime64[s]"), price=np.full(len(walls), price)
+    )
+
+
+def _records(*stamps: str, price: float = 1.0) -> MinuteBars:
+    return _bars([datetime.fromisoformat(s) for s in stamps], price)
 
 
 # Small pools, so that cells repeat across rows as they do in real exports.
 _GOOD_CELLS = (
     ("20141215", "20141216", " 20150102 "),
     ("100000", "100100", "235959", " 000000"),
-    ("58.17", "0.5", "1e-3", "72"),
+    ("58.17", "0.5", "1e-3", "72", " 61.2\t", "\x1f0.7\x1f"),
 )
 _BAD_CELLS = (
     ("2014-12-15", "20141332", "", "2O141215"),
@@ -45,9 +53,9 @@ def _csv_rows(draw):
 
 
 def _parse_every_row(rows):
-    """Reference: strptime on every row. Returns the records, or the
-    1-based number of the first row that must be rejected."""
-    records = []
+    """Reference: strptime on every row. Returns the timestamps and the
+    prices, or the 1-based number of the first row that must be rejected."""
+    walls, prices = [], []
     for row_no, row in enumerate(rows, start=1):
         if len(row) < 3:
             return row_no
@@ -59,9 +67,44 @@ def _parse_every_row(rows):
             return row_no
         if not math.isfinite(price) or price <= 0:
             return row_no
-        wall_clock = day.replace(hour=clock.hour, minute=clock.minute, second=clock.second)
-        records.append(RawRecord(wall_clock=wall_clock, price=price))
-    return records
+        walls.append(day.replace(hour=clock.hour, minute=clock.minute, second=clock.second))
+        prices.append(price)
+    return walls, prices
+
+
+def _check_order_per_record(wall: list[datetime]) -> None:
+    """Reference: the per-record ordering check on datetime objects."""
+    for i in range(1, len(wall)):
+        if wall[i] == wall[i - 1]:
+            raise DataError(f"duplicate timestamp {wall[i]} at record {i + 1}")
+        if wall[i] < wall[i - 1]:
+            raise DataError(
+                f"timestamps not sorted: record {i + 1} ({wall[i]}) precedes {wall[i - 1]}"
+            )
+
+
+def _window_length_per_record(wall: list[datetime], days: int, i0: int) -> int:
+    """Reference: walk the records from ``i0`` until the date after the
+    ``days``-th distinct one begins."""
+    count = 0
+    current = None
+    end = i0
+    for i in range(i0, len(wall)):
+        d = wall[i].date()
+        if d != current:
+            count += 1
+            current = d
+            if count > days:
+                break
+        end = i
+    return end - i0
+
+
+# Up to 30 minute stamps from four days, in any order and possibly repeated.
+_stamps = st.lists(
+    st.integers(0, 4 * 24 * 60 - 1).map(lambda m: datetime(2014, 12, 15) + timedelta(minutes=m)),
+    max_size=30,
+)
 
 
 class TestLoadRecords:
@@ -69,9 +112,12 @@ class TestLoadRecords:
         src = io.StringIO("DATE,TIME,CLOSE\n20141215,100000,58.17\n20141215,100100,58.30\n")
         records = load_records(src)
         assert len(records) == 2
-        assert records[0].wall_clock == datetime(2014, 12, 15, 10, 0)
-        assert records[0].price == pytest.approx(58.17)
-        assert records[1].wall_clock == datetime(2014, 12, 15, 10, 1)
+        assert records.wall_clock.dtype == np.dtype("datetime64[s]")
+        assert records.wall_clock.tolist() == [
+            datetime(2014, 12, 15, 10, 0),
+            datetime(2014, 12, 15, 10, 1),
+        ]
+        assert records.price.tolist() == [58.17, 58.30]
 
     def test_zero_price_names_the_row(self):
         src = io.StringIO("DATE,TIME,CLOSE\n20141215,100000,58.17\n20141215,100100,0\n")
@@ -111,7 +157,18 @@ class TestLoadRecords:
             date_format="%Y.%m.%d",
             time_format="%H:%M",
         )
-        assert records[0].wall_clock == datetime(2014, 12, 15, 10, 0)
+        assert records.wall_clock.tolist() == [datetime(2014, 12, 15, 10, 0)]
+
+    def test_missing_file_names_the_path(self, tmp_path):
+        path = tmp_path / "nope.csv"
+        with pytest.raises(DataError, match=re.escape(f"cannot read {path}: No such file")):
+            load_records(path)
+
+    def test_header_only_gives_empty_columns(self):
+        records = load_records(io.StringIO("DATE,TIME,CLOSE\n"))
+        assert len(records) == 0
+        assert records.wall_clock.dtype == np.dtype("datetime64[s]")
+        assert records.price.dtype == np.dtype(float)
 
     @given(rows=_csv_rows())
     @settings(max_examples=200, deadline=None)
@@ -122,13 +179,14 @@ class TestLoadRecords:
             with pytest.raises(DataError, match=rf"\brow {expected}:"):
                 load_records(io.StringIO(text))
         else:
-            assert load_records(io.StringIO(text)) == expected
+            records = load_records(io.StringIO(text))
+            assert (records.wall_clock.tolist(), records.price.tolist()) == expected
 
     def test_finam_style_brackets(self, minute_bars_path):
         records = load_records(minute_bars_path, delimiter=";")
         assert len(records) == 2520
-        assert records[0].wall_clock == datetime(2014, 12, 12, 10, 0)
-        assert all(r.price > 0 for r in records)
+        assert records.wall_clock[0].item() == datetime(2014, 12, 12, 10, 0)
+        assert np.all(records.price > 0)
 
 
 class TestCompactGaps:
@@ -158,11 +216,32 @@ class TestCompactGaps:
     def test_round_trip_preserves_every_timestamp(self):
         stamps = ["2014-12-15 09:00", "2014-12-15 11:07", "2014-12-17 10:00"]
         series = compact_gaps(_records(*stamps))
-        assert [w.isoformat(sep=" ", timespec="minutes") for w in series.wall_clock] == stamps
+        walls = series.wall_clock.tolist()
+        assert [w.isoformat(sep=" ", timespec="minutes") for w in walls] == stamps
 
     def test_no_records_dropped(self):
         records = _records("2014-12-15 09:00", "2014-12-15 09:05", "2014-12-15 09:06")
         assert len(compact_gaps(records)) == len(records)
+
+    @given(walls=_stamps, data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_fuzzed_order_matches_per_record_check(self, walls, data):
+        walls = sorted(set(walls))
+        # duplicate some stamps, then swap some pairs
+        for _ in range(data.draw(st.integers(0, 2)) if walls else 0):
+            i = data.draw(st.integers(0, len(walls) - 1))
+            walls.insert(i, walls[i])
+        for _ in range(data.draw(st.integers(0, 2)) if len(walls) > 1 else 0):
+            i, j = data.draw(st.lists(st.integers(0, len(walls) - 1), min_size=2, max_size=2))
+            walls[i], walls[j] = walls[j], walls[i]
+        try:
+            _check_order_per_record(walls)
+        except DataError as exc:
+            with pytest.raises(DataError) as got:
+                compact_gaps(_bars(walls))
+            assert str(got.value) == str(exc)
+        else:
+            assert compact_gaps(_bars(walls)).wall_clock.tolist() == walls
 
 
 class TestAlignOrigin:
@@ -192,6 +271,26 @@ class TestAlignOrigin:
         assert aligned.origin_wall_clock == datetime(2014, 12, 16, 10, 0)
         assert aligned.t.tolist() == [-2, -1, 0]
 
+    def test_crash_with_fractional_second_snaps_forward(self):
+        series = compact_gaps(_records("2014-12-15 09:00", "2014-12-15 09:01"))
+        aligned = align_origin(series, datetime(2014, 12, 15, 9, 0, 0, 500_000))
+        assert aligned.origin_wall_clock == datetime(2014, 12, 15, 9, 1)
+        assert aligned.t.tolist() == [-1, 0]
+
+    @given(walls=_stamps, offset=st.integers(0, 4 * 24 * 60 * 60))
+    @settings(max_examples=200, deadline=None)
+    def test_fuzzed_origin_matches_bisect(self, walls, offset):
+        walls = sorted(set(walls))
+        crash = datetime(2014, 12, 15) + timedelta(seconds=offset)
+        series = compact_gaps(_bars(walls))
+        if not walls or not walls[0] <= crash <= walls[-1]:
+            with pytest.raises(DataError):
+                align_origin(series, crash)
+            return
+        idx = bisect.bisect_left(walls, crash)
+        aligned = align_origin(series, crash)
+        assert (aligned.t_start, aligned.origin_wall_clock) == (-idx, walls[idx])
+
     def test_prices_preserved(self):
         series = compact_gaps(_records("2014-12-15 09:00", "2014-12-15 09:01", price=3.5))
         aligned = align_origin(series, datetime(2014, 12, 15, 9, 1))
@@ -213,6 +312,16 @@ class TestWindowLengthForDays:
     def test_fewer_days_than_requested(self):
         series = compact_gaps(_records("2014-12-15 09:00", "2014-12-15 09:01"))
         assert window_length_for_days(series, 100) == 1
+
+    @given(walls=_stamps, days=st.integers(1, 5), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_fuzzed_days_match_per_record_walk(self, walls, days, data):
+        walls = sorted(set(walls))
+        if not walls:
+            return
+        i0 = data.draw(st.integers(0, len(walls) - 1))
+        series = PriceSeries(x=np.ones(len(walls)), wall_clock=walls, t_start=-i0)
+        assert window_length_for_days(series, days) == _window_length_per_record(walls, days, i0)
 
     def test_start_outside_series(self):
         series = compact_gaps(_records("2014-12-15 09:00"))
