@@ -14,6 +14,7 @@ maximum-likelihood fit of the rate is available as a cross-check.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -71,11 +72,14 @@ def unit_model(t: np.ndarray, p: float, c: float) -> np.ndarray:
     return _unit(t, p, c)
 
 
-def _unit(t: np.ndarray, p: float, c: float, lt: np.ndarray | None = None) -> np.ndarray:
+def _unit(
+    t: np.ndarray, p: float, c: float, lt: np.ndarray | None = None, out: np.ndarray | None = None
+) -> np.ndarray:
     """:func:`unit_model` without the input check. ``lt`` may carry
     ``log1p(t / c)``, the only term that depends on c and not on p, so a
     search over p at one c computes it once; the cached array is returned
-    as is on the log branch and must not be modified."""
+    as is on the log branch and must not be modified. The power branch at
+    c > 0 is written into ``out`` when one is given."""
     if abs(p - 1.0) < LOG_BRANCH_WINDOW:
         return np.log1p(t / c) if lt is None else lt
     q = 1.0 - p
@@ -84,7 +88,9 @@ def _unit(t: np.ndarray, p: float, c: float, lt: np.ndarray | None = None) -> np
             lt = np.log1p(t / c)
         # c**q * expm1(q * log1p(t/c)) == ((t+c)**q - c**q): exact zero at
         # t = 0 and continuous across the p -> 1 branch switch.
-        return c**q * np.expm1(q * lt) / q
+        g = np.expm1(np.multiply(q, lt, out=out), out=out)
+        return np.divide(np.multiply(g, c**q, out=out), q, out=out)
+    # numpy's ** takes scalar fast paths (**0.5 is sqrt) that power(out=) may not
     return t**q / q
 
 
@@ -113,17 +119,19 @@ def cumulative_count(events: EventSequence, grid) -> np.ndarray:
 
 
 def _lsq_cell(
-    y: np.ndarray, grid: np.ndarray, p: float, c: float, lt: np.ndarray | None
+    y: np.ndarray, grid: np.ndarray, p: float, c: float, lt: np.ndarray | None, work: tuple
 ) -> tuple[float, float]:
     """Exact (rss, amplitude) for one (p, c) candidate; ``lt`` is
-    ``log1p(grid / c)`` for c > 0 (see :func:`_unit`)."""
-    g = _unit(grid, p, c, lt)
+    ``log1p(grid / c)`` for c > 0 (see :func:`_unit`). ``work`` is two
+    arrays shaped like ``grid``, for the model and the residual."""
+    g_out, resid = work
+    g = _unit(grid, p, c, lt, out=g_out)
     sgg = float(g @ g)
     syg = float(y @ g)
     if sgg <= 0 or syg <= 0:
         return math.inf, 0.0
     a = syg / sgg
-    resid = y - a * g
+    np.subtract(y, np.multiply(a, g, out=resid), out=resid)
     return float(resid @ resid), a
 
 
@@ -140,20 +148,22 @@ def _coarse_scan(
     rss = np.full((n_p, n_c), np.inf)
     q_all = 1.0 - p_values
     log_branch = np.abs(q_all) < LOG_BRANCH_WINDOW
+    block = np.empty((min(_P_BLOCK, n_p), len(grid)))
 
     for j, c in enumerate(c_values):
         lt = np.log1p(grid / c) if c > 0 else np.log(grid)
-        cq_pow = None
+        cq_pow = np.exp(q_all * math.log(c)) if c > 0 else None
         for start in range(0, n_p, _P_BLOCK):
             sl = slice(start, min(start + _P_BLOCK, n_p))
             q = q_all[sl]
-            m = np.exp(np.outer(q, lt))
+            # c**q * (exp(q * lt) - 1) / q in place; the operations and
+            # their order fix the bits of every cell
+            g = block[: len(q)]
+            np.exp(np.multiply(q[:, None], lt, out=g), out=g)
             if c > 0:
-                if cq_pow is None:
-                    cq_pow = np.exp(q_all * math.log(c))
-                g = cq_pow[sl, None] * (m - 1.0) / q[:, None]
-            else:
-                g = m / q[:, None]
+                g -= 1.0
+                g *= cq_pow[sl, None]
+            g /= q[:, None]
             with np.errstate(invalid="ignore", divide="ignore"):
                 syg = g @ y
                 sgg = np.einsum("ij,ij->i", g, g)
@@ -233,16 +243,20 @@ def fit_omori(
     stride = max(1, len(grid) // 4000)
     p0, c0, p0_pinned = _coarse_scan(y[::stride], grid[::stride], p_values, c_values)
 
-    # Only the current c's log1p(grid / c) is held: the searches below
-    # move through c one value at a time, and an array per visited c would
-    # hold megabytes.
-    held_c, held_lt = math.nan, None
+    # Only the current c's log1p(grid / c) is held, in one reused array:
+    # the searches below move through c one value at a time, and an array
+    # per visited c would hold megabytes. Scored cells are memoized, since
+    # the searches revisit some of them.
+    held_c, held_lt = math.nan, np.empty_like(grid)
+    work = (np.empty_like(grid), np.empty_like(grid))
 
+    @functools.cache
     def cell(p: float, c: float) -> tuple[float, float]:
-        nonlocal held_c, held_lt
-        if c != held_c:
-            held_c, held_lt = c, (np.log1p(grid / c) if c > 0 else None)
-        return _lsq_cell(y, grid, p, c, held_lt)
+        nonlocal held_c
+        if c != held_c and c > 0:
+            held_c = c
+            np.log1p(np.divide(grid, c, out=held_lt), out=held_lt)
+        return _lsq_cell(y, grid, p, c, held_lt if c > 0 else None, work)
 
     best_rss, best_a = cell(p0, c0)
     best = (best_rss, p0, c0, best_a)

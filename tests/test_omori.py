@@ -1,3 +1,4 @@
+import functools
 import math
 import time
 
@@ -16,6 +17,8 @@ from aftershocks import (
     gen_omori,
     omori_model,
 )
+from aftershocks import omori
+from aftershocks.omori import C_SEARCH_GRID, LOG_BRANCH_WINDOW, P_SEARCH_RANGE, P_SEARCH_STEP
 
 
 class TestOmoriModel:
@@ -196,3 +199,136 @@ class TestFitOmori:
             assert (fit.p, fit.c, fit.amplitude, fit.rss) == expected
         # searching c never returns a worse fit than pinning it to 0
         assert fits[1].rss <= fits[0].rss
+
+
+# Reference kernels: the allocating formulas the in-place kernels replace,
+# kept verbatim so the kernels can be held to the same bits.
+def _unit_ref(t, p, c, lt=None):
+    if abs(p - 1.0) < LOG_BRANCH_WINDOW:
+        return np.log1p(t / c) if lt is None else lt
+    q = 1.0 - p
+    if c > 0:
+        if lt is None:
+            lt = np.log1p(t / c)
+        return c**q * np.expm1(q * lt) / q
+    return t**q / q
+
+
+def _lsq_cell_ref(y, grid, p, c, lt):
+    g = _unit_ref(grid, p, c, lt)
+    sgg = float(g @ g)
+    syg = float(y @ g)
+    if sgg <= 0 or syg <= 0:
+        return math.inf, 0.0
+    a = syg / sgg
+    resid = y - a * g
+    return float(resid @ resid), a
+
+
+def _coarse_scan_ref(y, grid, p_values, c_values):
+    sy2 = float(y @ y)
+    n_p, n_c = len(p_values), len(c_values)
+    rss = np.full((n_p, n_c), np.inf)
+    q_all = 1.0 - p_values
+    log_branch = np.abs(q_all) < LOG_BRANCH_WINDOW
+    for j, c in enumerate(c_values):
+        lt = np.log1p(grid / c) if c > 0 else np.log(grid)
+        cq_pow = None
+        for start in range(0, n_p, 64):
+            sl = slice(start, min(start + 64, n_p))
+            q = q_all[sl]
+            m = np.exp(np.outer(q, lt))
+            if c > 0:
+                if cq_pow is None:
+                    cq_pow = np.exp(q_all * math.log(c))
+                g = cq_pow[sl, None] * (m - 1.0) / q[:, None]
+            else:
+                g = m / q[:, None]
+            with np.errstate(invalid="ignore", divide="ignore"):
+                syg = g @ y
+                sgg = np.einsum("ij,ij->i", g, g)
+                cell = sy2 - syg**2 / sgg
+            bad = (syg <= 0) | (sgg <= 0) | ~np.isfinite(cell)
+            cell[bad] = np.inf
+            rss[sl, j] = cell
+        if c > 0 and np.any(log_branch):
+            g = lt
+            syg = float(g @ y)
+            sgg = float(g @ g)
+            val = sy2 - syg**2 / sgg if (syg > 0 and sgg > 0) else np.inf
+            rss[log_branch, j] = val
+        elif c == 0:
+            rss[log_branch | (p_values >= 1.0), j] = np.inf
+    i, j = divmod(int(np.argmin(rss)), n_c)
+    return float(p_values[i]), float(c_values[j]), float(p_values[int(np.argmin(rss[:, 0]))])
+
+
+_KERNEL_SPECS = [
+    OmoriGenSpec(p=0.6, amplitude=5.0, c=0.0, horizon=6000.0, seed=3),
+    OmoriGenSpec(p=0.6, amplitude=5.0, c=0.0, horizon=6000.0, seed=3, round_to_minutes=True),
+    OmoriGenSpec(p=1.1, amplitude=30.0, c=5.0, horizon=5000.0, seed=9),
+]
+# c = 0, c on C_SEARCH_GRID and c off it; p = 0.5 is q = 0.5 exactly, and
+# 1 and 1 + 5e-7 take the log branch
+_KERNEL_C = (0.0, C_SEARCH_GRID[0], C_SEARCH_GRID[9], 3.7733144631834126, C_SEARCH_GRID[-1])
+_KERNEL_P = (0.05, 0.5, 0.5843123403911193, 1.0, 1.0 + 5e-7, 1.311098917170174, 2.5)
+
+
+class TestKernelsMatchReference:
+    @pytest.mark.parametrize("spec", _KERNEL_SPECS)
+    def test_lsq_cell_bits(self, spec):
+        ev = gen_omori(spec)
+        grid = np.arange(1.0, spec.horizon + 0.5)
+        y = cumulative_count(ev, grid)
+        # one set of buffers for every cell, as within a fit
+        lt = np.empty_like(grid)
+        work = (np.empty_like(grid), np.empty_like(grid))
+        for c in _KERNEL_C:
+            if c > 0:
+                np.log1p(np.divide(grid, c, out=lt), out=lt)
+            for p in _KERNEL_P:
+                if c == 0 and p >= 1.0 - LOG_BRANCH_WINDOW:
+                    continue  # inadmissible, never scored
+                held = lt if c > 0 else None
+                expected = _lsq_cell_ref(y, grid, p, c, np.log1p(grid / c) if c > 0 else None)
+                assert omori._lsq_cell(y, grid, p, c, held, work) == expected, (p, c)
+            if c > 0:
+                # the log branch returns the held array itself: it must survive
+                assert np.array_equal(lt, np.log1p(grid / c))
+
+    @pytest.mark.parametrize("spec", _KERNEL_SPECS)
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_coarse_scan_bits(self, spec, stride):
+        ev = gen_omori(spec)
+        grid = np.arange(1.0, spec.horizon + 0.5)[::stride]
+        y = cumulative_count(ev, grid)
+        default_p = np.arange(P_SEARCH_RANGE[0], P_SEARCH_RANGE[1] + P_SEARCH_STEP / 2.0, P_SEARCH_STEP)
+        for p_values in (default_p, np.array(_KERNEL_P)):
+            for c_values in ([0.0], [0.0, *C_SEARCH_GRID], list(_KERNEL_C)):
+                # p = 1 exactly divides by q = 0 in a row the log branch overwrites
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    expected = _coarse_scan_ref(y, grid, p_values, c_values)
+                    assert omori._coarse_scan(y, grid, p_values, c_values) == expected
+
+    @pytest.mark.parametrize("spec", _KERNEL_SPECS)
+    def test_memo_does_not_change_the_fit(self, spec, monkeypatch):
+        ev = gen_omori(spec)
+        calls = []
+        scored = omori._lsq_cell
+
+        def counted(*args):
+            calls.append(args[2:4])
+            return scored(*args)
+
+        monkeypatch.setattr(omori, "_lsq_cell", counted)
+        for c_search in (False, True):
+            calls.clear()
+            memoized = fit_omori(ev, c_search=c_search)
+            n_memoized = len(calls)
+            with monkeypatch.context() as m:
+                m.setattr(functools, "cache", lambda f: f)
+                calls.clear()
+                bypassed = fit_omori(ev, c_search=c_search)
+            assert memoized == bypassed
+            # the searches do revisit cells, and the memo scores each once
+            assert len(calls) > n_memoized == len(set(calls))
