@@ -33,6 +33,7 @@ P_SEARCH_STEP = 0.01
 C_SEARCH_GRID = tuple(np.logspace(-1.0, 4.0, 26))
 
 _P_BLOCK = 64  # p rows evaluated per broadcast block in the coarse scan
+_DOT_CHUNK = 10_000  # longest dot product OpenBLAS computes on one thread
 
 
 @dataclass(frozen=True)
@@ -118,6 +119,18 @@ def cumulative_count(events: EventSequence, grid) -> np.ndarray:
     return np.searchsorted(events.times, grid, side="right").astype(float)
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """``a @ b`` summed in order over chunks of ``_DOT_CHUNK``: OpenBLAS
+    splits a longer dot over threads, so its bits would depend on the CPU
+    count. The chunks before the last go through one batched matmul."""
+    k = (len(a) - 1) // _DOT_CHUNK * _DOT_CHUNK
+    last = float(a[k:] @ b[k:])
+    if not k:
+        return last
+    head = np.matmul(a[:k].reshape(-1, 1, _DOT_CHUNK), b[:k].reshape(-1, _DOT_CHUNK, 1))
+    return sum(head.ravel().tolist()) + last
+
+
 def _lsq_cell(
     y: np.ndarray, grid: np.ndarray, p: float, c: float, lt: np.ndarray | None, work: tuple
 ) -> tuple[float, float]:
@@ -126,13 +139,13 @@ def _lsq_cell(
     arrays shaped like ``grid``, for the model and the residual."""
     g_out, resid = work
     g = _unit(grid, p, c, lt, out=g_out)
-    sgg = float(g @ g)
-    syg = float(y @ g)
+    sgg = _dot(g, g)
+    syg = _dot(y, g)
     if sgg <= 0 or syg <= 0:
         return math.inf, 0.0
     a = syg / sgg
     np.subtract(y, np.multiply(a, g, out=resid), out=resid)
-    return float(resid @ resid), a
+    return _dot(resid, resid), a
 
 
 def _coarse_scan(

@@ -1,6 +1,10 @@
 import functools
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -105,6 +109,26 @@ class TestCumulativeCount:
 
 
 class TestFitOmori:
+    def test_bits_do_not_depend_on_blas_threads(self):
+        # a 20,000-point grid: OpenBLAS would split each full-grid dot over threads
+        code = (
+            "from aftershocks import OmoriGenSpec, fit_omori, gen_omori\n"
+            "ev = gen_omori(OmoriGenSpec(p=0.6, amplitude=5.0, c=0.0, horizon=20_000.0, seed=5))\n"
+            "f = fit_omori(ev, c_search=True)\n"
+            "print(*(x.hex() for x in (f.p, f.c, f.amplitude, f.rss)))\n"
+        )
+        src = str(Path(omori.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+            run = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+            )
+            assert run.returncode == 0, run.stderr
+            outputs.append(run.stdout)
+        assert outputs[0] == outputs[1]
+
     def test_closed_form_amplitude_is_optimal(self):
         ev = gen_omori(OmoriGenSpec(p=0.6, amplitude=4.0, c=0.0, horizon=5000.0, seed=3))
         fit = fit_omori(ev, grid_step=5.0, horizon=5000.0, c_search=False)
@@ -169,9 +193,9 @@ class TestFitOmori:
         [
             (
                 OmoriGenSpec(p=0.6, amplitude=5.0, c=0.0, horizon=20_000.0, seed=3),
-                (0.5843123403911193, 0.0, 4.706731257064729, 407651.7160632649),
+                (0.5843123403911193, 0.0, 4.706731257064728, 407651.7160632649),
                 # c = 0 wins once the c search refines it on the full grid
-                (0.5843123403911193, 0.0, 4.706731257064729, 407651.7160632649),
+                (0.5843123403911193, 0.0, 4.706731257064728, 407651.7160632649),
                 (0.6003032306271558, 0.0, 5.282106944393669, 2604.2373496344753),
             ),
             (
@@ -179,7 +203,7 @@ class TestFitOmori:
                     p=0.6, amplitude=5.0, c=0.0, horizon=20_000.0, seed=3, round_to_minutes=True
                 ),
                 (0.5318150824620563, 0.0, 2.9264248435777627, 380660.94218049746),
-                (0.5481077793623597, 3.7733144631834126, 3.3823331952232003, 350693.9229546116),
+                (0.5481077793623597, 3.7733144631834126, 3.3823331952232003, 350693.9229546117),
                 (0.5642939041222347, 10.0, 3.856661829241118, 2608.9436103735193),
             ),
             (
@@ -192,7 +216,9 @@ class TestFitOmori:
     )
     def test_fits_equal_recorded_values(self, spec, lsq_c0, lsq_c, mle):
         # (p, c, amplitude, rss) recorded before the per-c terms were
-        # cached; the searches must visit the same points, so equality is exact
+        # cached; the searches must visit the same points, so equality is
+        # exact. The first two grids have 20,000 points, so their amplitude
+        # and rss were re-recorded when the dots went to 10,000-element chunks.
         ev = gen_omori(spec)
         fits = (fit_omori(ev, c_search=False), fit_omori(ev, c_search=True), fit_omori_mle(ev))
         for fit, expected in zip(fits, (lsq_c0, lsq_c, mle)):
