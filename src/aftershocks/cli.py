@@ -280,10 +280,16 @@ def _run_analysis(config: RunConfig, outdir: Path, artifacts: list[str], notes: 
         else:
             window = window_length_for_days(series, config.window_days)
         t_end = int(returns.t[-1])
+        if t_end < 0:
+            raise DataError("no returns after the crash: the crash minute is the last record")
         if window > t_end:
             notes.append(f"analysis window clipped to the data end (t = {t_end})")
             window = t_end
         sw = window_stats(returns, 0, window)
+        if sw.sigma == 0:
+            raise DataError(
+                f"zero sigma in the window [0, {window}]: its {sw.n_samples} return(s) are equal"
+            )
 
     sigma_section = {
         "mean": sw.mean,

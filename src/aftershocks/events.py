@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, not_utf8
 from .stats import ReturnSeries
 
 EVENTS_CSV_HEADER = "t_minutes"
@@ -106,11 +106,13 @@ def read_events_csv(path: str | Path, **metadata) -> EventSequence:
         raise DataError(f"cannot read {path}: {exc.strerror}") from None
     with fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[0] != EVENTS_CSV_HEADER:
-            raise DataError(f"{path}: expected header {EVENTS_CSV_HEADER!r}")
         try:
+            header = next(reader, None)
+            if not header or header[0] != EVENTS_CSV_HEADER:
+                raise DataError(f"{path}: expected header {EVENTS_CSV_HEADER!r}")
             times = [float(row[0]) for row in reader if row]
+        except UnicodeDecodeError as exc:
+            raise not_utf8(path, fh, exc) from None
         except (ValueError, IndexError) as exc:
             raise DataError(f"{path}: malformed event row ({exc})") from None
     return EventSequence(times=np.asarray(times), **metadata)

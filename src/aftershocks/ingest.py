@@ -22,7 +22,7 @@ from typing import IO
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, not_utf8
 
 log = logging.getLogger(__name__)
 
@@ -110,10 +110,11 @@ def load_records(
     ignored.
 
     Raises:
-        DataError: on a file that cannot be opened, a missing configured
-            column, an unparseable row, or a non-finite or non-positive
-            price; the path, the offending column or the 1-based data row
-            is named in the message.
+        DataError: on a file that cannot be opened or is not UTF-8, a
+            missing configured column, an unparseable row, or a non-finite
+            or non-positive price; the path, the offending column, the
+            1-based data row or the first undecodable byte's offset is
+            named in the message.
     """
     cmap = column_map or ColumnMap()
     if not isinstance(source, (str, Path)):
@@ -123,7 +124,10 @@ def load_records(
     except OSError as exc:
         raise DataError(f"cannot read {source}: {exc.strerror}") from None
     with fh:
-        return _parse_stream(fh, cmap, delimiter, date_format, time_format)
+        try:
+            return _parse_stream(fh, cmap, delimiter, date_format, time_format)
+        except UnicodeDecodeError as exc:
+            raise not_utf8(source, fh, exc) from None
 
 
 def _normalize_header_cell(cell: str) -> str:

@@ -283,6 +283,48 @@ def test_missing_input_file_is_data_error(tmp_path, capsys, argv):
     assert f"cannot read {missing}: No such file or directory" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv,name,body,message",
+    [
+        (["ingest", "--input"], "bars.csv", b"DATE,TIME,CLOSE\n20141215,100000,61.\xff\n",
+         "bars.csv: not UTF-8 text (invalid start byte at byte offset 35)"),
+        (["analyze", "--crash", CRASH, "--input"], "bars.csv",
+         b"DATE,TIME,CLOSE\n" + b"20141215,100000,61.5\n" * 600 + b"\xff\n",
+         "bars.csv: not UTF-8 text (invalid start byte at byte offset 12616)"),
+        (["collapse", "--events"], "events.csv", b"t_minutes\n" + b"1\n" * 6000 + b"\xfe\n",
+         "events.csv: not UTF-8 text (invalid start byte at byte offset 12010)"),
+        (["collapse", "--events"], "events.csv", b"\n1\n", "expected header 't_minutes'"),
+    ],
+    ids=["ingest-not-utf8", "analyze-not-utf8", "collapse-not-utf8", "collapse-blank-header"],
+)
+def test_undecodable_input_is_data_error(tmp_path, capsys, argv, name, body, message):
+    path = tmp_path / name
+    path.write_bytes(body)
+    code = _run(*argv, str(path), "--outdir", str(tmp_path / "out"))
+    assert code == EXIT_DATA
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "extra_bars,message",
+    [
+        ("", "stage 'sigma': no returns after the crash"),
+        ("20141215;100200;61.7\n", "stage 'sigma': zero sigma in the window [0, 0]"),
+    ],
+    ids=["crash-is-last-record", "one-return-window"],
+)
+def test_degenerate_sigma_window_is_data_error(minute_bars_path, tmp_path, capsys, extra_bars, message):
+    head = minute_bars_path.read_text().splitlines(keepends=True)[:43]  # header and 42 bars
+    bars = tmp_path / "bars.csv"
+    bars.write_text("".join(head) + "20141215;100000;61.0\n20141215;100100;61.5\n" + extra_bars)
+    code = _run(
+        "analyze", "--input", str(bars), "--delimiter", ";", "--resamples", "0",
+        "--window-days", "1", "--crash", "2014-12-15 10:01", "--outdir", str(tmp_path / "out"),
+    )
+    assert code == EXIT_DATA
+    assert message in capsys.readouterr().err
+
+
 class TestSimulate:
     def test_simulate_only_report_sections(self, tmp_path):
         code = _run(
