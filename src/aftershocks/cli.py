@@ -121,6 +121,29 @@ def _parse_fit_range(text: str) -> tuple[float | None, float | None]:
     return (lo, hi)
 
 
+def _bounded(parse, strict: bool):
+    """``parse``, then a check that the number (every number of a tuple) is
+    positive (``strict``) or nonnegative; NaN is neither."""
+    bound = "positive" if strict else "nonnegative"
+
+    def checked(text: str):
+        value = parse(text)
+        for v in value if isinstance(value, tuple) else (value,):
+            if not (v > 0 if strict else v >= 0):
+                raise argparse.ArgumentTypeError(f"{text!r}: must be {bound}")
+        return value
+
+    return checked
+
+
+def _positive(parse):
+    return _bounded(parse, strict=True)
+
+
+def _nonnegative(parse):
+    return _bounded(parse, strict=False)
+
+
 def _parse_bool(text: str) -> bool:
     lowered = text.strip().lower()
     if lowered in ("1", "true", "yes", "on"):
@@ -163,32 +186,32 @@ class RunConfig:
     crash: datetime | None = _setting(
         None, _parse_crash, _INPUT, "crash instant, ISO format (e.g. '2014-12-15 20:17')"
     )
-    window_days: int = _setting(100, int, _ANALYSIS, "exchange days after the crash (default 100)")
-    window_minutes: int | None = _setting(None, int, _ANALYSIS, "window length override, exchange minutes")
+    window_days: int = _setting(100, _positive(int), _ANALYSIS, "exchange days after the crash (default 100)")
+    window_minutes: int | None = _setting(None, _positive(int), _ANALYSIS, "window length override, exchange minutes")
     thresholds: tuple[float, ...] = _setting(
-        (2.0, 3.0), _parse_floats, _ANALYSIS, "sigma multiples, comma separated (default 2,3)"
+        (2.0, 3.0), _positive(_parse_floats), _ANALYSIS, "sigma multiples, comma separated (default 2,3)"
     )
-    grid_step: float = _setting(1.0, float, _ANALYSIS, "Omori fitting grid step, minutes (default 1)")
+    grid_step: float = _setting(1.0, _positive(float), _ANALYSIS, "Omori fitting grid step, minutes (default 1)")
     horizon: float | None = _setting(
-        None, float, _ANALYSIS, "Omori fitting horizon, minutes (default: window end)"
+        None, _positive(float), _ANALYSIS, "Omori fitting horizon, minutes (default: window end)"
     )
     c_search: bool = _setting(
         False, _parse_bool, _ANALYSIS, "search the Omori time offset c (default: pinned to 0)"
     )
-    bin_size: float = _setting(1.0, float, _ANALYSIS, "waiting histogram bin, minutes (default 1)")
+    bin_size: float = _setting(1.0, _positive(float), _ANALYSIS, "waiting histogram bin, minutes (default 1)")
     fit_range: tuple[float | None, float | None] = _setting(
         (None, None), _parse_fit_range, _ANALYSIS, "waiting fit range 'lo,hi'"
     )
     n_w: tuple[int, ...] = _setting(
-        (0, 10, 20, 30, 40, 50), _parse_ints, _CORRELATION, "waiting event times (default 0,10,20,30,40,50)"
+        (0, 10, 20, 30, 40, 50), _nonnegative(_parse_ints), _CORRELATION, "waiting event times (default 0,10,20,30,40,50)"
     )
-    n_max: int = _setting(60, int, _CORRELATION, "event-time extent of correlation curves (default 60)")
-    reference: int = _setting(0, int, _CORRELATION, "reference n_w for the collapse (default 0)")
-    resamples: int = _setting(200, int, _ANALYSIS, "bootstrap resamples, 0 disables (default 200)")
+    n_max: int = _setting(60, _positive(int), _CORRELATION, "event-time extent of correlation curves (default 60)")
+    reference: int = _setting(0, _nonnegative(int), _CORRELATION, "reference n_w for the collapse (default 0)")
+    resamples: int = _setting(200, _nonnegative(int), _ANALYSIS, "bootstrap resamples, 0 disables (default 200)")
     outdir: Path = _setting(
         Path("aftershocks-out"), Path, _EVERY, f"output directory (default ${ENV_OUTDIR} or ./aftershocks-out)"
     )
-    seed: int = _setting(0, int, _EVERY, "master seed for generators and bootstrap")
+    seed: int = _setting(0, _nonnegative(int), _EVERY, "master seed for generators and bootstrap")
     svg: bool = _setting(False, _parse_bool, _EVERY, "also render SVG charts")
     simulate: SimulateSpec | None = None
 

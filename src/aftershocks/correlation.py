@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ._optim import golden_section
+from ._optim import brent
 from .errors import DataError
 from .events import EventSequence
 
@@ -137,9 +137,10 @@ def collapse(
     For each curve, f minimizes sum_n (C(n) - C_ref(n / f))**2, the
     reference evaluated by linear interpolation and rescaled points beyond
     its support left out of the sum. Search: coarse logarithmic grid over
-    ``f_bounds`` with f = 1 always included, then golden-section
-    refinement in log f around the best cell. The reference curve's own
-    factor is pinned to 1.
+    ``f_bounds`` with f = 1 always included, then Brent refinement
+    (:func:`._optim.brent`) of log f between the best cell's neighbours; the
+    coarse cell or f = 1 is kept when the refined point does not beat it.
+    The reference curve's own factor is pinned to 1.
 
     ``collapse_residual`` is the mean squared deviation per contributing
     point, across all non-reference curves.
@@ -169,9 +170,7 @@ def collapse(
             raise DataError(f"no overlap with the reference after rescaling (n_w={curve.n_w})")
         lo_k = math.log(coarse[max(0, k - 1)])
         hi_k = math.log(coarse[min(len(coarse) - 1, k + 1)])
-        f_ref, _ = golden_section(
-            lambda lf: _collapse_objective(curve, ref, math.exp(lf))[0], lo_k, hi_k, tol=1e-7
-        )
+        f_ref, _ = brent(lambda lf: _collapse_objective(curve, ref, math.exp(lf))[0], lo_k, hi_k, tol=1e-7)
         # strict improvement over f = 1 required, so ties keep unit scale
         best_f, best_val = 1.0, _collapse_objective(curve, ref, 1.0)[0]
         for cand in (float(coarse[k]), float(math.exp(f_ref))):

@@ -32,7 +32,9 @@ class MarkovCheck:
     The relation holds for (singular) Markovian processes only when both
     exponents lie strictly inside (0, 1); outside that region the check is
     not applicable. With an interval for the sum, the verdict is
-    "violated" exactly when 1 falls outside it.
+    "violated" exactly when 1 falls outside it. ``ci_source`` says where
+    the interval came from: "bootstrap", or "point" for the zero-width
+    interval at the point estimate used when there is none.
     """
 
     p: float
@@ -41,6 +43,7 @@ class MarkovCheck:
     ci: tuple[float, float]
     applicable: bool
     verdict: str
+    ci_source: str = "point"
 
 
 def markov_relation(
@@ -49,8 +52,9 @@ def markov_relation(
     ci: tuple[float, float] | None,
 ) -> MarkovCheck:
     """Evaluate the scaling relation p + mu = 1 for the two fitted
-    exponents; ``ci`` is an interval for the sum (a zero-width interval at
-    the point estimate is used when None)."""
+    exponents; ``ci`` is a bootstrap interval for the sum (a zero-width
+    interval at the point estimate is used when None, and ``ci_source``
+    says which)."""
     p = float(omori.p) if isinstance(omori, OmoriFit) else float(omori)
     mu = float(waiting.mu) if isinstance(waiting, WaitingFit) else float(waiting)
     total = p + mu
@@ -63,7 +67,8 @@ def markov_relation(
     else:
         verdict = VERDICT_VIOLATED
     return MarkovCheck(
-        p=p, mu=mu, sum=total, ci=interval, applicable=applicable, verdict=verdict
+        p=p, mu=mu, sum=total, ci=interval, applicable=applicable, verdict=verdict,
+        ci_source="point" if ci is None else "bootstrap",
     )
 
 
@@ -170,7 +175,12 @@ def to_jsonable(obj: Any) -> Any:
     if isinstance(obj, Path):
         return str(obj)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+        # a field marked omit_none is optional: absent from the report when None
+        return {
+            f.name: to_jsonable(getattr(obj, f.name))
+            for f in dataclasses.fields(obj)
+            if not (f.metadata.get("omit_none") and getattr(obj, f.name) is None)
+        }
     if isinstance(obj, Mapping):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple, set, frozenset)):

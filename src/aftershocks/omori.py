@@ -8,19 +8,20 @@ The cumulative number of aftershocks by time t is modeled as
 with decay exponent p > 0, amplitude A > 0 and time offset c >= 0 in
 minutes. The headline fit is least squares of the empirical cumulative
 count on a uniform time grid: a derivative-free outer search over (p, c)
-with the amplitude solved in closed form at each candidate. A
-maximum-likelihood fit of the rate is available as a cross-check.
+with the amplitude solved in closed form at each candidate, refined by
+Brent's bounded method (:func:`._optim.brent`). A maximum-likelihood fit
+of the rate is available as a cross-check.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._optim import golden_section
+from ._optim import brent
 from .errors import DataError
 from .events import EventSequence
 
@@ -43,6 +44,9 @@ class OmoriFit:
     ``rss`` is the objective value at the minimizer: a residual sum of
     squares for the cumulative least-squares fit, the negative
     log-likelihood for the rate-MLE cross-check (``method`` tells which).
+    ``evaluations`` is the number of full-grid (p, c) cells a cumulative
+    least-squares fit scored (None for the rate MLE); it is a diagnostic
+    and takes no part in comparisons between fits.
     """
 
     p: float
@@ -52,6 +56,7 @@ class OmoriFit:
     grid_step: float | None
     horizon: float
     method: str = "cumulative-lsq"
+    evaluations: int | None = field(default=None, compare=False, metadata={"omit_none": True})
 
 
 def _validate_params(p: float, amplitude: float, c: float) -> None:
@@ -155,7 +160,15 @@ def _coarse_scan(
     c_values: list[float],
 ) -> tuple[float, float, float]:
     """Best (p, c) cell by the closed-amplitude rss, ties to smallest p
-    then smallest c, and the best p in the ``c_values[0]`` column."""
+    then smallest c, and the best p in the ``c_values[0]`` column.
+
+    A cell's rss, sum(y**2) - sum(y*g)**2 / sum(g*g), does not change when
+    g is scaled by a constant, so the scan leaves out the unit model's
+    factor c**q / q (q = 1 - p) and scores exp(q * lt) - 1 (c > 0) or
+    exp(q * lt) = t**q (c = 0). The factor's sign, that of q, carries into
+    the admissibility test sum(y*g) > 0. Rows that c = 0 does not admit
+    (p >= 1) are not computed.
+    """
     sy2 = float(y @ y)
     n_p, n_c = len(p_values), len(c_values)
     rss = np.full((n_p, n_c), np.inf)
@@ -165,25 +178,22 @@ def _coarse_scan(
 
     for j, c in enumerate(c_values):
         lt = np.log1p(grid / c) if c > 0 else np.log(grid)
-        cq_pow = np.exp(q_all * math.log(c)) if c > 0 else None
-        for start in range(0, n_p, _P_BLOCK):
-            sl = slice(start, min(start + _P_BLOCK, n_p))
-            q = q_all[sl]
-            # c**q * (exp(q * lt) - 1) / q in place; the operations and
-            # their order fix the bits of every cell
-            g = block[: len(q)]
+        # log-branch rows are scored below; c = 0 admits p < 1 only
+        rows = np.flatnonzero(~log_branch & ((q_all > 0) | (c > 0)))
+        for start in range(0, len(rows), _P_BLOCK):
+            idx = rows[start : start + _P_BLOCK]
+            q = q_all[idx]
+            g = block[: len(idx)]
             np.exp(np.multiply(q[:, None], lt, out=g), out=g)
             if c > 0:
                 g -= 1.0
-                g *= cq_pow[sl, None]
-            g /= q[:, None]
             with np.errstate(invalid="ignore", divide="ignore"):
                 syg = g @ y
                 sgg = np.einsum("ij,ij->i", g, g)
                 cell = sy2 - syg**2 / sgg
-            bad = (syg <= 0) | (sgg <= 0) | ~np.isfinite(cell)
+            bad = (syg * np.sign(q) <= 0) | (sgg <= 0) | ~np.isfinite(cell)
             cell[bad] = np.inf
-            rss[sl, j] = cell
+            rss[idx, j] = cell
         # log branch rows: g does not depend on p there
         if c > 0 and np.any(log_branch):
             g = lt
@@ -191,8 +201,6 @@ def _coarse_scan(
             sgg = float(g @ g)
             val = sy2 - syg**2 / sgg if (syg > 0 and sgg > 0) else np.inf
             rss[log_branch, j] = val
-        elif c == 0:
-            rss[log_branch | (p_values >= 1.0), j] = np.inf
 
     # argmin takes the first minimum in row-major order: smallest p, then c
     i, j = divmod(int(np.argmin(rss)), n_c)
@@ -219,10 +227,14 @@ def fit_omori(
     override). For each candidate (p, c) the amplitude has the closed form
     A = sum(y*g) / sum(g*g), g being the unit-amplitude model, so the outer
     search is two-dimensional: a coarse scan over p in steps of ``p_step``
-    and c on a logarithmic grid (plus c = 0), refined by golden-section
-    around the best cell. Ties resolve to the smallest p, then smallest c.
+    and c on a logarithmic grid (plus c = 0), refined around the best cell
+    by Brent's bounded method (:func:`._optim.brent`): log c along the
+    (p, c) ridge with p re-optimized at each candidate, then a polish of p
+    at the winning c. Ties resolve to the smallest p, then smallest c.
     The refinement tries many p at each c it visits; ``log1p(grid / c)``
     is computed once per visited c and only the current c's array is held.
+    Each full-grid cell is scored once per fit, and ``evaluations`` counts
+    them.
 
     ``c_search=False`` pins c = 0, which restricts p to (0, 1). With the
     search, p at c = 0 is refined as well, so the fit is never worse than
@@ -262,10 +274,12 @@ def fit_omori(
     # the searches revisit some of them.
     held_c, held_lt = math.nan, np.empty_like(grid)
     work = (np.empty_like(grid), np.empty_like(grid))
+    evaluations = 0
 
     @functools.cache
     def cell(p: float, c: float) -> tuple[float, float]:
-        nonlocal held_c
+        nonlocal held_c, evaluations
+        evaluations += 1
         if c != held_c and c > 0:
             held_c = c
             np.log1p(np.divide(grid, c, out=held_lt), out=held_lt)
@@ -287,7 +301,7 @@ def fit_omori(
         hi = min(p_range[1], centre + 8 * p_step)
         if c == 0.0:
             hi = min(hi, 1.0 - 2 * LOG_BRANCH_WINDOW)
-        return golden_section(lambda p: cell(p, c)[0], lo, hi, tol=1e-5)
+        return brent(lambda p: cell(p, c)[0], lo, hi, tol=1e-5)
 
     if c_search and c0 > 0:
         # (p, c) ride a correlated ridge: refine c with p re-optimized at
@@ -298,7 +312,7 @@ def fit_omori(
         def ridge(lc: float) -> float:
             return best_p_at(math.exp(lc))[1]
 
-        lc_ref, _ = golden_section(ridge, lc0 - 1.5 * dlc, lc0 + 1.5 * dlc, tol=1e-4)
+        lc_ref, _ = brent(ridge, lc0 - 1.5 * dlc, lc0 + 1.5 * dlc, tol=1e-4)
         c_ref = math.exp(lc_ref)
         p_ref, _ = best_p_at(c_ref)
         consider(p_ref, c_ref)
@@ -316,7 +330,7 @@ def fit_omori(
     p_hi = min(p_range[1], best[1] + p_step)
     if c_fin == 0.0:
         p_hi = min(p_hi, 1.0 - 2 * LOG_BRANCH_WINDOW)
-    p_fin, _ = golden_section(lambda p: cell(p, c_fin)[0], p_lo, p_hi, tol=1e-6)
+    p_fin, _ = brent(lambda p: cell(p, c_fin)[0], p_lo, p_hi, tol=1e-6)
     consider(p_fin, c_fin)
 
     rss, p_hat, c_hat, a_hat = best
@@ -330,6 +344,7 @@ def fit_omori(
         grid_step=grid_step,
         horizon=float(horizon),
         method="cumulative-lsq",
+        evaluations=evaluations,
     )
 
 
@@ -348,10 +363,12 @@ def fit_omori_mle(
     inhomogeneous Poisson process. The amplitude again has a closed form at
     fixed (p, c), A = M / unit_cumulative(horizon). Events at t = 0 are
     excluded (the pure power rate is undefined there for c = 0). The
-    search tabulates every (p, c) cell, then refines p at the best c by
-    golden section; ``sum(log(t + c))`` and ``log1p(horizon / c)``, which
-    depend on c alone, are computed once per c.
-    Returned ``rss`` is the negative log-likelihood.
+    search tabulates every (p, c) cell, one numpy expression over p per c
+    (``sum(log(t + c))`` and ``log1p(horizon / c)`` depend on c alone),
+    re-scores the best cell with the scalar likelihood, then refines p at
+    its c by Brent's method (:func:`._optim.brent`). Every returned value
+    comes from the scalar likelihood. Ties resolve to the smallest p, then
+    smallest c. Returned ``rss`` is the negative log-likelihood.
     """
     if horizon is None:
         horizon = float(events.times[-1]) if len(events) else 0.0
@@ -382,19 +399,29 @@ def fit_omori_mle(
         return -(m * math.log(m / lam_unit) - p * s_log - m)
 
     p_values = np.arange(p_range[0], p_range[1] + p_step / 2.0, p_step)
-    best = (math.inf, 0.0, 0.0)
-    for p in p_values:
-        for c in c_values:
-            val = negloglik(float(p), c)
-            if val < best[0]:
-                best = (val, float(p), c)
+    q = 1.0 - p_values
+    log_branch = np.abs(q) < LOG_BRANCH_WINDOW
+    table = np.full((len(p_values), len(c_values)), np.inf)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        for j, c in enumerate(c_values):
+            lt, s_log = per_c[c]
+            if c > 0:
+                lam = np.where(log_branch, lt[0], c**q * np.expm1(q * lt[0]) / q)
+            else:
+                # c = 0 admits p < 1 only
+                lam = np.where(log_branch | (q <= 0), np.nan, horizon**q / q)
+            nll = -(m * np.log(m / lam) - p_values * s_log - m)
+            table[:, j] = np.where((lam > 0) & np.isfinite(lam) & np.isfinite(nll), nll, np.inf)
+    # argmin takes the first minimum in row-major order: smallest p, then c
+    i, j = divmod(int(np.argmin(table)), len(c_values))
+    best = (negloglik(float(p_values[i]), c_values[j]), float(p_values[i]), c_values[j])
     if not math.isfinite(best[0]):
         raise DataError("rate model inadmissible for every searched (p, c)")
 
     p_lo = max(p_range[0], best[1] - p_step)
     p_hi = min(p_range[1], best[1] + p_step)
     c_fix = best[2]
-    p_ref, val = golden_section(lambda p: negloglik(p, c_fix), p_lo, p_hi, tol=1e-5)
+    p_ref, val = brent(lambda p: negloglik(p, c_fix), p_lo, p_hi, tol=1e-5)
     if val < best[0]:
         best = (val, p_ref, c_fix)
 

@@ -201,6 +201,23 @@ def settings_run(tmp_path_factory):
     return run, run(None)
 
 
+# a value each numeric setting refuses: 0 where it must be positive, -1
+# where it must be nonnegative, and a bad element in a list
+_REFUSED = {
+    "window_days": "0",
+    "window_minutes": "-5",
+    "thresholds": "2,0",
+    "grid_step": "0",
+    "horizon": "-3",
+    "bin_size": "0",
+    "n_w": "0,-10",
+    "n_max": "0",
+    "reference": "-1",
+    "resamples": "-1",
+    "seed": "-1",
+}
+
+
 class TestConfigFile:
     def test_file_values_used_and_flags_win(self, minute_bars_path, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -231,6 +248,32 @@ class TestConfigFile:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("wibble = 3\n")
         assert _run("analyze", "--config", str(cfg)) == EXIT_USAGE
+
+    @pytest.mark.parametrize("name,text", sorted(_REFUSED.items()))
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_out_of_range_numeric_setting_is_usage_error(
+        self, minute_bars_path, tmp_path, capsys, name, text, source
+    ):
+        argv = ["analyze", "--input", str(minute_bars_path), "--delimiter", ";", "--crash", CRASH,
+                "--resamples", "0", "--outdir", str(tmp_path / "out")]
+        if source == "flag":
+            argv += ["--" + name.replace("_", "-") + "=" + text]
+        else:
+            (tmp_path / "run.cfg").write_text(f"{name} = {text}\n")
+            argv += ["--config", str(tmp_path / "run.cfg")]
+        assert _run(*argv) == EXIT_USAGE
+        assert re.search(r"must be (positive|nonnegative)", capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+    def test_every_numeric_setting_has_a_refused_value(self):
+        # fit_range is left open: its blank sides are open bounds, and any
+        # number bounds the waiting times meaningfully
+        numeric = {
+            f.name
+            for f in fields(RunConfig)
+            if f.metadata and re.search(r"\b(int|float)\b", str(f.type)) and f.name != "fit_range"
+        }
+        assert numeric == set(_REFUSED)
 
     def test_outdir_env_default(self, minute_bars_path, tmp_path, monkeypatch):
         monkeypatch.setenv("AFTERSHOCKS_OUTDIR", str(tmp_path / "from_env"))
@@ -343,6 +386,21 @@ class TestSimulate:
         # end-to-end estimator recovery on the seeded catalog
         assert section["omori"]["p"] == pytest.approx(0.5, abs=0.05)
         assert section["markov"]["ci"][0] <= section["markov"]["sum"] <= section["markov"]["ci"][1]
+        assert section["markov"]["ci_source"] == "bootstrap"
+        # the search-cost diagnostic is reported for the least-squares fit only
+        assert section["omori"]["evaluations"] > 0
+        assert "evaluations" not in section["omori_mle"]
+
+    def test_point_interval_is_labelled(self, tmp_path):
+        code = _run(
+            "simulate", "--kind", "omori", "--p", "0.5", "--amplitude", "5",
+            "--sim-horizon", "10000", "--seed", "42", "--resamples", "0",
+            "--outdir", str(tmp_path),
+        )
+        assert code == EXIT_OK
+        markov = json.loads((tmp_path / "report.json").read_text())["thresholds"][0]["markov"]
+        assert markov["ci"] == [markov["sum"], markov["sum"]]
+        assert markov["ci_source"] == "point"
 
     def test_pareto_kind(self, tmp_path):
         code = _run(

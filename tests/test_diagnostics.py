@@ -47,6 +47,7 @@ class TestMarkovRelation:
         assert check.sum == pytest.approx(1.4055)
         assert check.applicable
         assert check.verdict == "violated"
+        assert check.ci_source == "bootstrap"
 
     def test_satisfied_with_interval_straddling_one(self):
         check = markov_relation(0.5, 0.5, (0.95, 1.05))
@@ -63,6 +64,8 @@ class TestMarkovRelation:
         assert check.sum == pytest.approx(1.3)
         assert check.ci == (check.sum, check.sum)
         assert check.verdict == "violated"
+        # the zero-width fallback says so in the report itself
+        assert check.ci_source == "point"
 
     def test_violated_only_when_one_outside_interval(self):
         inside = markov_relation(0.6, 0.5, (0.9, 1.2))
@@ -147,14 +150,15 @@ class TestBootstrapCi:
     @pytest.mark.parametrize(
         "estimator,expected",
         [
-            ("sum", (0.5835223463464286, 0.8391262958778251)),
-            ("omori", (0.4686561747492522, 0.49522033237073604)),
+            ("sum", (0.5835223004843492, 0.8391262865180411)),
+            ("omori", (0.468656191169952, 0.4952204058779478)),
             ("mu", (0.10759713447858192, 0.3380315759137409)),
         ],
     )
     def test_interval_equals_recorded_value(self, estimator, expected):
-        # every resample of this catalog fits; the intervals were recorded
-        # when each resample fitted p before mu
+        # every resample of this catalog fits; the mu interval was recorded
+        # when each resample fitted p before mu, the two with p in them when
+        # the Omori refinement became Brent's method
         ev, horizon = _minute_catalog(8.0, 3000.0, seed=1)
         ci = bootstrap_ci(ev, estimator, resamples=100, seed=1, fit_options=_pipeline_options(horizon))
         assert ci == expected

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import os
@@ -108,6 +109,58 @@ class TestCumulativeCount:
         assert np.array_equal(counted, oracle)
 
 
+_SEED3 = OmoriGenSpec(p=0.6, amplitude=5.0, c=0.0, horizon=20_000.0, seed=3)
+_SEED3_MINUTES = OmoriGenSpec(
+    p=0.6, amplitude=5.0, c=0.0, horizon=20_000.0, seed=3, round_to_minutes=True
+)
+_SEED9 = OmoriGenSpec(p=1.1, amplitude=30.0, c=5.0, horizon=5000.0, seed=9)
+
+# (spec, c pinned, c searched, rate MLE), each (p, c, amplitude, rss)
+_RECORDED = [
+    (
+        _SEED3,
+        (0.5843122927220107, 0.0, 4.7067296990375, 407651.7160586694),
+        # c = 0 wins once the c search refines it on the full grid
+        (0.5843122927220107, 0.0, 4.7067296990375, 407651.7160586694),
+        (0.600303002970182, 0.0, 5.282098053174337, 2604.2373496343816),
+    ),
+    (
+        _SEED3_MINUTES,
+        (0.5318150572495012, 0.0, 2.9264243091372926, 380660.9421793951),
+        (0.5481080963463413, 3.7734664138013243, 3.382342812949289, 350693.9229525393),
+        (0.5642948176477224, 10.0, 3.8566896247805262, 2608.943610375125),
+    ),
+    (
+        _SEED9,
+        (0.8422241336009845, 0.0, 5.11953841846103, 100813.01557370974),
+        (1.311097588632971, 29.53609654170539, 133.98834730606077, 15073.743287436027),
+        (1.2053657901082364, 15.848931924611142, 62.42833205347225, 354.6433110155167),
+    ),
+]
+
+# the same fits' (p, rss) as the nested golden-section refinement gave them
+_GOLDEN_SECTION_RECORDED = [
+    (
+        _SEED3,
+        (0.5843123403911193, 407651.7160632649),
+        (0.5843123403911193, 407651.7160632649),
+        (0.6003032306271558, 2604.2373496344753),
+    ),
+    (
+        _SEED3_MINUTES,
+        (0.5318150824620563, 380660.94218049746),
+        (0.5481077793623597, 350693.9229546117),
+        (0.5642939041222347, 2608.9436103735193),
+    ),
+    (
+        _SEED9,
+        (0.8422241980696898, 100813.01557391649),
+        (1.311098917170174, 15073.743287694215),
+        (1.205366208378817, 354.64331101540716),
+    ),
+]
+
+
 class TestFitOmori:
     def test_bits_do_not_depend_on_blas_threads(self):
         # a 20,000-point grid: OpenBLAS would split each full-grid dot over threads
@@ -188,43 +241,46 @@ class TestFitOmori:
         assert fit.p == pytest.approx(0.5, abs=0.05)
         assert fit.amplitude == pytest.approx(5.0, rel=0.2)
 
-    @pytest.mark.parametrize(
-        "spec,lsq_c0,lsq_c,mle",
-        [
-            (
-                OmoriGenSpec(p=0.6, amplitude=5.0, c=0.0, horizon=20_000.0, seed=3),
-                (0.5843123403911193, 0.0, 4.706731257064728, 407651.7160632649),
-                # c = 0 wins once the c search refines it on the full grid
-                (0.5843123403911193, 0.0, 4.706731257064728, 407651.7160632649),
-                (0.6003032306271558, 0.0, 5.282106944393669, 2604.2373496344753),
-            ),
-            (
-                OmoriGenSpec(
-                    p=0.6, amplitude=5.0, c=0.0, horizon=20_000.0, seed=3, round_to_minutes=True
-                ),
-                (0.5318150824620563, 0.0, 2.9264248435777627, 380660.94218049746),
-                (0.5481077793623597, 3.7733144631834126, 3.3823331952232003, 350693.9229546117),
-                (0.5642939041222347, 10.0, 3.856661829241118, 2608.9436103735193),
-            ),
-            (
-                OmoriGenSpec(p=1.1, amplitude=30.0, c=5.0, horizon=5000.0, seed=9),
-                (0.8422241980696898, 0.0, 5.1195388711559495, 100813.01557391649),
-                (1.311098917170174, 29.53629364003784, 133.98963021631988, 15073.743287694215),
-                (1.205366208378817, 15.848931924611142, 62.428464506396786, 354.64331101540716),
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("spec,lsq_c0,lsq_c,mle", _RECORDED)
     def test_fits_equal_recorded_values(self, spec, lsq_c0, lsq_c, mle):
-        # (p, c, amplitude, rss) recorded before the per-c terms were
-        # cached; the searches must visit the same points, so equality is
-        # exact. The first two grids have 20,000 points, so their amplitude
-        # and rss were re-recorded when the dots went to 10,000-element chunks.
+        # (p, c, amplitude, rss) recorded when the refinement became Brent's
+        # method; the searches are deterministic, so equality is exact
         ev = gen_omori(spec)
         fits = (fit_omori(ev, c_search=False), fit_omori(ev, c_search=True), fit_omori_mle(ev))
         for fit, expected in zip(fits, (lsq_c0, lsq_c, mle)):
             assert (fit.p, fit.c, fit.amplitude, fit.rss) == expected
         # searching c never returns a worse fit than pinning it to 0
         assert fits[1].rss <= fits[0].rss
+
+    @pytest.mark.parametrize("spec,lsq_c0,lsq_c,mle", _GOLDEN_SECTION_RECORDED)
+    def test_fits_match_golden_section_values(self, spec, lsq_c0, lsq_c, mle):
+        # the (p, rss) the nested golden-section refinement gave: the Brent
+        # refinement finds the same minimum, never worse than it by more
+        # than 1e-9 relative (rss is the negative log-likelihood for the MLE)
+        ev = gen_omori(spec)
+        fits = (fit_omori(ev, c_search=False), fit_omori(ev, c_search=True), fit_omori_mle(ev))
+        for fit, (p_old, rss_old) in zip(fits, (lsq_c0, lsq_c, mle)):
+            assert abs(fit.p - p_old) <= 1e-5
+            assert fit.rss <= rss_old + 1e-9 * abs(rss_old)
+
+    def test_evaluations_count_full_grid_cells(self, monkeypatch):
+        ev = gen_omori(_RECORDED[1][0])
+        calls = []
+        scored = omori._lsq_cell
+
+        def counted(*args):
+            calls.append(args[2:4])
+            return scored(*args)
+
+        monkeypatch.setattr(omori, "_lsq_cell", counted)
+        pinned = fit_omori(ev, c_search=False)
+        assert pinned.evaluations == len(calls) == 18
+        calls.clear()
+        searched = fit_omori(ev, c_search=True)
+        assert searched.evaluations == len(calls) == 99
+        # a diagnostic only: fits that differ in it alone compare equal
+        assert searched == dataclasses.replace(searched, evaluations=0)
+        assert fit_omori_mle(ev).evaluations is None
 
 
 # Reference kernels: the allocating formulas the in-place kernels replace,
