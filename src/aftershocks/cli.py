@@ -144,6 +144,12 @@ def _nonnegative(parse):
     return _bounded(parse, strict=False)
 
 
+def _parse_char(text: str) -> str:
+    if len(text) != 1:
+        raise argparse.ArgumentTypeError(f"{text!r}: must be one character")
+    return text
+
+
 def _parse_bool(text: str) -> bool:
     lowered = text.strip().lower()
     if lowered in ("1", "true", "yes", "on"):
@@ -177,7 +183,7 @@ class RunConfig:
     """
 
     input: Path | None = _setting(None, Path, _INPUT, "delimiter-separated minute-bar file")
-    delimiter: str = _setting(",", str, _INPUT, "field delimiter (default ',')")
+    delimiter: str = _setting(",", _parse_char, _INPUT, "field delimiter, one character (default ',')")
     date_column: str = _setting("DATE", str, _INPUT, "date column name (default DATE)")
     time_column: str = _setting("TIME", str, _INPUT, "time column name (default TIME)")
     price_column: str = _setting("CLOSE", str, _INPUT, "price column name (default CLOSE)")
@@ -663,6 +669,9 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
             merged[f.name] = Path(os.environ[ENV_OUTDIR])
         else:
             merged[f.name] = getattr(defaults, f.name)
+    if merged["reference"] not in merged["n_w"]:
+        n_w = ",".join(map(str, merged["n_w"]))
+        raise _UsageError(f"reference {merged['reference']} is not one of n_w {n_w}")
     return RunConfig(**merged)
 
 
@@ -733,19 +742,21 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     if config.input is None:
         raise _UsageError("ingest requires an input file")
     series = _load_series(config)
+    if not len(series):
+        raise DataError(f"{config.input}: no data rows")
     outdir = Path(config.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     series_csv = outdir / "series.csv"
     with open(series_csv, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t,wall_clock,x\n")
         for lo in range(0, len(series), _SERIES_CHUNK_ROWS):
-            hi = lo + _SERIES_CHUNK_ROWS
-            rows = zip(
-                range(series.t_start + lo, series.t_start + hi),
-                np.datetime_as_string(series.wall_clock[lo:hi], unit="s").tolist(),
-                series.x[lo:hi].tolist(),
-            )
-            chunk = "".join([f"{t},{wc},{x:.10g}\n" for t, wc, x in rows])
+            hi = min(lo + _SERIES_CHUNK_ROWS, len(series))
+            cells = [None] * (3 * (hi - lo))
+            cells[0::3] = range(series.t_start + lo, series.t_start + hi)
+            cells[1::3] = np.datetime_as_string(series.wall_clock[lo:hi], unit="s").tolist()
+            cells[2::3] = series.x[lo:hi].tolist()
+            # %.10g prints a finite float as format(x, ".10g") does
+            chunk = "%d,%s,%.10g\n" * (hi - lo) % tuple(cells)
             # numpy's ISO text has a "T" where datetime.isoformat(sep=" ") has a
             # space; no integer or formatted price contains one
             fh.write(chunk.replace("T", " "))

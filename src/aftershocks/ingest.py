@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import csv
 import functools
+import io
+import itertools
 import logging
 import math
 from array import array
@@ -30,6 +32,9 @@ DEFAULT_DATE_FORMAT = "%Y%m%d"
 DEFAULT_TIME_FORMAT = "%H%M%S"
 
 _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
+
+# Rows are parsed in chunks of about this many characters, whole lines each.
+_CHUNK_CHARS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -109,6 +114,15 @@ def load_records(
     second of each timestamp; any other field either format parses is
     ignored.
 
+    The stream is read in chunks of about ``_CHUNK_CHARS`` characters, each
+    ending at a line end, and never whole. A chunk with no quote, NUL or
+    lone CR, whose nonblank lines all have one field count, is split into
+    columns with one ``str.split`` and converted a column at a time. The
+    first chunk that is not so plain, or that holds a cell that fails to
+    convert, goes with the rest of the stream to a ``csv.reader`` row
+    loop, which alone words the errors; so values, messages and row
+    numbers are those of a row-by-row parse.
+
     Raises:
         DataError: on a file that cannot be opened or is not UTF-8, a
             missing configured column, an unparseable row, or a non-finite
@@ -167,9 +181,25 @@ def _parse_stream(
         clock = datetime.strptime(cell.strip(), time_format)
         return clock.hour * 3600 + clock.minute * 60 + clock.second
 
+    parts = []
+    rows = 0
+    rest = stream
+    while chunk := stream.read(_CHUNK_CHARS):
+        chunk += stream.readline()
+        part = _plain_chunk(chunk, delimiter, needed, i_date, i_time, i_price, day_seconds, clock_seconds)
+        if part is None:
+            # a lone CR ends a line here, as in a file opened with newline=""
+            rest = itertools.chain(io.StringIO(chunk, newline=""), stream)
+            break
+        parts.append(part)
+        rows += len(part[1])
+
+    # The row loop parses what the column path left, and is the one place
+    # that names a bad row.
     stamps = array("q")
     prices = array("d")
-    for row_no, row in enumerate(filter(None, reader), start=1):
+    reader = csv.reader(rest, delimiter=delimiter)
+    for row_no, row in enumerate(filter(None, reader), start=rows + 1):
         if len(row) < needed:
             raise DataError(f"malformed row {row_no}: expected >= {needed} fields, got {len(row)}")
         try:
@@ -186,10 +216,58 @@ def _parse_stream(
             raise DataError(f"row {row_no}: {problem} price {price_s}")
         stamps.append(stamp)
         prices.append(price)
+    parts.append((np.array(stamps, dtype=np.int64), np.array(prices, dtype=float)))
     return MinuteBars(
-        wall_clock=np.array(stamps, dtype=np.int64).view("datetime64[s]"),
-        price=np.array(prices, dtype=float),
+        wall_clock=np.concatenate([s for s, _ in parts]).view("datetime64[s]"),
+        price=np.concatenate([p for _, p in parts]),
     )
+
+
+def _plain_chunk(chunk, delimiter, needed, i_date, i_time, i_price, day_seconds, clock_seconds):
+    """The timestamps and prices of ``chunk``, whole lines of rows, when it
+    parses the same split on ``delimiter`` as with ``csv.reader`` and every
+    row is valid; otherwise None.
+
+    That takes a delimiter csv reads as plain text; no quote, NUL (an error
+    before Python 3.11) or lone CR in the chunk; no field longer than csv
+    allows; and one field count, at least ``needed``, on every nonblank line.
+    """
+    if delimiter in '"\r\n\0' or '"' in chunk or "\0" in chunk:
+        return None
+    if len(chunk) > csv.field_size_limit():
+        return None
+    if "\r" in chunk:
+        if chunk.count("\r") != chunk.count("\r\n"):
+            return None
+        chunk = chunk.replace("\r\n", "\n")
+    if not chunk.endswith("\n"):
+        chunk += "\n"
+    # csv.reader skips blank lines
+    while "\n\n" in chunk:
+        chunk = chunk.replace("\n\n", "\n")
+    chunk = chunk.removeprefix("\n")
+    n = chunk.count("\n")
+    if not n:
+        return np.empty(0, np.int64), np.empty(0)
+    # Each line break moves to the head of the cell after it: the first cell
+    # of every row, and a last cell of its own. After the empty cell that
+    # leads, every row has width w exactly when those n + 1 breaks fall w
+    # cells apart. The break put before the first row gives every
+    # first-column cell the same form, for the caches.
+    cells = ("\n" + chunk).replace("\n", delimiter + "\n").split(delimiter)
+    width, extra = divmod(len(cells) - 2, n)
+    if extra or width < needed or "".join(cells[1::width]).count("\n") != n + 1:
+        return None
+    end = 1 + n * width
+    try:
+        stamps = np.fromiter(map(day_seconds, cells[1 + i_date:end:width]), np.int64, n)
+        stamps += np.fromiter(map(clock_seconds, cells[1 + i_time:end:width]), np.int64, n)
+        prices = np.fromiter(map(float, cells[1 + i_price:end:width]), float, n)
+    except ValueError:
+        return None
+    if not np.all((prices > 0) & (prices < np.inf)):
+        return None
+    return stamps, prices
 
 
 def compact_gaps(records: MinuteBars) -> PriceSeries:

@@ -309,6 +309,53 @@ class TestIngest:
         ) == EXIT_OK
         assert (tmp_path / "series.csv").read_bytes() == golden_series_path.read_bytes()
 
+    def test_crlf_input_gives_same_series_csv(self, minute_bars_path, tmp_path):
+        crlf = tmp_path / "bars_crlf.csv"
+        crlf.write_bytes(minute_bars_path.read_bytes().replace(b"\n", b"\r\n"))
+        for path, out in ((minute_bars_path, "lf"), (crlf, "crlf")):
+            assert _run(
+                "ingest", "--input", str(path), "--delimiter", ";", "--crash", CRASH,
+                "--outdir", str(tmp_path / out),
+            ) == EXIT_OK
+        assert (tmp_path / "crlf" / "series.csv").read_bytes() == (
+            tmp_path / "lf" / "series.csv"
+        ).read_bytes()
+
+    def test_header_only_input_is_data_error(self, tmp_path, capsys):
+        bars = tmp_path / "bars.csv"
+        bars.write_text("DATE,TIME,CLOSE\n")
+        assert _run("ingest", "--input", str(bars), "--outdir", str(tmp_path / "out")) == EXIT_DATA
+        assert f"{bars}: no data rows" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "series.csv").exists()
+
+
+@pytest.mark.parametrize("text", [";;", ""])
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_delimiter_must_be_one_character(minute_bars_path, tmp_path, capsys, text, source):
+    argv = ["ingest", "--input", str(minute_bars_path), "--outdir", str(tmp_path / "out")]
+    if source == "flag":
+        argv.append(f"--delimiter={text}")
+    else:
+        (tmp_path / "run.cfg").write_text(f"delimiter = {text}\n")
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    assert _run(*argv) == EXIT_USAGE
+    assert "must be one character" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_reference_missing_from_n_w_is_usage_error(minute_bars_path, tmp_path, capsys, source):
+    argv = ["analyze", "--input", str(minute_bars_path), "--delimiter", ";", "--crash", CRASH,
+            "--resamples", "0", "--outdir", str(tmp_path / "out")]
+    if source == "flag":
+        argv += ["--n-w", "10,20"]
+    else:
+        (tmp_path / "run.cfg").write_text("n_w = 10,20\n")
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    assert _run(*argv) == EXIT_USAGE
+    assert "reference 0 is not one of n_w 10,20" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
 
 @pytest.mark.parametrize(
     "argv",

@@ -1,8 +1,10 @@
 import bisect
+import csv
 import io
 import math
 import re
 from datetime import datetime, timedelta
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aftershocks import DataError, align_origin, compact_gaps, load_records, window_length_for_days
+from aftershocks import ingest
 from aftershocks.ingest import ColumnMap, MinuteBars, PriceSeries
 
 
@@ -70,6 +73,23 @@ def _parse_every_row(rows):
         walls.append(day.replace(hour=clock.hour, minute=clock.minute, second=clock.second))
         prices.append(price)
     return walls, prices
+
+
+def _load_both_ways(text, newline="\n", chunk_chars=None):
+    """``load_records`` on ``text`` as is and with every row left to the row
+    loop: each result is the (timestamps, prices) pair or the error."""
+
+    def load():
+        try:
+            records = load_records(io.StringIO(text, newline=newline))
+        except (DataError, csv.Error) as exc:
+            return f"{type(exc).__name__}: {exc}"
+        return records.wall_clock.tolist(), records.price.tolist()
+
+    with mock.patch.object(ingest, "_CHUNK_CHARS", chunk_chars or ingest._CHUNK_CHARS):
+        got = load()
+    with mock.patch.object(ingest, "_plain_chunk", lambda *args: None):
+        return got, load()
 
 
 def _check_order_per_record(wall: list[datetime]) -> None:
@@ -170,17 +190,73 @@ class TestLoadRecords:
         assert records.wall_clock.dtype == np.dtype("datetime64[s]")
         assert records.price.dtype == np.dtype(float)
 
-    @given(rows=_csv_rows())
-    @settings(max_examples=200, deadline=None)
-    def test_fuzzed_rows_match_per_row_reference(self, rows):
-        text = "DATE,TIME,CLOSE\n" + "".join(",".join(row) + "\n" for row in rows)
+    @given(rows=_csv_rows(), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_fuzzed_rows_match_per_row_reference(self, rows, data):
+        # The column path must give what the row loop gives, values and
+        # messages alike, whatever the line ends, blank lines, extra fields,
+        # quoting and chunk size.
+        newline = data.draw(st.sampled_from(["\n", "\r\n"]), label="newline")
+        extra = data.draw(st.lists(st.sampled_from(["", "x", "1.5"]), max_size=2), label="extra")
+        rows = [row + extra for row in rows]
+        if rows and data.draw(st.booleans(), label="ragged"):
+            rows[data.draw(st.integers(0, len(rows) - 1))].append("y")
+        lines = [",".join(row) for row in rows]
+        if rows and data.draw(st.booleans(), label="quoted"):
+            i = data.draw(st.integers(0, len(rows) - 1))
+            j = data.draw(st.integers(0, len(rows[i]) - 1))
+            lines[i] = ",".join(f'"{cell}"' if k == j else cell for k, cell in enumerate(rows[i]))
+        for i in data.draw(st.lists(st.integers(0, len(lines)), max_size=3), label="blank lines"):
+            lines.insert(i, "")
+        text = "DATE,TIME,CLOSE" + newline + "".join(line + newline for line in lines)
+        chunk_chars = data.draw(st.sampled_from([64, ingest._CHUNK_CHARS]), label="chunk chars")
+
         expected = _parse_every_row(rows)
+        got, row_loop = _load_both_ways(text, chunk_chars=chunk_chars)
+        assert got == row_loop
         if isinstance(expected, int):
-            with pytest.raises(DataError, match=rf"\brow {expected}:"):
-                load_records(io.StringIO(text))
+            assert re.search(rf"^DataError: .*\brow {expected}:", got)
         else:
-            records = load_records(io.StringIO(text))
-            assert (records.wall_clock.tolist(), records.price.tolist()) == expected
+            assert got == expected
+
+    @pytest.mark.parametrize("chunk_chars", [64, ingest._CHUNK_CHARS])
+    @pytest.mark.parametrize(
+        "text,newline,expected",
+        [
+            # rows of 3, 4 and 2 fields: 9 cells, as many as three full rows
+            ("DATE,TIME,CLOSE\n20141215,100000,58.17\n20141215,100100,58.2,20141215\n100200,58.3\n",
+             "\n", "DataError: malformed row 3: expected >= 3 fields, got 2"),
+            # a lone CR ends a line of a file; the ignored last cell must not
+            # swallow the next row
+            ("DATE,TIME,CLOSE,NOTE\r20141215,100000,58.17,x\r20141215,100100,58.2,x\r", "",
+             ([datetime(2014, 12, 15, 10, 0), datetime(2014, 12, 15, 10, 1)], [58.17, 58.2])),
+            # a quoted cell holding delimiters is one cell
+            ('NOTE,DATE,TIME,CLOSE\n' + '"a,20141215,100000,58.17,b",20141216,110000,60\n' * 2,
+             "\n", ([datetime(2014, 12, 16, 11, 0)] * 2, [60.0] * 2)),
+            ("DATE,TIME,CLOSE\n20141215,100000,58.17", "\n", ([datetime(2014, 12, 15, 10, 0)], [58.17])),
+            # with 64-character chunks, row 51 is in the twentieth chunk
+            ("DATE,TIME,CLOSE\n" + "20141215,100000,58.17\n" * 50 + "20141215,100100,0\n", "\n",
+             "DataError: row 51: non-positive price 0"),
+            # NUL in a cell: parsed on Python 3.11+, a csv.Error before
+            ("DATE,TIME,CLOSE,NOTE\n20141215,100000,58.17,\0\n", "\n", None),
+        ],
+        ids=["balanced-ragged-rows", "cr-line-ends", "quoted-delimiters", "no-final-newline",
+             "error-in-later-chunk", "nul"],
+    )
+    def test_layout_read_as_csv_reader_reads_it(self, text, newline, expected, chunk_chars):
+        got, row_loop = _load_both_ways(text, newline=newline, chunk_chars=chunk_chars)
+        assert got == row_loop
+        if expected is not None:
+            assert got == expected
+
+    def test_not_utf8_past_first_chunk_names_byte_offset(self, tmp_path):
+        body = b"DATE,TIME,CLOSE\n" + b"20141215,100000,61.5\n" * 4000 + b"\xff\n"
+        assert body.index(b"\xff") > ingest._CHUNK_CHARS
+        path = tmp_path / "bars.csv"
+        path.write_bytes(body)
+        offset = body.index(b"\xff")
+        with pytest.raises(DataError, match=rf"invalid start byte at byte offset {offset}\)"):
+            load_records(path)
 
     def test_finam_style_brackets(self, minute_bars_path):
         records = load_records(minute_bars_path, delimiter=";")
