@@ -45,7 +45,7 @@ from .ingest import (
     load_records,
     window_length_for_days,
 )
-from .omori import cumulative_count, fit_omori, fit_omori_mle, omori_model
+from .omori import OmoriFit, cumulative_count, fit_omori, fit_omori_mle, omori_model
 from .stats import compute_returns, window_stats
 from .svgplot import line_chart
 from .synth import (
@@ -329,18 +329,35 @@ def _run_analysis(config: RunConfig, outdir: Path, artifacts: list[str], notes: 
     }
 
     horizon = float(config.horizon) if config.horizon is not None else float(window)
+    catalogs = []
+    for multiple in config.thresholds:
+        with _stage(f"events {_threshold_label(multiple)}"):
+            catalogs.append(detect_events(returns, multiple * sw.sigma, window=(0, window)))
+    fits = _omori_fits(catalogs, config, horizon)
     boot_seeds = derive_seeds(config.seed, len(config.thresholds))
     threshold_sections = []
-    for multiple, boot_seed in zip(config.thresholds, boot_seeds):
-        r_th = multiple * sw.sigma
-        label = f"thr{multiple:g}sigma"
-        with _stage(f"events {label}"):
-            ev = detect_events(returns, r_th, window=(0, window))
-        section = _analyze_catalog(ev, config, label, horizon, outdir, artifacts, notes, boot_seed)
+    for multiple, ev, fit, boot_seed in zip(config.thresholds, catalogs, fits, boot_seeds):
+        label = _threshold_label(multiple)
+        section = _analyze_catalog(ev, fit, config, label, horizon, outdir, artifacts, notes, boot_seed)
         section["multiple"] = multiple
-        section["r_th"] = r_th
+        section["r_th"] = multiple * sw.sigma
         threshold_sections.append(section)
     return {"sigma": sigma_section, "thresholds": threshold_sections}
+
+
+def _threshold_label(multiple: float) -> str:
+    return f"thr{multiple:g}sigma"
+
+
+def _omori_fits(catalogs: list[EventSequence], config: RunConfig, horizon: float) -> list:
+    """Per catalog, its Omori fit, the error that fit raised, or None below
+    10 events. One :func:`fit_omori` call fits them all, so the catalogs
+    share the coarse scan of their common grid."""
+    fittable = [ev for ev in catalogs if len(ev) >= 10]
+    if not fittable:
+        return [None] * len(catalogs)
+    fits = iter(fit_omori(fittable, grid_step=config.grid_step, horizon=horizon, c_search=config.c_search))
+    return [next(fits) if len(ev) >= 10 else None for ev in catalogs]
 
 
 def _run_synthetic(config: RunConfig, outdir: Path, artifacts: list[str], notes: list[str]) -> dict:
@@ -373,12 +390,14 @@ def _run_synthetic(config: RunConfig, outdir: Path, artifacts: list[str], notes:
         synthetic["event_count"] = len(sample)
         horizon = float(config.horizon if config.horizon is not None else spec.horizon)
         boot_seed = derive_seeds(config.seed, 1)[0]
-        section = _analyze_catalog(sample, config, "catalog", horizon, outdir, artifacts, notes, boot_seed)
+        (fit,) = _omori_fits([sample], config, horizon)
+        section = _analyze_catalog(sample, fit, config, "catalog", horizon, outdir, artifacts, notes, boot_seed)
     return {"thresholds": [section], "synthetic": synthetic}
 
 
 def _analyze_catalog(
     ev: EventSequence,
+    fit: OmoriFit | Exception | None,
     config: RunConfig,
     label: str,
     horizon: float,
@@ -388,7 +407,9 @@ def _analyze_catalog(
     boot_seed: int,
 ) -> dict:
     """Omori fit, waiting-time fits, Markov check and correlation study for
-    one event catalog; writes that catalog's artifact files."""
+    one event catalog; writes that catalog's artifact files. ``fit`` is the
+    catalog's entry from :func:`_omori_fits`; an error there is raised in
+    this catalog's Omori stage."""
     section: dict = {"label": label, "event_count": len(ev)}
 
     def note(text: str) -> None:
@@ -400,12 +421,11 @@ def _analyze_catalog(
     section["events_csv"] = events_csv
 
     omori_fit = None
-    if len(ev) >= 10:
-        with _stage(f"omori {label}"):
-            omori_fit = fit_omori(
-                ev, grid_step=config.grid_step, horizon=horizon, c_search=config.c_search
-            )
-        section["omori"] = omori_fit
+    if fit is not None:
+        if isinstance(fit, Exception):
+            with _stage(f"omori {label}"):
+                raise fit
+        omori_fit = section["omori"] = fit
         try:
             section["omori_mle"] = fit_omori_mle(ev, horizon=horizon, c_search=config.c_search)
         except DataError as exc:
@@ -669,8 +689,15 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
             merged[f.name] = Path(os.environ[ENV_OUTDIR])
         else:
             merged[f.name] = getattr(defaults, f.name)
+    n_w = ",".join(map(str, merged["n_w"]))
+    if len(set(merged["n_w"])) < len(merged["n_w"]):
+        raise _UsageError(f"n_w {n_w} repeats a value")
+    labels = [_threshold_label(m) for m in merged["thresholds"]]
+    repeated = next((label for i, label in enumerate(labels) if label in labels[:i]), None)
+    if repeated:
+        listed = ",".join(map(str, merged["thresholds"]))
+        raise _UsageError(f"thresholds {listed} give the label {repeated} twice")
     if merged["reference"] not in merged["n_w"]:
-        n_w = ",".join(map(str, merged["n_w"]))
         raise _UsageError(f"reference {merged['reference']} is not one of n_w {n_w}")
     return RunConfig(**merged)
 
@@ -751,15 +778,12 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         fh.write("t,wall_clock,x\n")
         for lo in range(0, len(series), _SERIES_CHUNK_ROWS):
             hi = min(lo + _SERIES_CHUNK_ROWS, len(series))
-            cells = [None] * (3 * (hi - lo))
-            cells[0::3] = range(series.t_start + lo, series.t_start + hi)
-            cells[1::3] = np.datetime_as_string(series.wall_clock[lo:hi], unit="s").tolist()
-            cells[2::3] = series.x[lo:hi].tolist()
+            cells = [None] * (4 * (hi - lo))
+            cells[0::4] = range(series.t_start + lo, series.t_start + hi)
+            cells[1::4], cells[2::4] = _iso_date_and_time(series.wall_clock[lo:hi])
+            cells[3::4] = series.x[lo:hi].tolist()
             # %.10g prints a finite float as format(x, ".10g") does
-            chunk = "%d,%s,%.10g\n" * (hi - lo) % tuple(cells)
-            # numpy's ISO text has a "T" where datetime.isoformat(sep=" ") has a
-            # space; no integer or formatted price contains one
-            fh.write(chunk.replace("T", " "))
+            fh.write("%d,%s %s,%.10g\n" * (hi - lo) % tuple(cells))
     origin = series.origin_wall_clock
     print(f"{len(series)} records -> {series_csv}")
     print(
@@ -767,6 +791,19 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         + (f", origin {origin.isoformat(sep=' ')}" if origin else "")
     )
     return EXIT_OK
+
+
+def _iso_date_and_time(stamps: np.ndarray) -> tuple[list[str], list[str]]:
+    """The ISO date and time of day of each ``datetime64[s]`` stamp, as
+    ``datetime.isoformat(sep=" ")`` splits them. Minute bars repeat a few
+    hundred dates and times of day, so each distinct one is formatted once."""
+    days, seconds = np.divmod(stamps.astype(np.int64), 86400)
+    day_values, day_of = np.unique(days, return_inverse=True)
+    second_values, second_of = np.unique(seconds, return_inverse=True)
+    dates = np.datetime_as_string(day_values.astype("datetime64[D]"))
+    # a second of 1970-01-01 as numpy writes it: 1970-01-01Thh:mm:ss
+    clocks = [text[11:] for text in np.datetime_as_string(second_values.astype("datetime64[s]")).tolist()]
+    return dates[day_of].tolist(), np.array(clocks)[second_of].tolist()
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:

@@ -93,9 +93,12 @@ def bootstrap_ci(
     ``fit_options`` may carry keyword arguments for the underlying fits
     under the "omori" and "mu" keys.
 
-    For "sum" each resample fits mu first and refits the Omori law only
-    when the mu fit succeeded; a resample on which either fit raises counts
-    as one failure, and more than 10% failures raise :class:`DataError`.
+    For "sum" every resample fits mu first, and only the resamples whose mu
+    fit succeeded are refitted with the Omori law. Those refits are one
+    :func:`fit_omori` call on the list of them, so they share the coarse
+    scan of the bootstrap's fitting grid. A resample on which either fit
+    fails counts as one failure, and more than 10% failures raise
+    :class:`DataError`.
 
     Each resample draws from its own spawned seed, so the interval is
     deterministic in (events, seed) and independent of evaluation order.
@@ -110,50 +113,47 @@ def bootstrap_ci(
     opts = fit_options or {}
     omori_opts = dict(opts.get("omori", {}))
     mu_opts = dict(opts.get("mu", {}))
+    method = mu_opts.pop("method", "mle")
+    bin_size = mu_opts.pop("bin_size", 1.0)
+    fit_range = mu_opts.pop("fit_range", None)
+    if fit_range == (None, None):
+        fit_range = None
     t0 = float(events.times[0])
     rank_of = np.argsort(np.argsort(taus))
 
-    estimates = []
+    # mu first: its fit is cheap and is the one that fails on minute data,
+    # so a resample it loses never pays for the Omori refit. Each estimate
+    # is 0.0 + mu + p, summed in that order.
+    partial = []
+    survivors = []
     failures = 0
     for child in derive_seeds(seed, resamples):
         rng = _rng(child)
         idx = np.floor(rng.random(len(taus)) * len(taus)).astype(int)
         arranged = np.sort(taus[idx])[rank_of]
         times = t0 + np.concatenate([[0.0], np.cumsum(arranged)])
+        value = 0.0
         try:
             resampled = EventSequence(times=times)
-            estimates.append(_point_estimate(resampled, estimator, omori_opts, mu_opts))
+            if estimator != "omori":
+                waits = waiting_times(resampled)
+                data = build_histogram(waits, bin_size) if method == "lsq" else waits
+                value += fit_mu(data, fit_range=fit_range, method=method, **mu_opts).mu
         except (DataError, ValueError):
             failures += 1
+            continue
+        partial.append(value)
+        if estimator != "mu":
+            survivors.append(resampled)
+    estimates = partial
+    if survivors:
+        fits = fit_omori(survivors, **omori_opts)
+        estimates = [value + fit.p for value, fit in zip(partial, fits) if isinstance(fit, OmoriFit)]
+        failures += len(survivors) - len(estimates)
     if failures > 0.1 * resamples:
         raise DataError(f"estimator failed on {failures}/{resamples} resamples")
     lo, hi = np.percentile(np.sort(np.asarray(estimates)), [2.5, 97.5])
     return (float(lo), float(hi))
-
-
-def _point_estimate(
-    events: EventSequence,
-    estimator: str,
-    omori_opts: dict,
-    mu_opts: dict,
-) -> float:
-    # mu first: its fit is cheap and is the one that fails on minute data,
-    # so a resample it loses never pays for the Omori refit. Addition is
-    # commutative, so the order leaves the sum bit-identical.
-    value = 0.0
-    if estimator in ("mu", "sum"):
-        opts = dict(mu_opts)
-        method = opts.pop("method", "mle")
-        bin_size = opts.pop("bin_size", 1.0)
-        fit_range = opts.pop("fit_range", None)
-        if fit_range == (None, None):
-            fit_range = None
-        waits = waiting_times(events)
-        data = build_histogram(waits, bin_size) if method == "lsq" else waits
-        value += fit_mu(data, fit_range=fit_range, method=method, **opts).mu
-    if estimator in ("omori", "sum"):
-        value += fit_omori(events, **omori_opts).p
-    return value
 
 
 def to_jsonable(obj: Any) -> Any:

@@ -115,4 +115,6 @@ def read_events_csv(path: str | Path, **metadata) -> EventSequence:
             raise not_utf8(path, fh, exc) from None
         except (ValueError, IndexError) as exc:
             raise DataError(f"{path}: malformed event row ({exc})") from None
+        except csv.Error as exc:
+            raise DataError(f"{path}: malformed event row at line {reader.line_num} ({exc})") from None
     return EventSequence(times=np.asarray(times), **metadata)

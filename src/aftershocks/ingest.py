@@ -160,6 +160,8 @@ def _parse_stream(
         header = next(reader)
     except StopIteration:
         raise DataError("empty input: header row required") from None
+    except csv.Error as exc:
+        raise DataError(f"malformed header row: {exc}") from None
     names = [_normalize_header_cell(cell) for cell in header]
     indices = {}
     for role, wanted in (("date", cmap.date), ("time", cmap.time), ("price", cmap.price)):
@@ -199,23 +201,28 @@ def _parse_stream(
     stamps = array("q")
     prices = array("d")
     reader = csv.reader(rest, delimiter=delimiter)
-    for row_no, row in enumerate(filter(None, reader), start=rows + 1):
-        if len(row) < needed:
-            raise DataError(f"malformed row {row_no}: expected >= {needed} fields, got {len(row)}")
-        try:
-            stamp = day_seconds(row[i_date]) + clock_seconds(row[i_time])
-        except ValueError as exc:
-            raise DataError(f"malformed row {row_no}: unparseable date-time ({exc})") from None
-        price_s = row[i_price].strip()
-        try:
-            price = float(price_s)
-        except ValueError:
-            raise DataError(f"malformed row {row_no}: unparseable price {price_s!r}") from None
-        if not 0.0 < price < math.inf:
-            problem = "non-positive" if math.isfinite(price) else "non-finite"
-            raise DataError(f"row {row_no}: {problem} price {price_s}")
-        stamps.append(stamp)
-        prices.append(price)
+    row_no = rows
+    try:
+        for row_no, row in enumerate(filter(None, reader), start=rows + 1):
+            if len(row) < needed:
+                raise DataError(f"malformed row {row_no}: expected >= {needed} fields, got {len(row)}")
+            try:
+                stamp = day_seconds(row[i_date]) + clock_seconds(row[i_time])
+            except ValueError as exc:
+                raise DataError(f"malformed row {row_no}: unparseable date-time ({exc})") from None
+            price_s = row[i_price].strip()
+            try:
+                price = float(price_s)
+            except ValueError:
+                raise DataError(f"malformed row {row_no}: unparseable price {price_s!r}") from None
+            if not 0.0 < price < math.inf:
+                problem = "non-positive" if math.isfinite(price) else "non-finite"
+                raise DataError(f"row {row_no}: {problem} price {price_s}")
+            stamps.append(stamp)
+            prices.append(price)
+    except csv.Error as exc:
+        # raised while reading the row after the last one numbered
+        raise DataError(f"malformed row {row_no + 1}: {exc}") from None
     parts.append((np.array(stamps, dtype=np.int64), np.array(prices, dtype=float)))
     return MinuteBars(
         wall_clock=np.concatenate([s for s, _ in parts]).view("datetime64[s]"),

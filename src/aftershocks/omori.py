@@ -158,7 +158,7 @@ def _coarse_scan(
     grid: np.ndarray,
     p_values: np.ndarray,
     c_values: list[float],
-) -> tuple[float, float, float]:
+) -> tuple[float, float, float] | list[tuple[float, float, float] | DataError]:
     """Best (p, c) cell by the closed-amplitude rss, ties to smallest p
     then smallest c, and the best p in the ``c_values[0]`` column.
 
@@ -168,15 +168,31 @@ def _coarse_scan(
     exp(q * lt) = t**q (c = 0). The factor's sign, that of q, carries into
     the admissibility test sum(y*g) > 0. Rows that c = 0 does not admit
     (p >= 1) are not computed.
+
+    ``y`` may be a stack of count vectors on ``grid``, one row per catalog.
+    Each block of g, which does not depend on the counts, is then computed
+    once, and each row is scored against it with its own matrix-vector
+    product (gemv): one matrix product g @ Y.T (gemm) would sum in another
+    order and change the last bits, whereas per-row products keep every
+    catalog's cells those of a scan of that catalog alone. A 1-d ``y``
+    returns the triple or raises :class:`DataError`; a stack returns a list
+    holding each row's triple or its DataError.
     """
-    sy2 = float(y @ y)
-    n_p, n_c = len(p_values), len(c_values)
-    rss = np.full((n_p, n_c), np.inf)
+    ys = np.atleast_2d(y)
+    n_y, n_p = len(ys), len(p_values)
+    sy2 = np.array([float(row @ row) for row in ys])
     q_all = 1.0 - p_values
     log_branch = np.abs(q_all) < LOG_BRANCH_WINDOW
     block = np.empty((min(_P_BLOCK, n_p), len(grid)))
+    col = np.empty((n_y, n_p))
+    # the first minimum of each row's (p, c) table in row-major order
+    # (smallest p, then smallest c), kept column by column
+    best = np.full(n_y, np.inf)
+    best_i = np.full(n_y, n_p)
+    best_j = np.zeros(n_y, dtype=int)
 
     for j, c in enumerate(c_values):
+        col.fill(np.inf)
         lt = np.log1p(grid / c) if c > 0 else np.log(grid)
         # log-branch rows are scored below; c = 0 admits p < 1 only
         rows = np.flatnonzero(~log_branch & ((q_all > 0) | (c > 0)))
@@ -188,29 +204,66 @@ def _coarse_scan(
             if c > 0:
                 g -= 1.0
             with np.errstate(invalid="ignore", divide="ignore"):
-                syg = g @ y
+                syg = np.array([g @ row for row in ys])
                 sgg = np.einsum("ij,ij->i", g, g)
-                cell = sy2 - syg**2 / sgg
+                cell = sy2[:, None] - syg**2 / sgg
             bad = (syg * np.sign(q) <= 0) | (sgg <= 0) | ~np.isfinite(cell)
             cell[bad] = np.inf
-            rss[idx, j] = cell
+            col[:, idx] = cell
         # log branch rows: g does not depend on p there
         if c > 0 and np.any(log_branch):
-            g = lt
-            syg = float(g @ y)
-            sgg = float(g @ g)
-            val = sy2 - syg**2 / sgg if (syg > 0 and sgg > 0) else np.inf
-            rss[log_branch, j] = val
+            sgg = float(lt @ lt)
+            for r, row in enumerate(ys):
+                syg = float(lt @ row)
+                col[r, log_branch] = sy2[r] - syg**2 / sgg if (syg > 0 and sgg > 0) else np.inf
+        i = np.argmin(col, axis=1)
+        val = col[np.arange(n_y), i]
+        if j == 0:
+            pinned = i
+        take = (val < best) | ((val == best) & (i < best_i))
+        best[take], best_i[take], best_j[take] = val[take], i[take], j
 
-    # argmin takes the first minimum in row-major order: smallest p, then c
-    i, j = divmod(int(np.argmin(rss)), n_c)
-    if not math.isfinite(rss[i, j]):
-        raise DataError("no admissible (p, c) cell: cumulative counts do not support the model")
-    return float(p_values[i]), float(c_values[j]), float(p_values[int(np.argmin(rss[:, 0]))])
+    found = [
+        (float(p_values[i]), float(c_values[j]), float(p_values[k]))
+        if math.isfinite(v)
+        else DataError("no admissible (p, c) cell: cumulative counts do not support the model")
+        for v, i, j, k in zip(best, best_i, best_j, pinned)
+    ]
+    if np.ndim(y) == 1:
+        if isinstance(found[0], DataError):
+            raise found[0]
+        return found[0]
+    return found
+
+
+def _fit_grid(
+    events: EventSequence, grid_step: float, horizon: float | None, grid: np.ndarray | None
+) -> tuple[np.ndarray, float, float | None]:
+    """The fitting grid of one catalog, its horizon and grid step, after the
+    checks :func:`fit_omori` makes before it fits."""
+    if len(events) < 10:
+        raise DataError(f"need at least 10 events to fit, got {len(events)}")
+    if float(np.ptp(events.times)) == 0.0:
+        raise DataError("degenerate event sequence: all events at one time")
+    if grid is None:
+        if horizon is None:
+            horizon = float(events.times[-1])
+        if horizon <= 0 or grid_step <= 0:
+            raise ValueError("horizon and grid_step must be positive")
+        grid = np.arange(grid_step, horizon + grid_step / 2.0, grid_step)
+    else:
+        grid = np.asarray(grid, dtype=float)
+        if np.any(grid <= 0):
+            raise ValueError("explicit grid values must be positive")
+        horizon = float(horizon if horizon is not None else grid[-1])
+        grid_step = None  # type: ignore[assignment]
+    if len(grid) < 3:
+        raise DataError("fitting grid has fewer than 3 points")
+    return grid, float(horizon), grid_step
 
 
 def fit_omori(
-    events: EventSequence,
+    events: EventSequence | list[EventSequence],
     grid_step: float = 1.0,
     horizon: float | None = None,
     c_search: bool = True,
@@ -219,7 +272,7 @@ def fit_omori(
     p_range: tuple[float, float] = P_SEARCH_RANGE,
     p_step: float = P_SEARCH_STEP,
     c_grid: tuple[float, ...] = C_SEARCH_GRID,
-) -> OmoriFit:
+) -> OmoriFit | list[OmoriFit | DataError | ValueError]:
     """Least-squares fit of the cumulative law to an event sequence.
 
     The empirical cumulative count is sampled on a uniform grid
@@ -239,35 +292,72 @@ def fit_omori(
     ``c_search=False`` pins c = 0, which restricts p to (0, 1). With the
     search, p at c = 0 is refined as well, so the fit is never worse than
     the pinned one. ``horizon`` defaults to the last event time.
-    """
-    if len(events) < 10:
-        raise DataError(f"need at least 10 events to fit, got {len(events)}")
-    if float(np.ptp(events.times)) == 0.0:
-        raise DataError("degenerate event sequence: all events at one time")
-    if grid is None:
-        if horizon is None:
-            horizon = float(events.times[-1])
-        if horizon <= 0 or grid_step <= 0:
-            raise ValueError("horizon and grid_step must be positive")
-        grid = np.arange(grid_step, horizon + grid_step / 2.0, grid_step)
-    else:
-        grid = np.asarray(grid, dtype=float)
-        if np.any(grid <= 0):
-            raise ValueError("explicit grid values must be positive")
-        horizon = float(horizon if horizon is not None else grid[-1])
-        grid_step = None  # type: ignore[assignment]
-    if len(grid) < 3:
-        raise DataError("fitting grid has fewer than 3 points")
 
-    y = cumulative_count(events, grid)
+    ``events`` may also be a list of catalogs, fitted with the same
+    settings. The result is then a list holding, per catalog, its fit or
+    the :class:`DataError` or ``ValueError`` a call on that catalog alone
+    would raise. Catalogs on one grid share one coarse scan pass (see
+    :func:`_coarse_scan`); catalogs whose grids differ, as when ``horizon``
+    is None and each grid ends at its own last event, are scanned in their
+    own groups. Each catalog is then refined alone, so each result equals
+    that of a call on the catalog alone, ``evaluations`` included.
+    """
+    if isinstance(events, EventSequence):
+        (result,) = fit_omori(
+            [events], grid_step, horizon, c_search,
+            grid=grid, p_range=p_range, p_step=p_step, c_grid=c_grid,
+        )
+        if isinstance(result, Exception):
+            raise result
+        return result
+
     p_values = np.arange(p_range[0], p_range[1] + p_step / 2.0, p_step)
     c_values = [0.0] + ([float(c) for c in c_grid] if c_search else [])
+    results: list = [None] * len(events)
+    # catalogs by horizon: with the step or the explicit grid shared, the
+    # horizon alone tells the grids apart
+    groups: dict[float, list] = {}
+    for n, ev in enumerate(events):
+        try:
+            grid_n, horizon_n, step_n = _fit_grid(ev, grid_step, horizon, grid)
+        except (DataError, ValueError) as exc:
+            results[n] = exc.with_traceback(None)
+            continue
+        groups.setdefault(horizon_n, []).append((n, grid_n, step_n))
 
-    # coarse localization may run on a decimated grid; refinement and the
-    # returned fit always use the full one
-    stride = max(1, len(grid) // 4000)
-    p0, c0, p0_pinned = _coarse_scan(y[::stride], grid[::stride], p_values, c_values)
+    for horizon_n, members in groups.items():
+        grid_n, step_n = members[0][1], members[0][2]
+        ys = np.stack([cumulative_count(events[n], grid_n) for n, _, _ in members])
+        # coarse localization may run on a decimated grid; refinement and
+        # the returned fit always use the full one
+        stride = max(1, len(grid_n) // 4000)
+        starts = _coarse_scan(ys[:, ::stride], grid_n[::stride], p_values, c_values)
+        for (n, _, _), y, start in zip(members, ys, starts):
+            try:
+                if isinstance(start, DataError):
+                    raise start
+                results[n] = _refine(
+                    y, grid_n, start, step_n, horizon_n, c_search, p_range, p_step, c_grid
+                )
+            except (DataError, ValueError) as exc:
+                results[n] = exc.with_traceback(None)
+    return results
 
+
+def _refine(
+    y: np.ndarray,
+    grid: np.ndarray,
+    start: tuple[float, float, float],
+    grid_step: float | None,
+    horizon: float,
+    c_search: bool,
+    p_range: tuple[float, float],
+    p_step: float,
+    c_grid: tuple[float, ...],
+) -> OmoriFit:
+    """The full-grid refinement of :func:`fit_omori` from the coarse scan's
+    ``start``: the best p and c, and the best p at c = 0."""
+    p0, c0, p0_pinned = start
     # Only the current c's log1p(grid / c) is held, in one reused array:
     # the searches below move through c one value at a time, and an array
     # per visited c would hold megabytes. Scored cells are memoized, since

@@ -42,17 +42,19 @@ class WaitingHistogram:
         if self.bin_size <= 0:
             raise ValueError("bin_size must be positive")
 
-    def edges(self) -> np.ndarray:
-        return np.array(sorted(self.counts), dtype=float)
+    def bins(self) -> tuple[np.ndarray, np.ndarray]:
+        """The representative tau and the count of every bin, by increasing
+        edge, from one pass over ``counts``."""
+        edges = np.fromiter(self.counts, float, len(self.counts))
+        counts = np.fromiter(self.counts.values(), float, len(self.counts))
+        order = np.argsort(edges, kind="stable")
+        edges, counts = edges[order], counts[order]
+        if self.integer_data and self.bin_size == int(self.bin_size):
+            return edges + (self.bin_size - 1.0) / 2.0, counts
+        return np.sqrt(edges * (edges + self.bin_size)), counts
 
     def tau_values(self) -> np.ndarray:
-        edges = self.edges()
-        if self.integer_data and self.bin_size == int(self.bin_size):
-            return edges + (self.bin_size - 1.0) / 2.0
-        return np.sqrt(edges * (edges + self.bin_size))
-
-    def count_values(self) -> np.ndarray:
-        return np.array([self.counts[e] for e in sorted(self.counts)], dtype=float)
+        return self.bins()[0]
 
     def total(self) -> int:
         return int(sum(self.counts.values()))
@@ -87,15 +89,13 @@ def build_histogram(taus: WaitingTimes | np.ndarray, bin_size: float = 1.0) -> W
         return WaitingHistogram(bin_size=float(bin_size), counts={})
     k = np.floor((values - 1.0) / bin_size)
     uniq, cnt = np.unique(k, return_counts=True)
-    counts = {float(1.0 + kk * bin_size): int(n) for kk, n in zip(uniq, cnt)}
+    counts = dict(zip((1.0 + uniq * bin_size).tolist(), cnt.tolist()))
     integral = bool(np.all(values == np.floor(values)))
     return WaitingHistogram(bin_size=float(bin_size), counts=counts, integer_data=integral)
 
 
-def _default_fit_range(hist: WaitingHistogram) -> tuple[float, float]:
+def _default_fit_range(taus: np.ndarray, counts: np.ndarray) -> tuple[float, float]:
     """[1, largest representative tau whose bin holds at least 2 counts]."""
-    taus = hist.tau_values()
-    counts = hist.count_values()
     heavy = taus[counts >= 2]
     hi = float(heavy[-1]) if len(heavy) else float(taus[-1])
     return (1.0, hi)
@@ -142,20 +142,21 @@ def _resolve_range(
 def _fit_lsq(hist: WaitingHistogram, fit_range) -> WaitingFit:
     if not hist.counts:
         raise DataError("empty histogram")
-    lo, hi = _resolve_range(fit_range, _default_fit_range(hist))
-    taus = hist.tau_values()
-    counts = hist.count_values()
+    taus, counts = hist.bins()
+    lo, hi = _resolve_range(fit_range, _default_fit_range(taus, counts))
     sel = (taus > 0) & (counts > 0) & (taus >= lo) & (taus <= hi)
     taus, counts = taus[sel], counts[sel]
     if len(taus) < 5:
         raise DataError(f"need at least 5 nonempty bins in range, got {len(taus)}")
     x = np.log(taus)
     y = np.log(counts)
-    sxx = float(np.sum((x - x.mean()) ** 2))
+    x_mean, y_mean = x.mean(), y.mean()
+    dx = x - x_mean
+    sxx = float(np.sum(dx**2))
     if sxx == 0.0:
         raise DataError("zero variance in log tau over the fit range")
-    slope = float(np.sum((x - x.mean()) * (y - y.mean())) / sxx)
-    intercept = float(y.mean() - slope * x.mean())
+    slope = float(np.sum(dx * (y - y_mean)) / sxx)
+    intercept = float(y_mean - slope * x_mean)
     mu = -slope - 1.0
     if mu <= 0:
         raise DataError(f"histogram slope {slope:.4f} gives nonpositive mu")
@@ -177,8 +178,7 @@ def _fit_mle(data: WaitingHistogram | WaitingTimes, fit_range) -> WaitingFit:
         samples = data.taus
         weights = np.ones_like(samples)
     elif isinstance(data, WaitingHistogram):
-        samples = data.tau_values()
-        weights = data.count_values()
+        samples, weights = data.bins()
     else:
         raise TypeError("mle fitting needs WaitingTimes or a WaitingHistogram")
     if samples.size == 0:
@@ -210,8 +210,7 @@ def _fit_mle(data: WaitingHistogram | WaitingTimes, fit_range) -> WaitingFit:
 
 def write_histogram_csv(hist: WaitingHistogram, path: str | Path) -> None:
     """Two-column CSV (tau, count), sorted by tau."""
-    taus = hist.tau_values()
-    counts = hist.count_values()
+    taus, counts = hist.bins()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["tau", "count"])

@@ -4,8 +4,10 @@ import re
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from aftershocks import cli
 from aftershocks.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, RunConfig, main
 
 CRASH = "2014-12-15 13:00"
@@ -309,6 +311,14 @@ class TestIngest:
         ) == EXIT_OK
         assert (tmp_path / "series.csv").read_bytes() == golden_series_path.read_bytes()
 
+    def test_stamp_text_is_numpy_iso_text(self):
+        # years 1 to 9999, stamps either side of 1970 and a day's first and last second
+        first, last = np.array(["0001-01-01T00:00:00", "9999-12-31T23:59:59"], "datetime64[s]").astype(np.int64)
+        seconds = np.random.default_rng(5).integers(first, last, 2000)
+        stamps = np.concatenate([seconds, [first, last, -1, 0, 86399, 86400]]).astype("datetime64[s]")
+        dates, clocks = cli._iso_date_and_time(stamps)
+        assert [f"{d}T{c}" for d, c in zip(dates, clocks)] == np.datetime_as_string(stamps, unit="s").tolist()
+
     def test_crlf_input_gives_same_series_csv(self, minute_bars_path, tmp_path):
         crlf = tmp_path / "bars_crlf.csv"
         crlf.write_bytes(minute_bars_path.read_bytes().replace(b"\n", b"\r\n"))
@@ -357,6 +367,29 @@ def test_reference_missing_from_n_w_is_usage_error(minute_bars_path, tmp_path, c
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("source", ["flag", "file"])
+@pytest.mark.parametrize(
+    "key,value,message",
+    [
+        ("n_w", "0,10,10", "n_w 0,10,10 repeats a value"),
+        # both would write thr2sigma files, and the report would list them twice
+        ("thresholds", "2,2", "thresholds 2.0,2.0 give the label thr2sigma twice"),
+        ("thresholds", "3,2,2.0000001", "thresholds 3.0,2.0,2.0000001 give the label thr2sigma twice"),
+    ],
+)
+def test_repeated_list_value_is_usage_error(minute_bars_path, tmp_path, capsys, source, key, value, message):
+    argv = ["analyze", "--input", str(minute_bars_path), "--delimiter", ";", "--crash", CRASH,
+            "--resamples", "0", "--outdir", str(tmp_path / "out")]
+    if source == "flag":
+        argv += ["--" + key.replace("_", "-"), value]
+    else:
+        (tmp_path / "run.cfg").write_text(f"{key} = {value}\n")
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    assert _run(*argv) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -384,8 +417,17 @@ def test_missing_input_file_is_data_error(tmp_path, capsys, argv):
         (["collapse", "--events"], "events.csv", b"t_minutes\n" + b"1\n" * 6000 + b"\xfe\n",
          "events.csv: not UTF-8 text (invalid start byte at byte offset 12010)"),
         (["collapse", "--events"], "events.csv", b"\n1\n", "expected header 't_minutes'"),
+        # cells longer than csv.field_size_limit(), past the first chunk
+        (["ingest", "--input"], "bars.csv",
+         b"DATE,TIME,CLOSE\n" + b"20141215,100000,61.5\n" * 4000 + b"20141215,100100," + b"9" * 140_000 + b"\n",
+         "malformed row 4001: field larger than field limit (131072)"),
+        (["ingest", "--input"], "bars.csv", b"DATE,TIME,CLOSE" + b"x" * 140_000 + b"\n20141215,100000,61.5\n",
+         "malformed header row: field larger than field limit (131072)"),
+        (["collapse", "--events"], "events.csv", b"t_minutes\n1\n2\n" + b"3" * 140_000 + b"\n",
+         "events.csv: malformed event row at line 4 (field larger than field limit (131072))"),
     ],
-    ids=["ingest-not-utf8", "analyze-not-utf8", "collapse-not-utf8", "collapse-blank-header"],
+    ids=["ingest-not-utf8", "analyze-not-utf8", "collapse-not-utf8", "collapse-blank-header",
+         "ingest-oversized-cell", "ingest-oversized-header", "collapse-oversized-cell"],
 )
 def test_undecodable_input_is_data_error(tmp_path, capsys, argv, name, body, message):
     path = tmp_path / name

@@ -11,11 +11,13 @@ from aftershocks import (
     ParetoGenSpec,
     WaitingFit,
     bootstrap_ci,
+    build_histogram,
     build_report,
     gen_omori,
     gen_pareto_waits,
     markov_relation,
     serialize_report,
+    waiting_times,
 )
 from aftershocks import diagnostics
 from aftershocks.diagnostics import to_jsonable
@@ -122,22 +124,23 @@ class TestBootstrapCi:
         # p-then-mu order gave
         ev, horizon = _minute_catalog(6.0, 4000.0, seed=3)
         fit_mu, fit_omori = diagnostics.fit_mu, diagnostics.fit_omori
-        state = {"mu_ok": None, "mu_failed": 0, "refits": 0}
+        state = {"mu_failed": 0, "calls": 0, "refits": 0}
 
         def counted_mu(*args, **kwargs):
-            state["mu_ok"] = False
             try:
-                fit = fit_mu(*args, **kwargs)
+                return fit_mu(*args, **kwargs)
             except DataError:
                 state["mu_failed"] += 1
                 raise
-            state["mu_ok"] = True
-            return fit
 
-        def counted_omori(*args, **kwargs):
-            assert state["mu_ok"], "Omori refit of a resample whose mu fit failed"
-            state["refits"] += 1
-            return fit_omori(*args, **kwargs)
+        def counted_omori(catalogs, **kwargs):
+            # the refits are one call on the resamples whose mu fit succeeded
+            for resampled in catalogs:
+                hist = build_histogram(waiting_times(resampled), 1.0)
+                assert fit_mu(hist, method="lsq").mu > 0, "Omori refit of a resample whose mu fit failed"
+            state["calls"] += 1
+            state["refits"] += len(catalogs)
+            return fit_omori(catalogs, **kwargs)
 
         monkeypatch.setattr(diagnostics, "fit_mu", counted_mu)
         monkeypatch.setattr(diagnostics, "fit_omori", counted_omori)
@@ -145,6 +148,7 @@ class TestBootstrapCi:
             bootstrap_ci(ev, "sum", resamples=100, seed=1, fit_options=_pipeline_options(horizon))
         assert str(info.value) == "estimator failed on 42/100 resamples"
         assert state["mu_failed"] == 42
+        assert state["calls"] == 1
         assert state["refits"] == 58
 
     @pytest.mark.parametrize(
@@ -162,6 +166,16 @@ class TestBootstrapCi:
         ev, horizon = _minute_catalog(8.0, 3000.0, seed=1)
         ci = bootstrap_ci(ev, estimator, resamples=100, seed=1, fit_options=_pipeline_options(horizon))
         assert ci == expected
+
+    def test_searched_c_interval_equals_recorded_value(self):
+        # every resample fits, so all 100 Omori refits (c searched) go through
+        # one list fit_omori call; recorded when each resample was refitted
+        # with its own coarse scan
+        ev, horizon = _minute_catalog(8.0, 3000.0, seed=1)
+        opts = _pipeline_options(horizon)
+        opts["omori"]["c_search"] = True
+        ci = bootstrap_ci(ev, "sum", resamples=100, seed=1, fit_options=opts)
+        assert ci == (0.6605995137957372, 1.0454187546415417)
 
     def test_coverage_of_nominal_interval(self):
         # 95% interval should cover the true exponent in >= 90 of 100 trials

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from aftershocks import (
     DataError,
     EventSequence,
+    OmoriFit,
     OmoriGenSpec,
     cumulative_count,
     fit_omori,
@@ -392,6 +393,26 @@ class TestKernelsMatchReference:
                     expected = _coarse_scan_ref(y, grid, p_values, c_values)
                     assert omori._coarse_scan(y, grid, p_values, c_values) == expected
 
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_stacked_coarse_scan_bits(self, stride):
+        # rows as fit_omori passes them: decimated views of one count stack
+        full = np.arange(1.0, 6000.5)
+        ys = [cumulative_count(gen_omori(spec), full) for spec in _KERNEL_SPECS]
+        ys.append(np.zeros_like(full))  # no cell admits an empty count
+        stack = np.stack(ys)[:, ::stride]
+        grid = full[::stride]
+        default_p = np.arange(P_SEARCH_RANGE[0], P_SEARCH_RANGE[1] + P_SEARCH_STEP / 2.0, P_SEARCH_STEP)
+        for p_values in (default_p, np.array(_KERNEL_P)):
+            for c_values in ([0.0], [0.0, *C_SEARCH_GRID], list(_KERNEL_C)):
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    got = omori._coarse_scan(stack, grid, p_values, c_values)
+                    expected = [_coarse_scan_ref(y, grid, p_values, c_values) for y in stack[:-1]]
+                assert got[:-1] == expected
+                assert isinstance(got[-1], DataError)
+                with pytest.raises(DataError) as info:
+                    omori._coarse_scan(stack[-1], grid, p_values, c_values)
+                assert str(info.value) == str(got[-1])
+
     @pytest.mark.parametrize("spec", _KERNEL_SPECS)
     def test_memo_does_not_change_the_fit(self, spec, monkeypatch):
         ev = gen_omori(spec)
@@ -414,3 +435,46 @@ class TestKernelsMatchReference:
             assert memoized == bypassed
             # the searches do revisit cells, and the memo scores each once
             assert len(calls) > n_memoized == len(set(calls))
+
+
+def _fit_or_error(ev, **kwargs):
+    try:
+        return fit_omori(ev, **kwargs)
+    except (DataError, ValueError) as exc:
+        return exc
+
+
+class TestFitOmoriList:
+    @pytest.mark.parametrize("c_search", [False, True])
+    @pytest.mark.parametrize("horizon", [4000.0, None], ids=["one-grid", "own-grids"])
+    def test_list_equals_single_calls(self, c_search, horizon):
+        catalogs = [gen_omori(spec) for spec in _KERNEL_SPECS]
+        catalogs[2:2] = [
+            EventSequence(times=np.arange(5.0) + 1.0),  # too few events
+            EventSequence(times=np.arange(5000.0, 5012.0)),  # none on a 4000-minute grid
+        ]
+        catalogs.append(catalogs[0])
+        kwargs = {"grid_step": 2.0, "horizon": horizon, "c_search": c_search}
+        listed = fit_omori(catalogs, **kwargs)
+        assert len(listed) == len(catalogs)
+        for got, ev in zip(listed, catalogs):
+            single = _fit_or_error(ev, **kwargs)
+            assert type(got) is type(single)
+            if isinstance(single, OmoriFit):
+                # evaluations takes no part in ==
+                assert dataclasses.astuple(got) == dataclasses.astuple(single)
+            else:
+                assert str(got) == str(single)
+        errors = [str(r) for r in listed if not isinstance(r, OmoriFit)]
+        assert errors[0] == "need at least 10 events to fit, got 5"
+        if horizon is not None:
+            assert errors[1].startswith("no admissible (p, c) cell")
+
+    def test_value_errors_are_returned(self):
+        ev = gen_omori(_KERNEL_SPECS[0])
+        (got,) = fit_omori([ev], horizon=-1.0)
+        assert isinstance(got, ValueError)
+        with pytest.raises(ValueError) as info:
+            fit_omori(ev, horizon=-1.0)
+        assert str(info.value) == str(got)
+        assert fit_omori([]) == []
