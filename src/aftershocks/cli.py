@@ -800,10 +800,11 @@ def _iso_date_and_time(stamps: np.ndarray) -> tuple[list[str], list[str]]:
     days, seconds = np.divmod(stamps.astype(np.int64), 86400)
     day_values, day_of = np.unique(days, return_inverse=True)
     second_values, second_of = np.unique(seconds, return_inverse=True)
-    dates = np.datetime_as_string(day_values.astype("datetime64[D]"))
+    dates = np.datetime_as_string(day_values.astype("datetime64[D]")).tolist()
     # a second of 1970-01-01 as numpy writes it: 1970-01-01Thh:mm:ss
     clocks = [text[11:] for text in np.datetime_as_string(second_values.astype("datetime64[s]")).tolist()]
-    return dates[day_of].tolist(), np.array(clocks)[second_of].tolist()
+    # rows share the distinct strings, not copies of them
+    return [dates[i] for i in day_of.tolist()], [clocks[i] for i in second_of.tolist()]
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
