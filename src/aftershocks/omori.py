@@ -185,11 +185,8 @@ def _coarse_scan(
     log_branch = np.abs(q_all) < LOG_BRANCH_WINDOW
     block = np.empty((min(_P_BLOCK, n_p), len(grid)))
     col = np.empty((n_y, n_p))
-    # the first minimum of each row's (p, c) table in row-major order
-    # (smallest p, then smallest c), kept column by column
-    best = np.full(n_y, np.inf)
-    best_i = np.full(n_y, n_p)
-    best_j = np.zeros(n_y, dtype=int)
+    col_min = np.empty((len(c_values), n_y))
+    col_arg = np.empty((len(c_values), n_y), dtype=int)
 
     for j, c in enumerate(c_values):
         col.fill(np.inf)
@@ -216,18 +213,19 @@ def _coarse_scan(
             for r, row in enumerate(ys):
                 syg = float(lt @ row)
                 col[r, log_branch] = sy2[r] - syg**2 / sgg if (syg > 0 and sgg > 0) else np.inf
-        i = np.argmin(col, axis=1)
-        val = col[np.arange(n_y), i]
-        if j == 0:
-            pinned = i
-        take = (val < best) | ((val == best) & (i < best_i))
-        best[take], best_i[take], best_j[take] = val[take], i[take], j
+        col_min[j], col_arg[j] = col.min(axis=1), col.argmin(axis=1)
 
+    # each row's first minimum in row-major order, as np.argmin over its
+    # whole (p, c) table would take it: smallest p, then smallest c
+    best = col_min.min(axis=0)
+    first_p = np.where(col_min == best, col_arg, n_p)
+    best_j = first_p.argmin(axis=0)
+    best_i = first_p[best_j, np.arange(n_y)]
     found = [
         (float(p_values[i]), float(c_values[j]), float(p_values[k]))
         if math.isfinite(v)
         else DataError("no admissible (p, c) cell: cumulative counts do not support the model")
-        for v, i, j, k in zip(best, best_i, best_j, pinned)
+        for v, i, j, k in zip(best, best_i, best_j, col_arg[0])
     ]
     if np.ndim(y) == 1:
         if isinstance(found[0], DataError):
