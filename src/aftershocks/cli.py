@@ -18,6 +18,7 @@ import argparse
 import csv
 import json
 import logging
+import math
 import os
 import sys
 from contextlib import contextmanager, nullcontext
@@ -45,7 +46,7 @@ from .ingest import (
     load_records,
     window_length_for_days,
 )
-from .omori import OmoriFit, cumulative_count, fit_omori, fit_omori_mle, omori_model
+from .omori import MIN_EVENTS, OmoriFit, cumulative_count, fit_omori, fit_omori_mle, omori_model
 from .stats import compute_returns, window_stats
 from .svgplot import line_chart
 from .synth import (
@@ -123,12 +124,14 @@ def _parse_fit_range(text: str) -> tuple[float | None, float | None]:
 
 def _bounded(parse, strict: bool):
     """``parse``, then a check that the number (every number of a tuple) is
-    positive (``strict``) or nonnegative; NaN is neither."""
+    finite and positive (``strict``) or nonnegative."""
     bound = "positive" if strict else "nonnegative"
 
     def checked(text: str):
         value = parse(text)
         for v in value if isinstance(value, tuple) else (value,):
+            if isinstance(v, float) and not math.isfinite(v):
+                raise argparse.ArgumentTypeError(f"{text!r}: must be finite")
             if not (v > 0 if strict else v >= 0):
                 raise argparse.ArgumentTypeError(f"{text!r}: must be {bound}")
         return value
@@ -351,36 +354,40 @@ def _threshold_label(multiple: float) -> str:
 
 def _omori_fits(catalogs: list[EventSequence], config: RunConfig, horizon: float) -> list:
     """Per catalog, its Omori fit, the error that fit raised, or None below
-    10 events. One :func:`fit_omori` call fits them all, so the catalogs
-    share the coarse scan of their common grid."""
-    fittable = [ev for ev in catalogs if len(ev) >= 10]
+    ``MIN_EVENTS`` events. One :func:`fit_omori` call fits them all, so the
+    catalogs share the coarse scan of their common grid."""
+    fittable = [ev for ev in catalogs if len(ev) >= MIN_EVENTS]
     if not fittable:
         return [None] * len(catalogs)
     fits = iter(fit_omori(fittable, grid_step=config.grid_step, horizon=horizon, c_search=config.c_search))
-    return [next(fits) if len(ev) >= 10 else None for ev in catalogs]
+    return [next(fits) if len(ev) >= MIN_EVENTS else None for ev in catalogs]
 
 
 def _run_synthetic(config: RunConfig, outdir: Path, artifacts: list[str], notes: list[str]) -> dict:
     spec = config.simulate
     assert spec is not None
-    with _stage("simulate"):
-        if spec.kind == "omori":
-            params = {
-                "p": spec.p,
-                "amplitude": spec.amplitude,
-                "c": spec.c,
-                "horizon": spec.horizon,
-                "round_to_minutes": spec.round_to_minutes,
-            }
-            sample = gen_omori(OmoriGenSpec(**params, seed=config.seed))
-        elif spec.kind == "stationary":
-            params = {"rate": spec.rate, "horizon": spec.horizon}
-            sample = gen_stationary(spec.rate, spec.horizon, config.seed)
-        elif spec.kind == "pareto":
-            params = {"mu": spec.mu, "tau_min": spec.tau_min, "count": spec.count}
-            sample = gen_pareto_waits(ParetoGenSpec(**params, seed=config.seed))
-        else:
-            raise _UsageError(f"unknown simulate kind {spec.kind!r}")
+    try:
+        with _stage("simulate"):
+            if spec.kind == "omori":
+                params = {
+                    "p": spec.p,
+                    "amplitude": spec.amplitude,
+                    "c": spec.c,
+                    "horizon": spec.horizon,
+                    "round_to_minutes": spec.round_to_minutes,
+                }
+                sample = gen_omori(OmoriGenSpec(**params, seed=config.seed))
+            elif spec.kind == "stationary":
+                params = {"rate": spec.rate, "horizon": spec.horizon}
+                sample = gen_stationary(spec.rate, spec.horizon, config.seed)
+            elif spec.kind == "pareto":
+                params = {"mu": spec.mu, "tau_min": spec.tau_min, "count": spec.count}
+                sample = gen_pareto_waits(ParetoGenSpec(**params, seed=config.seed))
+            else:
+                raise _UsageError(f"unknown simulate kind {spec.kind!r}")
+    except ValueError as exc:
+        # a generator's parameter check: the parameters came from the command line
+        raise _UsageError(f"simulate {spec.kind}: {exc}") from None
     synthetic = {"kind": spec.kind, "seed": config.seed, "params": params}
 
     if spec.kind == "pareto":

@@ -45,20 +45,14 @@ class CorrelationCurve:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "c", c)
 
-    @property
-    def points(self) -> list[tuple[int, float]]:
-        return list(zip(self.n.tolist(), self.c.tolist()))
-
 
 @dataclass(frozen=True)
 class CollapseResult:
-    """Per-curve scale factors, overall residual, and (once fitted) the
-    power-law parameters of f(n_w)."""
+    """Per-curve scale factors and the overall residual; :func:`fit_f`
+    fits the power law f(n_w) to the factors."""
 
     scale_factors: dict[int, float]
     collapse_residual: float
-    a: float | None = None
-    gamma: float | None = None
 
 
 def event_corr(events: EventSequence | np.ndarray, m: int, n: int) -> float:

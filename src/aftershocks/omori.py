@@ -15,7 +15,6 @@ of the rate is available as a cross-check.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -32,6 +31,10 @@ LOG_BRANCH_WINDOW = 1e-6
 P_SEARCH_RANGE = (0.05, 2.5)
 P_SEARCH_STEP = 0.01
 C_SEARCH_GRID = tuple(np.logspace(-1.0, 4.0, 26))
+# the coarse (p, c) grid both fits scan; c = 0 alone when c is pinned
+_P_VALUES = np.arange(P_SEARCH_RANGE[0], P_SEARCH_RANGE[1] + P_SEARCH_STEP / 2.0, P_SEARCH_STEP)
+_C_VALUES = (0.0, *(float(c) for c in C_SEARCH_GRID))
+MIN_EVENTS = 10  # fewest events either fit accepts
 
 _P_BLOCK = 64  # p rows evaluated per broadcast block in the coarse scan
 _DOT_CHUNK = 10_000  # longest dot product OpenBLAS computes on one thread
@@ -154,13 +157,12 @@ def _lsq_cell(
 
 
 def _coarse_scan(
-    y: np.ndarray,
-    grid: np.ndarray,
-    p_values: np.ndarray,
-    c_values: list[float],
-) -> tuple[float, float, float] | list[tuple[float, float, float] | DataError]:
-    """Best (p, c) cell by the closed-amplitude rss, ties to smallest p
-    then smallest c, and the best p in the ``c_values[0]`` column.
+    ys: np.ndarray, grid: np.ndarray, p_values: np.ndarray, c_values: tuple[float, ...]
+) -> list[tuple[float, float, float] | DataError]:
+    """Per row of ``ys``, a stack of count vectors on ``grid`` (one row per
+    catalog), the best (p, c) cell by the closed-amplitude rss, ties to
+    smallest p then smallest c, and the best p in the ``c_values[0]``
+    column; or a :class:`DataError` when no cell admits the row.
 
     A cell's rss, sum(y**2) - sum(y*g)**2 / sum(g*g), does not change when
     g is scaled by a constant, so the scan leaves out the unit model's
@@ -169,16 +171,12 @@ def _coarse_scan(
     the admissibility test sum(y*g) > 0. Rows that c = 0 does not admit
     (p >= 1) are not computed.
 
-    ``y`` may be a stack of count vectors on ``grid``, one row per catalog.
-    Each block of g, which does not depend on the counts, is then computed
-    once, and each row is scored against it with its own matrix-vector
-    product (gemv): one matrix product g @ Y.T (gemm) would sum in another
-    order and change the last bits, whereas per-row products keep every
-    catalog's cells those of a scan of that catalog alone. A 1-d ``y``
-    returns the triple or raises :class:`DataError`; a stack returns a list
-    holding each row's triple or its DataError.
+    Each block of g, which does not depend on the counts, is computed once,
+    and each row is scored against it with its own matrix-vector product
+    (gemv): one matrix product g @ Y.T (gemm) would sum in another order
+    and change the last bits, whereas per-row products keep every
+    catalog's cells those of a scan of that catalog alone.
     """
-    ys = np.atleast_2d(y)
     n_y, n_p = len(ys), len(p_values)
     sy2 = np.array([float(row @ row) for row in ys])
     q_all = 1.0 - p_values
@@ -221,43 +219,29 @@ def _coarse_scan(
     first_p = np.where(col_min == best, col_arg, n_p)
     best_j = first_p.argmin(axis=0)
     best_i = first_p[best_j, np.arange(n_y)]
-    found = [
+    return [
         (float(p_values[i]), float(c_values[j]), float(p_values[k]))
         if math.isfinite(v)
         else DataError("no admissible (p, c) cell: cumulative counts do not support the model")
         for v, i, j, k in zip(best, best_i, best_j, col_arg[0])
     ]
-    if np.ndim(y) == 1:
-        if isinstance(found[0], DataError):
-            raise found[0]
-        return found[0]
-    return found
 
 
-def _fit_grid(
-    events: EventSequence, grid_step: float, horizon: float | None, grid: np.ndarray | None
-) -> tuple[np.ndarray, float, float | None]:
-    """The fitting grid of one catalog, its horizon and grid step, after the
-    checks :func:`fit_omori` makes before it fits."""
-    if len(events) < 10:
-        raise DataError(f"need at least 10 events to fit, got {len(events)}")
+def _fit_grid(events: EventSequence, grid_step: float, horizon: float | None) -> tuple[np.ndarray, float]:
+    """The fitting grid of one catalog and its horizon, after the checks
+    :func:`fit_omori` makes before it fits."""
+    if len(events) < MIN_EVENTS:
+        raise DataError(f"need at least {MIN_EVENTS} events to fit, got {len(events)}")
     if float(np.ptp(events.times)) == 0.0:
         raise DataError("degenerate event sequence: all events at one time")
-    if grid is None:
-        if horizon is None:
-            horizon = float(events.times[-1])
-        if horizon <= 0 or grid_step <= 0:
-            raise ValueError("horizon and grid_step must be positive")
-        grid = np.arange(grid_step, horizon + grid_step / 2.0, grid_step)
-    else:
-        grid = np.asarray(grid, dtype=float)
-        if np.any(grid <= 0):
-            raise ValueError("explicit grid values must be positive")
-        horizon = float(horizon if horizon is not None else grid[-1])
-        grid_step = None  # type: ignore[assignment]
+    if horizon is None:
+        horizon = float(events.times[-1])
+    if horizon <= 0 or grid_step <= 0:
+        raise ValueError("horizon and grid_step must be positive")
+    grid = np.arange(grid_step, horizon + grid_step / 2.0, grid_step)
     if len(grid) < 3:
         raise DataError("fitting grid has fewer than 3 points")
-    return grid, float(horizon), grid_step
+    return grid, float(horizon)
 
 
 def fit_omori(
@@ -265,27 +249,22 @@ def fit_omori(
     grid_step: float = 1.0,
     horizon: float | None = None,
     c_search: bool = True,
-    *,
-    grid: np.ndarray | None = None,
-    p_range: tuple[float, float] = P_SEARCH_RANGE,
-    p_step: float = P_SEARCH_STEP,
-    c_grid: tuple[float, ...] = C_SEARCH_GRID,
 ) -> OmoriFit | list[OmoriFit | DataError | ValueError]:
     """Least-squares fit of the cumulative law to an event sequence.
 
     The empirical cumulative count is sampled on a uniform grid
-    (``grid_step``, 2*``grid_step``, ..., ``horizon``; pass ``grid`` to
-    override). For each candidate (p, c) the amplitude has the closed form
-    A = sum(y*g) / sum(g*g), g being the unit-amplitude model, so the outer
-    search is two-dimensional: a coarse scan over p in steps of ``p_step``
-    and c on a logarithmic grid (plus c = 0), refined around the best cell
-    by Brent's bounded method (:func:`._optim.brent`): log c along the
-    (p, c) ridge with p re-optimized at each candidate, then a polish of p
-    at the winning c. Ties resolve to the smallest p, then smallest c.
-    The refinement tries many p at each c it visits; ``log1p(grid / c)``
-    is computed once per visited c and only the current c's array is held.
-    Each full-grid cell is scored once per fit, and ``evaluations`` counts
-    them.
+    (``grid_step``, 2*``grid_step``, ..., ``horizon``). For each candidate
+    (p, c) the amplitude has the closed form A = sum(y*g) / sum(g*g), g
+    being the unit-amplitude model, so the outer search is two-dimensional:
+    a coarse scan over p on ``P_SEARCH_RANGE`` in steps of
+    ``P_SEARCH_STEP`` and c on ``C_SEARCH_GRID`` (plus c = 0), refined
+    around the best cell by Brent's bounded method (:func:`._optim.brent`):
+    log c along the (p, c) ridge with p re-optimized at each candidate,
+    then a polish of p at the winning c. Ties resolve to the smallest p,
+    then smallest c. The refinement tries many p at each c it visits;
+    ``log1p(grid / c)`` is computed once per visited c and only the current
+    c's array is held. Each full-grid cell is scored once per fit, and
+    ``evaluations`` counts them.
 
     ``c_search=False`` pins c = 0, which restricts p to (0, 1). With the
     search, p at c = 0 is refined as well, so the fit is never worse than
@@ -301,42 +280,36 @@ def fit_omori(
     that of a call on the catalog alone, ``evaluations`` included.
     """
     if isinstance(events, EventSequence):
-        (result,) = fit_omori(
-            [events], grid_step, horizon, c_search,
-            grid=grid, p_range=p_range, p_step=p_step, c_grid=c_grid,
-        )
+        (result,) = fit_omori([events], grid_step, horizon, c_search)
         if isinstance(result, Exception):
             raise result
         return result
 
-    p_values = np.arange(p_range[0], p_range[1] + p_step / 2.0, p_step)
-    c_values = [0.0] + ([float(c) for c in c_grid] if c_search else [])
+    c_values = _C_VALUES if c_search else _C_VALUES[:1]
     results: list = [None] * len(events)
-    # catalogs by horizon: with the step or the explicit grid shared, the
-    # horizon alone tells the grids apart
+    # catalogs by horizon: with the step shared, the horizon alone tells
+    # the grids apart
     groups: dict[float, list] = {}
     for n, ev in enumerate(events):
         try:
-            grid_n, horizon_n, step_n = _fit_grid(ev, grid_step, horizon, grid)
+            grid_n, horizon_n = _fit_grid(ev, grid_step, horizon)
         except (DataError, ValueError) as exc:
             results[n] = exc.with_traceback(None)
             continue
-        groups.setdefault(horizon_n, []).append((n, grid_n, step_n))
+        groups.setdefault(horizon_n, []).append((n, grid_n))
 
     for horizon_n, members in groups.items():
-        grid_n, step_n = members[0][1], members[0][2]
-        ys = np.stack([cumulative_count(events[n], grid_n) for n, _, _ in members])
+        grid_n = members[0][1]
+        ys = np.stack([cumulative_count(events[n], grid_n) for n, _ in members])
         # coarse localization may run on a decimated grid; refinement and
         # the returned fit always use the full one
         stride = max(1, len(grid_n) // 4000)
-        starts = _coarse_scan(ys[:, ::stride], grid_n[::stride], p_values, c_values)
-        for (n, _, _), y, start in zip(members, ys, starts):
+        starts = _coarse_scan(ys[:, ::stride], grid_n[::stride], _P_VALUES, c_values)
+        for (n, _), y, start in zip(members, ys, starts):
             try:
                 if isinstance(start, DataError):
                     raise start
-                results[n] = _refine(
-                    y, grid_n, start, step_n, horizon_n, c_search, p_range, p_step, c_grid
-                )
+                results[n] = _refine(y, grid_n, start, grid_step, horizon_n, c_search)
             except (DataError, ValueError) as exc:
                 results[n] = exc.with_traceback(None)
     return results
@@ -346,80 +319,58 @@ def _refine(
     y: np.ndarray,
     grid: np.ndarray,
     start: tuple[float, float, float],
-    grid_step: float | None,
+    grid_step: float,
     horizon: float,
     c_search: bool,
-    p_range: tuple[float, float],
-    p_step: float,
-    c_grid: tuple[float, ...],
 ) -> OmoriFit:
     """The full-grid refinement of :func:`fit_omori` from the coarse scan's
-    ``start``: the best p and c, and the best p at c = 0."""
+    ``start``: the best p and c, and the best p at c = 0. Every cell a
+    search scores updates one running best; the first cell seen wins ties."""
     p0, c0, p0_pinned = start
     # Only the current c's log1p(grid / c) is held, in one reused array:
     # the searches below move through c one value at a time, and an array
-    # per visited c would hold megabytes. Scored cells are memoized, since
-    # the searches revisit some of them.
+    # per visited c would hold megabytes.
     held_c, held_lt = math.nan, np.empty_like(grid)
     work = (np.empty_like(grid), np.empty_like(grid))
     evaluations = 0
+    best = (math.inf, p0, c0, 0.0)  # (rss, p, c, amplitude)
 
-    @functools.cache
-    def cell(p: float, c: float) -> tuple[float, float]:
-        nonlocal held_c, evaluations
+    def score(p: float, c: float) -> float:
+        nonlocal held_c, evaluations, best
         evaluations += 1
         if c != held_c and c > 0:
             held_c = c
             np.log1p(np.divide(grid, c, out=held_lt), out=held_lt)
-        return _lsq_cell(y, grid, p, c, held_lt if c > 0 else None, work)
+        rss, a = _lsq_cell(y, grid, p, c, held_lt if c > 0 else None, work)
+        if rss < best[0]:
+            best = (rss, p, c, a)
+        return rss
 
-    best_rss, best_a = cell(p0, c0)
-    best = (best_rss, p0, c0, best_a)
-
-    def consider(p: float, c: float) -> None:
-        nonlocal best
-        if c == 0.0 and p >= 1.0 - LOG_BRANCH_WINDOW:
-            return
-        r, a = cell(p, c)
-        if r < best[0]:
-            best = (r, p, c, a)
-
-    def best_p_at(c: float, centre: float = p0) -> tuple[float, float]:
-        lo = max(p_range[0], centre - 8 * p_step)
-        hi = min(p_range[1], centre + 8 * p_step)
+    def search_p(c: float, centre: float = p0, steps: int = 8, tol: float = 1e-5) -> float:
+        """The least rss of a search over p within ``steps`` coarse steps of
+        ``centre`` at this c (below the log branch at c = 0)."""
+        lo = max(P_SEARCH_RANGE[0], centre - steps * P_SEARCH_STEP)
+        hi = min(P_SEARCH_RANGE[1], centre + steps * P_SEARCH_STEP)
         if c == 0.0:
             hi = min(hi, 1.0 - 2 * LOG_BRANCH_WINDOW)
-        return brent(lambda p: cell(p, c)[0], lo, hi, tol=1e-5)
+        return brent(lambda p: score(p, c), lo, hi, tol=tol)[1]
 
+    score(p0, c0)
     if c_search and c0 > 0:
         # (p, c) ride a correlated ridge: refine c with p re-optimized at
         # every candidate, not coordinate-wise
-        dlc = math.log(10.0) / 5.0 if len(c_grid) < 2 else math.log(c_grid[1] / c_grid[0])
+        dlc = math.log(C_SEARCH_GRID[1] / C_SEARCH_GRID[0])
         lc0 = math.log(c0)
-
-        def ridge(lc: float) -> float:
-            return best_p_at(math.exp(lc))[1]
-
-        lc_ref, _ = brent(ridge, lc0 - 1.5 * dlc, lc0 + 1.5 * dlc, tol=1e-4)
-        c_ref = math.exp(lc_ref)
-        p_ref, _ = best_p_at(c_ref)
-        consider(p_ref, c_ref)
-        consider(best_p_at(c0)[0], c0)
+        brent(lambda lc: search_p(math.exp(lc)), lc0 - 1.5 * dlc, lc0 + 1.5 * dlc, tol=1e-4)
+        search_p(c0)
         # The coarse scan runs on a decimated grid, so it can pick c0 > 0
         # where c = 0 fits the full grid better. Refining p at c = 0 around
         # the best coarse p there (always < 1) repeats the c-pinned refinement.
-        consider(best_p_at(0.0, p0_pinned)[0], 0.0)
+        search_p(0.0, p0_pinned)
     else:
-        consider(best_p_at(c0)[0], c0)
-
+        search_p(c0)
     # final polish of p at the winning c
-    c_fin = best[2]
-    p_lo = max(p_range[0], best[1] - p_step)
-    p_hi = min(p_range[1], best[1] + p_step)
-    if c_fin == 0.0:
-        p_hi = min(p_hi, 1.0 - 2 * LOG_BRANCH_WINDOW)
-    p_fin, _ = brent(lambda p: cell(p, c_fin)[0], p_lo, p_hi, tol=1e-6)
-    consider(p_fin, c_fin)
+    search_p(best[2], best[1], steps=1, tol=1e-6)
 
     rss, p_hat, c_hat, a_hat = best
     if a_hat <= 0:
@@ -440,10 +391,6 @@ def fit_omori_mle(
     events: EventSequence,
     horizon: float | None = None,
     c_search: bool = True,
-    *,
-    p_range: tuple[float, float] = P_SEARCH_RANGE,
-    p_step: float = P_SEARCH_STEP,
-    c_grid: tuple[float, ...] = C_SEARCH_GRID,
 ) -> OmoriFit:
     """Maximum-likelihood fit of the decay rate A*(t + c)**-p.
 
@@ -464,10 +411,10 @@ def fit_omori_mle(
         raise ValueError("horizon must be positive")
     times = events.times[(events.times > 0) & (events.times <= horizon)]
     m = len(times)
-    if m < 10:
-        raise DataError(f"need at least 10 events in (0, horizon], got {m}")
+    if m < MIN_EVENTS:
+        raise DataError(f"need at least {MIN_EVENTS} events in (0, horizon], got {m}")
 
-    c_values = [0.0] + ([float(c) for c in c_grid] if c_search else [])
+    c_values = _C_VALUES if c_search else _C_VALUES[:1]
     # the terms that depend on c alone, once per c: log1p(horizon / c) for
     # the unit cumulative and sum(log(t + c)) for the rate
     h = np.asarray([horizon])
@@ -486,10 +433,9 @@ def fit_omori_mle(
         # profile likelihood: amplitude = m / lam_unit
         return -(m * math.log(m / lam_unit) - p * s_log - m)
 
-    p_values = np.arange(p_range[0], p_range[1] + p_step / 2.0, p_step)
-    q = 1.0 - p_values
+    q = 1.0 - _P_VALUES
     log_branch = np.abs(q) < LOG_BRANCH_WINDOW
-    table = np.full((len(p_values), len(c_values)), np.inf)
+    table = np.full((len(_P_VALUES), len(c_values)), np.inf)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         for j, c in enumerate(c_values):
             lt, s_log = per_c[c]
@@ -498,16 +444,16 @@ def fit_omori_mle(
             else:
                 # c = 0 admits p < 1 only
                 lam = np.where(log_branch | (q <= 0), np.nan, horizon**q / q)
-            nll = -(m * np.log(m / lam) - p_values * s_log - m)
+            nll = -(m * np.log(m / lam) - _P_VALUES * s_log - m)
             table[:, j] = np.where((lam > 0) & np.isfinite(lam) & np.isfinite(nll), nll, np.inf)
     # argmin takes the first minimum in row-major order: smallest p, then c
     i, j = divmod(int(np.argmin(table)), len(c_values))
-    best = (negloglik(float(p_values[i]), c_values[j]), float(p_values[i]), c_values[j])
+    best = (negloglik(float(_P_VALUES[i]), c_values[j]), float(_P_VALUES[i]), c_values[j])
     if not math.isfinite(best[0]):
         raise DataError("rate model inadmissible for every searched (p, c)")
 
-    p_lo = max(p_range[0], best[1] - p_step)
-    p_hi = min(p_range[1], best[1] + p_step)
+    p_lo = max(P_SEARCH_RANGE[0], best[1] - P_SEARCH_STEP)
+    p_hi = min(P_SEARCH_RANGE[1], best[1] + P_SEARCH_STEP)
     c_fix = best[2]
     p_ref, val = brent(lambda p: negloglik(p, c_fix), p_lo, p_hi, tol=1e-5)
     if val < best[0]:

@@ -10,6 +10,7 @@ run reports alongside the seed.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,16 @@ def _rng(seed: int) -> np.random.Generator:
 def _std_exponentials(rng: np.random.Generator, n: int) -> np.ndarray:
     """Unit-mean exponentials via inverse CDF of raw uniforms."""
     return -np.log1p(-rng.random(n))
+
+
+def _require_finite(**params: float) -> None:
+    """Raise ``ValueError`` naming the first parameter that is NaN or
+    infinite: the generators append chunks until the horizon is passed, so
+    such a value would never stop them or would slip past their range
+    checks."""
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def derive_seeds(seed: int, n: int) -> list[int]:
@@ -80,6 +91,7 @@ def gen_omori(spec: OmoriGenSpec) -> EventSequence:
     as a null model).
     """
     p, amp, c = spec.p, spec.amplitude, spec.c
+    _require_finite(p=p, amplitude=amp, c=c, horizon=spec.horizon)
     if p < 0 or amp <= 0 or c < 0:
         raise ValueError("require p >= 0, amplitude > 0, c >= 0")
     if c == 0 and p >= 1.0 - LOG_BRANCH_WINDOW:
@@ -121,6 +133,7 @@ def gen_omori(spec: OmoriGenSpec) -> EventSequence:
 
 def gen_pareto_waits(spec: ParetoGenSpec) -> WaitingTimes:
     """Seeded Pareto waiting times with survival (tau/tau_min)**-mu."""
+    _require_finite(mu=spec.mu, tau_min=spec.tau_min)
     if spec.mu <= 0 or spec.tau_min <= 0:
         raise ValueError("require mu > 0 and tau_min > 0")
     if spec.count < 0:
@@ -132,6 +145,7 @@ def gen_pareto_waits(spec: ParetoGenSpec) -> WaitingTimes:
 def gen_stationary(rate: float, horizon: float, seed: int) -> EventSequence:
     """Stationary Poisson catalog: exponential gaps of mean 1/rate,
     truncated at the horizon."""
+    _require_finite(rate=rate, horizon=horizon)
     if rate <= 0:
         raise ValueError("rate must be positive")
     if horizon <= 0:

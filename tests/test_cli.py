@@ -457,6 +457,30 @@ def test_degenerate_sigma_window_is_data_error(minute_bars_path, tmp_path, capsy
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--horizon", "--grid-step", "--bin-size"])
+def test_infinite_setting_is_usage_error(minute_bars_path, tmp_path, capsys, flag):
+    argv = ["analyze", "--input", str(minute_bars_path), "--delimiter", ";", "--crash", CRASH,
+            "--resamples", "0", flag, "inf", "--outdir", str(tmp_path / "out")]
+    assert _run(*argv) == EXIT_USAGE
+    assert "'inf': must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--kind", "omori", "--p", "1.5", "--c", "0"], "simulate omori: c must be positive when p >= 1"),
+        (["--kind", "stationary", "--rate", "0"], "simulate stationary: rate must be positive"),
+        (["--kind", "pareto", "--mu", "0"], "simulate pareto: require mu > 0 and tau_min > 0"),
+        (["--kind", "pareto", "--count", "-5"], "simulate pareto: count must be nonnegative"),
+    ],
+    ids=["omori-p1.5-c0", "stationary-rate0", "pareto-mu0", "pareto-count-5"],
+)
+def test_bad_generator_parameter_is_usage_error(tmp_path, capsys, argv, message):
+    assert _run("simulate", *argv, "--resamples", "0", "--outdir", str(tmp_path)) == EXIT_USAGE
+    assert f"usage error: {message}" in capsys.readouterr().err
+
+
 class TestSimulate:
     def test_simulate_only_report_sections(self, tmp_path):
         code = _run(

@@ -130,6 +130,36 @@ class TestGenStationary:
             gen_stationary(1.0, -5.0, 0)
 
 
+_GENERATORS = {
+    "omori": (
+        lambda **kw: gen_omori(OmoriGenSpec(**kw)),
+        dict(p=0.5, amplitude=1.0, c=1.0, horizon=10.0, seed=0),
+    ),
+    "pareto": (
+        lambda **kw: gen_pareto_waits(ParetoGenSpec(**kw)),
+        dict(mu=1.0, tau_min=1.0, count=10, seed=0),
+    ),
+    "stationary": (gen_stationary, dict(rate=1.0, horizon=10.0, seed=0)),
+}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "kind,name",
+    [
+        ("omori", "p"), ("omori", "amplitude"), ("omori", "c"), ("omori", "horizon"),
+        ("pareto", "mu"), ("pareto", "tau_min"),
+        ("stationary", "rate"), ("stationary", "horizon"),
+    ],
+)
+def test_non_finite_parameter_is_rejected(kind, name, value):
+    # such a value would otherwise never end the chunk loop, return an empty
+    # catalog or fail later with an unrelated error
+    generate, defaults = _GENERATORS[kind]
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        generate(**{**defaults, name: float(value)})
+
+
 def test_derive_seeds_deterministic_and_distinct():
     a = derive_seeds(123, 8)
     b = derive_seeds(123, 8)
