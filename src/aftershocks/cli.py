@@ -82,20 +82,37 @@ class _UsageError(Exception):
     """Bad or missing configuration detected after flag parsing."""
 
 
+def _sim_param(default, parse, flag: str, kinds: tuple[str, ...], help: str):
+    """A :class:`SimulateSpec` parameter, set by the ``simulate`` flag ``flag``
+    (read by ``parse``; ``bool``: a switch) and taken by the generators of ``kinds``."""
+    return field(default=default, metadata={"parse": parse, "flag": flag, "kinds": kinds, "help": help})
+
+
+# the generator of each simulate kind, called with the parameters of that kind
+_GENERATORS = {
+    "omori": lambda seed, **params: gen_omori(OmoriGenSpec(**params, seed=seed)),
+    "pareto": lambda seed, **params: gen_pareto_waits(ParetoGenSpec(**params, seed=seed)),
+    "stationary": lambda seed, **params: gen_stationary(**params, seed=seed),
+}
+
+
 @dataclass(frozen=True)
 class SimulateSpec:
-    """Generator selection for simulate-mode runs."""
+    """Generator selection for simulate-mode runs: ``kind`` is a key of
+    ``_GENERATORS``, and every other field is a generator parameter."""
 
-    kind: str  # "omori" | "pareto" | "stationary"
-    p: float = 0.5
-    amplitude: float = 5.0
-    c: float = 0.0
-    horizon: float = 10000.0
-    mu: float = 0.95
-    tau_min: float = 1.0
-    count: int = 10000
-    rate: float = 1.0
-    round_to_minutes: bool = False
+    kind: str
+    p: float = _sim_param(0.5, float, "--p", ("omori",), "decay exponent (omori)")
+    amplitude: float = _sim_param(5.0, float, "--amplitude", ("omori",), "rate amplitude (omori)")
+    c: float = _sim_param(0.0, float, "--c", ("omori",), "time offset, minutes (omori)")
+    horizon: float = _sim_param(
+        10000.0, float, "--sim-horizon", ("omori", "stationary"), "generation horizon, minutes (default 10000)"
+    )
+    mu: float = _sim_param(0.95, float, "--mu", ("pareto",), "waiting exponent (pareto)")
+    tau_min: float = _sim_param(1.0, float, "--tau-min", ("pareto",), "smallest waiting time (pareto)")
+    count: int = _sim_param(10000, int, "--count", ("pareto",), "number of waits (pareto)")
+    rate: float = _sim_param(1.0, float, "--rate", ("stationary",), "events per minute (stationary)")
+    round_to_minutes: bool = _sim_param(False, bool, "--round-minutes", ("omori",), "floor event times to the minute grid")
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
@@ -270,10 +287,10 @@ def run_pipeline(config: RunConfig) -> dict:
     byte-identical trees.
     """
     outdir = Path(config.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     artifacts: list[str] = []
     notes: list[str] = list(_METHOD_NOTES)
 
+    # each makes outdir once its input is loaded, so a refused run leaves none
     run = _run_analysis if config.simulate is None else _run_synthetic
     sections = run(config, outdir, artifacts, notes)
     report = build_report(
@@ -283,9 +300,7 @@ def run_pipeline(config: RunConfig) -> dict:
         artifacts=sorted(artifacts) + ["report.json"],
         **sections,
     )
-    if config.svg:
-        _add_charts(report, outdir, report.get("thresholds", []))
-    (outdir / "report.json").write_text(serialize_report(report), encoding="utf-8")
+    _write_report(report, outdir, config.svg)
     return report
 
 
@@ -297,6 +312,7 @@ def _run_analysis(config: RunConfig, outdir: Path, artifacts: list[str], notes: 
 
     with _stage("ingest"):
         series = _load_series(config)
+    outdir.mkdir(parents=True, exist_ok=True)
     if series.origin_wall_clock != config.crash:
         notes.append(
             f"crash instant {config.crash.isoformat(sep=' ')} fell in a no-trading gap; "
@@ -323,20 +339,12 @@ def _run_analysis(config: RunConfig, outdir: Path, artifacts: list[str], notes: 
                 f"zero sigma in the window [0, {window}]: its {sw.n_samples} return(s) are equal"
             )
 
-    sigma_section = {
-        "mean": sw.mean,
-        "variance": sw.variance,
-        "sigma": sw.sigma,
-        "window": list(sw.window),
-        "n_samples": sw.n_samples,
-    }
-
     horizon = float(config.horizon) if config.horizon is not None else float(window)
     catalogs = []
     for multiple in config.thresholds:
         with _stage(f"events {_threshold_label(multiple)}"):
             catalogs.append(detect_events(returns, multiple * sw.sigma, window=(0, window)))
-    fits = _omori_fits(catalogs, config, horizon)
+    fits = fit_omori(catalogs, grid_step=config.grid_step, horizon=horizon, c_search=config.c_search)
     boot_seeds = derive_seeds(config.seed, len(config.thresholds))
     threshold_sections = []
     for multiple, ev, fit, boot_seed in zip(config.thresholds, catalogs, fits, boot_seeds):
@@ -345,49 +353,26 @@ def _run_analysis(config: RunConfig, outdir: Path, artifacts: list[str], notes: 
         section["multiple"] = multiple
         section["r_th"] = multiple * sw.sigma
         threshold_sections.append(section)
-    return {"sigma": sigma_section, "thresholds": threshold_sections}
+    return {"sigma": sw, "thresholds": threshold_sections}
 
 
 def _threshold_label(multiple: float) -> str:
     return f"thr{multiple:g}sigma"
 
 
-def _omori_fits(catalogs: list[EventSequence], config: RunConfig, horizon: float) -> list:
-    """Per catalog, its Omori fit, the error that fit raised, or None below
-    ``MIN_EVENTS`` events. One :func:`fit_omori` call fits them all, so the
-    catalogs share the coarse scan of their common grid."""
-    fittable = [ev for ev in catalogs if len(ev) >= MIN_EVENTS]
-    if not fittable:
-        return [None] * len(catalogs)
-    fits = iter(fit_omori(fittable, grid_step=config.grid_step, horizon=horizon, c_search=config.c_search))
-    return [next(fits) if len(ev) >= MIN_EVENTS else None for ev in catalogs]
-
-
 def _run_synthetic(config: RunConfig, outdir: Path, artifacts: list[str], notes: list[str]) -> dict:
     spec = config.simulate
     assert spec is not None
+    if spec.kind not in _GENERATORS:
+        raise _UsageError(f"unknown simulate kind {spec.kind!r}")
+    params = {f.name: getattr(spec, f.name) for f in fields(spec)[1:] if spec.kind in f.metadata["kinds"]}
     try:
         with _stage("simulate"):
-            if spec.kind == "omori":
-                params = {
-                    "p": spec.p,
-                    "amplitude": spec.amplitude,
-                    "c": spec.c,
-                    "horizon": spec.horizon,
-                    "round_to_minutes": spec.round_to_minutes,
-                }
-                sample = gen_omori(OmoriGenSpec(**params, seed=config.seed))
-            elif spec.kind == "stationary":
-                params = {"rate": spec.rate, "horizon": spec.horizon}
-                sample = gen_stationary(spec.rate, spec.horizon, config.seed)
-            elif spec.kind == "pareto":
-                params = {"mu": spec.mu, "tau_min": spec.tau_min, "count": spec.count}
-                sample = gen_pareto_waits(ParetoGenSpec(**params, seed=config.seed))
-            else:
-                raise _UsageError(f"unknown simulate kind {spec.kind!r}")
+            sample = _GENERATORS[spec.kind](config.seed, **params)
     except ValueError as exc:
         # a generator's parameter check: the parameters came from the command line
         raise _UsageError(f"simulate {spec.kind}: {exc}") from None
+    outdir.mkdir(parents=True, exist_ok=True)
     synthetic = {"kind": spec.kind, "seed": config.seed, "params": params}
 
     if spec.kind == "pareto":
@@ -397,14 +382,14 @@ def _run_synthetic(config: RunConfig, outdir: Path, artifacts: list[str], notes:
         synthetic["event_count"] = len(sample)
         horizon = float(config.horizon if config.horizon is not None else spec.horizon)
         boot_seed = derive_seeds(config.seed, 1)[0]
-        (fit,) = _omori_fits([sample], config, horizon)
+        (fit,) = fit_omori([sample], grid_step=config.grid_step, horizon=horizon, c_search=config.c_search)
         section = _analyze_catalog(sample, fit, config, "catalog", horizon, outdir, artifacts, notes, boot_seed)
     return {"thresholds": [section], "synthetic": synthetic}
 
 
 def _analyze_catalog(
     ev: EventSequence,
-    fit: OmoriFit | Exception | None,
+    fit: OmoriFit | Exception,
     config: RunConfig,
     label: str,
     horizon: float,
@@ -415,8 +400,8 @@ def _analyze_catalog(
 ) -> dict:
     """Omori fit, waiting-time fits, Markov check and correlation study for
     one event catalog; writes that catalog's artifact files. ``fit`` is the
-    catalog's entry from :func:`_omori_fits`; an error there is raised in
-    this catalog's Omori stage."""
+    catalog's entry from the list form of :func:`fit_omori`; an error there
+    other than too few events is raised in this catalog's Omori stage."""
     section: dict = {"label": label, "event_count": len(ev)}
 
     def note(text: str) -> None:
@@ -428,7 +413,7 @@ def _analyze_catalog(
     section["events_csv"] = events_csv
 
     omori_fit = None
-    if fit is not None:
+    if len(ev) >= MIN_EVENTS:
         if isinstance(fit, Exception):
             with _stage(f"omori {label}"):
                 raise fit
@@ -638,11 +623,18 @@ def _write_svg(outdir: Path, name: str, content: str) -> str:
     return name
 
 
-def _add_charts(report: dict, outdir: Path, sections: list[dict]) -> list[str]:
-    """Render the charts of ``sections`` and list them in the report's
-    artifacts; returns the SVG file names written."""
-    svgs = render_svgs(sections, outdir)
-    report["artifacts"] = sorted(set(report.get("artifacts", [])) | set(svgs))
+def _write_report(report: dict, outdir: Path, svg: bool) -> list[str]:
+    """Write ``<outdir>/report.json``; with ``svg``, first render the charts of
+    the report's threshold sections and of a ``collapse`` run's correlation
+    section, and list them in its artifacts. Returns the SVG names written."""
+    svgs = []
+    if svg:
+        sections = list(report.get("thresholds", []))
+        if "correlation" in report:
+            sections.append({"label": "catalog", "correlation": report["correlation"]})
+        svgs = render_svgs(sections, outdir)
+        report["artifacts"] = sorted(set(report.get("artifacts", [])) | set(svgs))
+    (outdir / "report.json").write_text(serialize_report(report), encoding="utf-8")
     return svgs
 
 
@@ -740,18 +732,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.set_defaults(func=cmd_analyze)
 
     p_sim = subs.add_parser("simulate", help="seeded synthetic catalog plus fits")
-    p_sim.add_argument("--kind", choices=("omori", "pareto", "stationary"), required=True)
-    p_sim.add_argument("--p", type=float, help="decay exponent (omori)")
-    p_sim.add_argument("--amplitude", type=float, help="rate amplitude (omori)")
-    p_sim.add_argument("--c", type=float, help="time offset, minutes (omori)")
-    p_sim.add_argument("--sim-horizon", dest="sim_horizon", type=float,
-                       help="generation horizon, minutes (default 10000)")
-    p_sim.add_argument("--mu", type=float, help="waiting exponent (pareto)")
-    p_sim.add_argument("--tau-min", dest="tau_min", type=float, help="smallest waiting time (pareto)")
-    p_sim.add_argument("--count", type=int, help="number of waits (pareto)")
-    p_sim.add_argument("--rate", type=float, help="events per minute (stationary)")
-    p_sim.add_argument("--round-minutes", dest="round_minutes", action="store_true",
-                       help="floor event times to the minute grid")
+    p_sim.add_argument("--kind", choices=tuple(_GENERATORS), required=True)
+    # argparse names each dest after its flag (sim_horizon), apart from the settings'
+    for f in fields(SimulateSpec)[1:]:
+        flag, parse, help = f.metadata["flag"], f.metadata["parse"], f.metadata["help"]
+        if parse is bool:  # a switch: None when absent, so the field default holds
+            p_sim.add_argument(flag, action="store_true", default=None, help=help)
+        else:
+            p_sim.add_argument(flag, type=parse, help=help)
     _add_setting_flags(p_sim, "simulate")
     p_sim.set_defaults(func=cmd_simulate)
 
@@ -823,18 +811,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = _merge_config(args)
-    given = {
-        "p": args.p,
-        "amplitude": args.amplitude,
-        "c": args.c,
-        "horizon": args.sim_horizon,
-        "mu": args.mu,
-        "tau_min": args.tau_min,
-        "count": args.count,
-        "rate": args.rate,
-        "round_to_minutes": args.round_minutes or None,
-    }
-    spec = SimulateSpec(kind=args.kind, **{k: v for k, v in given.items() if v is not None})
+    flags = {f.name: getattr(args, f.metadata["flag"][2:].replace("-", "_")) for f in fields(SimulateSpec)[1:]}
+    spec = SimulateSpec(kind=args.kind, **{name: v for name, v in flags.items() if v is not None})
     config = replace(config, simulate=spec)
     report = run_pipeline(config)
     _print_summary(report, Path(config.outdir))
@@ -854,9 +832,7 @@ def cmd_collapse(args: argparse.Namespace) -> int:
         notes=notes,
         artifacts=sorted(artifacts),
     )
-    if config.svg:
-        _add_charts(report, outdir, [{"label": "catalog", "correlation": report["correlation"]}])
-    (outdir / "report.json").write_text(serialize_report(report), encoding="utf-8")
+    _write_report(report, outdir, config.svg)
     factors = ", ".join(f"{k}:{v:.4g}" for k, v in sorted(section["scale_factors"].items()))
     print(f"scale factors {{{factors}}} -> {outdir / 'report.json'}")
     return EXIT_OK
@@ -868,8 +844,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     if not report_path.exists():
         raise DataError(f"{report_path} not found")
     report = json.loads(report_path.read_text(encoding="utf-8"))
-    svgs = _add_charts(report, outdir, report.get("thresholds", []))
-    report_path.write_text(serialize_report(report), encoding="utf-8")
+    svgs = _write_report(report, outdir, svg=True)
     print(f"rendered {len(svgs)} charts in {outdir}")
     return EXIT_OK
 

@@ -236,8 +236,8 @@ def _fit_grid(events: EventSequence, grid_step: float, horizon: float | None) ->
         raise DataError("degenerate event sequence: all events at one time")
     if horizon is None:
         horizon = float(events.times[-1])
-    if horizon <= 0 or grid_step <= 0:
-        raise ValueError("horizon and grid_step must be positive")
+    if not (0 < horizon < math.inf and 0 < grid_step < math.inf):
+        raise ValueError("horizon and grid_step must be finite and positive")
     grid = np.arange(grid_step, horizon + grid_step / 2.0, grid_step)
     if len(grid) < 3:
         raise DataError("fitting grid has fewer than 3 points")
@@ -407,8 +407,8 @@ def fit_omori_mle(
     """
     if horizon is None:
         horizon = float(events.times[-1]) if len(events) else 0.0
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    if not 0 < horizon < math.inf:
+        raise ValueError("horizon must be finite and positive")
     times = events.times[(events.times > 0) & (events.times <= horizon)]
     m = len(times)
     if m < MIN_EVENTS:

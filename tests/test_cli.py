@@ -404,6 +404,7 @@ def test_missing_input_file_is_data_error(tmp_path, capsys, argv):
     code = _run(*argv, str(missing), "--outdir", str(tmp_path / "out"))
     assert code == EXIT_DATA
     assert f"cannot read {missing}: No such file or directory" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -435,6 +436,7 @@ def test_undecodable_input_is_data_error(tmp_path, capsys, argv, name, body, mes
     code = _run(*argv, str(path), "--outdir", str(tmp_path / "out"))
     assert code == EXIT_DATA
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -477,8 +479,9 @@ def test_infinite_setting_is_usage_error(minute_bars_path, tmp_path, capsys, fla
     ids=["omori-p1.5-c0", "stationary-rate0", "pareto-mu0", "pareto-count-5"],
 )
 def test_bad_generator_parameter_is_usage_error(tmp_path, capsys, argv, message):
-    assert _run("simulate", *argv, "--resamples", "0", "--outdir", str(tmp_path)) == EXIT_USAGE
+    assert _run("simulate", *argv, "--resamples", "0", "--outdir", str(tmp_path / "out")) == EXIT_USAGE
     assert f"usage error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 class TestSimulate:
@@ -538,6 +541,28 @@ class TestSimulate:
         svg = (tmp_path / "scale_factors_catalog.svg").read_text()
         assert svg.count("<polyline") == 2
         assert not re.search(r"inf|nan", svg, re.IGNORECASE)
+
+    @pytest.mark.parametrize(
+        "kind,argv,params",
+        [
+            ("omori", ["--p", "0.6", "--sim-horizon", "3000", "--round-minutes"],
+             {"amplitude": 5.0, "c": 0.0, "horizon": 3000.0, "p": 0.6, "round_to_minutes": True}),
+            ("stationary", ["--sim-horizon", "2000"], {"horizon": 2000.0, "rate": 1.0}),
+            ("pareto", ["--mu", "0.8", "--count", "2000"], {"count": 2000, "mu": 0.8, "tau_min": 1.0}),
+        ],
+        ids=["omori", "stationary", "pareto"],
+    )
+    def test_echo_of_every_kind(self, tmp_path, kind, argv, params):
+        # synthetic.params holds exactly the kind's parameters, given or
+        # defaulted; config.simulate echoes the kind and all nine
+        assert _run("simulate", "--kind", kind, *argv, "--resamples", "0", "--outdir", str(tmp_path)) == EXIT_OK
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["synthetic"]["params"] == params
+        defaults = {
+            "p": 0.5, "amplitude": 5.0, "c": 0.0, "horizon": 10000.0, "mu": 0.95,
+            "tau_min": 1.0, "count": 10000, "rate": 1.0, "round_to_minutes": False,
+        }
+        assert report["config"]["simulate"] == {"kind": kind, **defaults, **params}
 
     def test_golden_report(self, tmp_path, monkeypatch, golden_report_path):
         # byte-for-byte reproduction of the first verified synthetic run
@@ -659,15 +684,28 @@ class TestHelp:
 
 
 class TestReportCommand:
-    def test_rerender_is_idempotent(self, tmp_path):
+    @pytest.mark.parametrize("command", ["simulate", "collapse"])
+    def test_rerender_is_idempotent(self, tmp_path, command):
+        sim = tmp_path / "sim"
         assert _run(
             "simulate", "--kind", "omori", "--p", "0.5", "--amplitude", "5",
             "--sim-horizon", "5000", "--seed", "2", "--resamples", "0",
-            "--svg", "--outdir", str(tmp_path),
+            "--svg", "--outdir", str(sim),
         ) == EXIT_OK
-        first = _tree_digest(tmp_path)
-        assert _run("report", "--outdir", str(tmp_path)) == EXIT_OK
-        assert _tree_digest(tmp_path) == first
+        run = sim
+        if command == "collapse":
+            run = tmp_path / "col"
+            assert _run(
+                "collapse", "--events", str(sim / "events_catalog.csv"), "--n-w", "0,10,20",
+                "--n-max", "30", "--svg", "--outdir", str(run),
+            ) == EXIT_OK
+        first = _tree_digest(run)
+        svgs = sorted(run.glob("*.svg"))
+        assert svgs
+        for svg in svgs:
+            svg.unlink()
+        assert _run("report", "--outdir", str(run)) == EXIT_OK
+        assert _tree_digest(run) == first
 
     def test_missing_report_is_data_error(self, tmp_path):
         assert _run("report", "--outdir", str(tmp_path)) == EXIT_DATA

@@ -220,6 +220,14 @@ class TestFitOmori:
         with pytest.raises(DataError, match="at least 10"):
             fit_omori(EventSequence(times=np.arange(5.0) + 1.0), grid_step=1.0, horizon=10.0)
 
+    @pytest.mark.parametrize("horizon", [math.inf, math.nan])
+    def test_non_finite_horizon_is_value_error(self, horizon):
+        # before the check, inf gave p = 2.5 (the search bound) and nan a
+        # misleading "got 0" DataError
+        ev = gen_omori(OmoriGenSpec(p=0.6, amplitude=5.0, c=0.0, horizon=2000.0, seed=1))
+        with pytest.raises(ValueError, match="horizon must be finite and positive"):
+            fit_omori_mle(ev, horizon=horizon)
+
     def test_c_pinned_when_search_disabled(self):
         ev = gen_omori(OmoriGenSpec(p=0.8, amplitude=5.0, c=0.0, horizon=2000.0, seed=4))
         fit = fit_omori(ev, grid_step=2.0, horizon=2000.0, c_search=False)
@@ -459,3 +467,17 @@ class TestFitOmoriList:
             fit_omori(ev, horizon=-1.0)
         assert str(info.value) == str(got)
         assert fit_omori([]) == []
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"horizon": math.inf}, {"horizon": math.nan}, {"grid_step": math.inf}, {"grid_step": math.nan}],
+        ids=["horizon-inf", "horizon-nan", "step-inf", "step-nan"],
+    )
+    def test_non_finite_grid_is_value_error(self, kwargs):
+        # numpy's arange raised unrelated errors for these before the check
+        ev = gen_omori(_KERNEL_SPECS[0])
+        message = "horizon and grid_step must be finite and positive"
+        with pytest.raises(ValueError, match=message):
+            fit_omori(ev, **kwargs)
+        (got,) = fit_omori([ev], **kwargs)
+        assert isinstance(got, ValueError) and str(got) == message
