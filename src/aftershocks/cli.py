@@ -88,7 +88,6 @@ def _sim_param(default, parse, flag: str, kinds: tuple[str, ...], help: str):
     return field(default=default, metadata={"parse": parse, "flag": flag, "kinds": kinds, "help": help})
 
 
-# the generator of each simulate kind, called with the parameters of that kind
 _GENERATORS = {
     "omori": lambda seed, **params: gen_omori(OmoriGenSpec(**params, seed=seed)),
     "pareto": lambda seed, **params: gen_pareto_waits(ParetoGenSpec(**params, seed=seed)),
