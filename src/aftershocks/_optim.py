@@ -14,6 +14,7 @@ from typing import Callable
 
 _GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0  # golden-section step, 0.381966...
 _SQRT_EPS = math.sqrt(2.0**-52)  # relative spacing below which f cannot tell points apart
+_MAX_ITER = 200
 
 
 def brent(
@@ -21,7 +22,6 @@ def brent(
     lo: float,
     hi: float,
     tol: float = 1e-6,
-    max_iter: int = 200,
 ) -> tuple[float, float]:
     """Minimize ``f`` on ``[lo, hi]``; returns ``(x, f(x))``.
 
@@ -37,7 +37,7 @@ def brent(
     x = w = v = a + _GOLDEN * (b - a)
     fx = fw = fv = f(x)
     d = e = 0.0  # the last step and the one before it
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         m = 0.5 * (a + b)
         tol1 = _SQRT_EPS * abs(x) + tol / 3.0
         tol2 = 2.0 * tol1

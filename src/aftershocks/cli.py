@@ -36,6 +36,7 @@ from .events import (
     detect_events,
     read_events_csv,
     waiting_times,
+    write_csv,
     write_events_csv,
 )
 from .ingest import (
@@ -139,12 +140,14 @@ def _parse_fit_range(text: str) -> tuple[float | None, float | None]:
 
 
 def _bounded(parse, strict: bool):
-    """``parse``, then a check that the number (every number of a tuple) is
-    finite and positive (``strict``) or nonnegative."""
+    """``parse``, then a check that the number (every number of a tuple, which
+    must not be empty) is finite and positive (``strict``) or nonnegative."""
     bound = "positive" if strict else "nonnegative"
 
     def checked(text: str):
         value = parse(text)
+        if value == ():
+            raise argparse.ArgumentTypeError(f"{text!r}: must list at least one value")
         for v in value if isinstance(value, tuple) else (value,):
             if isinstance(v, float) and not math.isfinite(v):
                 raise argparse.ArgumentTypeError(f"{text!r}: must be finite")
@@ -502,13 +505,12 @@ def _waiting_section(waits, config: RunConfig, label: str, outdir: Path, artifac
     write_histogram_csv(hist, outdir / hist_csv)
     artifacts.append(hist_csv)
     wsec: dict = {"bin_size": config.bin_size, "histogram_csv": hist_csv, "n_taus": len(waits)}
-    fit_range = config.fit_range if config.fit_range != (None, None) else None
     try:
-        wsec["lsq"] = fit_mu(hist, fit_range=fit_range, method="lsq")
+        wsec["lsq"] = fit_mu(hist, fit_range=config.fit_range, method="lsq")
     except DataError as exc:
         wsec["lsq_error"] = str(exc)
     try:
-        wsec["mle"] = fit_mu(waits, fit_range=fit_range, method="mle")
+        wsec["mle"] = fit_mu(waits, fit_range=config.fit_range, method="mle")
     except DataError as exc:
         wsec["mle_error"] = str(exc)
     return wsec
@@ -518,11 +520,7 @@ def _write_omori_curve_csv(ev: EventSequence, fit, horizon: float, path: Path) -
     grid = np.linspace(0.0, horizon, 257)
     empirical = cumulative_count(ev, grid)
     model = omori_model(grid, fit.p, fit.amplitude, fit.c)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "n_empirical", "n_model"])
-        for t, n_e, n_m in zip(grid, empirical, model):
-            writer.writerow([format(t, ".10g"), format(n_e, ".10g"), format(n_m, ".10g")])
+    write_csv(path, ["t", "n_empirical", "n_model"], zip(grid, empirical, model))
 
 
 # ---------------------------------------------------------------------------
@@ -530,10 +528,15 @@ def _write_omori_curve_csv(ev: EventSequence, fit, horizon: float, path: Path) -
 
 
 def _read_csv(path: Path) -> list[list[float]]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        return [[float(v) for v in row] for row in reader if row]
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            next(reader, None)
+            return [[float(v) for v in row] for row in reader if row]
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror}") from None
+    except (ValueError, csv.Error) as exc:
+        raise DataError(f"{path}: malformed table ({exc})") from None
 
 
 def render_svgs(sections: list[dict], outdir: Path) -> list[str]:
@@ -842,7 +845,12 @@ def cmd_report(args: argparse.Namespace) -> int:
     report_path = outdir / "report.json"
     if not report_path.exists():
         raise DataError(f"{report_path} not found")
-    report = json.loads(report_path.read_text(encoding="utf-8"))
+    try:
+        report = json.loads(report_path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise DataError(f"{report_path}: not a JSON report ({exc})") from None
+    if not isinstance(report, dict):
+        raise DataError(f"{report_path}: not a JSON object")
     svgs = _write_report(report, outdir, svg=True)
     print(f"rendered {len(svgs)} charts in {outdir}")
     return EXIT_OK

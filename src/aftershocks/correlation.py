@@ -11,7 +11,6 @@ f(n_w) = a * n_w**gamma + 1 the law fitted to the factors.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,7 +20,7 @@ import numpy as np
 
 from ._optim import brent
 from .errors import DataError
-from .events import EventSequence
+from .events import EventSequence, write_csv
 
 F_SEARCH_BOUNDS = (0.2, 50.0)
 _F_COARSE_POINTS = 57
@@ -29,13 +28,11 @@ _F_COARSE_POINTS = 57
 
 @dataclass(frozen=True)
 class CorrelationCurve:
-    """C(n + n_w, n_w) sampled at n = 0, 1, ..., plus the number of terms
-    that entered each average."""
+    """C(n + n_w, n_w) sampled at n = 0, 1, ...."""
 
     n_w: int
     n: np.ndarray
     c: np.ndarray
-    m_used: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         n = np.asarray(self.n, dtype=int)
@@ -102,9 +99,7 @@ def aging_curves(
     for n_w in sorted(n_w_list):
         ns = np.arange(n_max + 1)
         cs = np.array([event_corr(times, n + n_w, n_w) for n in ns])
-        curves.append(
-            CorrelationCurve(n_w=int(n_w), n=ns, c=cs, m_used=length - (ns + n_w))
-        )
+        curves.append(CorrelationCurve(n_w=int(n_w), n=ns, c=cs))
     return curves
 
 
@@ -121,17 +116,13 @@ def _collapse_objective(curve: CorrelationCurve, ref: CorrelationCurve, f: float
     return float(d @ d), used
 
 
-def collapse(
-    curves: Iterable[CorrelationCurve],
-    reference_n_w: int = 0,
-    f_bounds: tuple[float, float] = F_SEARCH_BOUNDS,
-) -> CollapseResult:
+def collapse(curves: Iterable[CorrelationCurve], reference_n_w: int = 0) -> CollapseResult:
     """Scale factor per curve that best maps it onto the reference curve.
 
     For each curve, f minimizes sum_n (C(n) - C_ref(n / f))**2, the
     reference evaluated by linear interpolation and rescaled points beyond
     its support left out of the sum. Search: coarse logarithmic grid over
-    ``f_bounds`` with f = 1 always included, then Brent refinement
+    ``F_SEARCH_BOUNDS`` with f = 1 always included, then Brent refinement
     (:func:`._optim.brent`) of log f between the best cell's neighbours; the
     coarse cell or f = 1 is kept when the refined point does not beat it.
     The reference curve's own factor is pinned to 1.
@@ -146,10 +137,7 @@ def collapse(
     if len(ref.n) < 3:
         raise DataError("reference curve shorter than 3 points")
 
-    lo, hi = f_bounds
-    if not (0 < lo < hi):
-        raise ValueError("f_bounds must be positive and increasing")
-    coarse = np.unique(np.concatenate([np.geomspace(lo, hi, _F_COARSE_POINTS), [1.0]]))
+    coarse = np.unique(np.concatenate([np.geomspace(*F_SEARCH_BOUNDS, _F_COARSE_POINTS), [1.0]]))
 
     factors: dict[int, float] = {}
     total_sq = 0.0
@@ -198,12 +186,8 @@ def fit_f(scale_factors: Mapping[int, float]) -> tuple[float, float]:
 
 def write_curves_csv(curves: Iterable[CorrelationCurve], path: str | Path) -> None:
     """Rows (n_w, n, C), curves ordered by n_w."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["n_w", "n", "C"])
-        for curve in sorted(curves, key=lambda c: c.n_w):
-            for n, c in zip(curve.n, curve.c):
-                writer.writerow([curve.n_w, int(n), format(c, ".10g")])
+    rows = ([cv.n_w, n, c] for cv in sorted(curves, key=lambda cv: cv.n_w) for n, c in zip(cv.n.tolist(), cv.c))
+    write_csv(path, ["n_w", "n", "C"], rows)
 
 
 def write_collapsed_csv(
@@ -212,18 +196,13 @@ def write_collapsed_csv(
     path: str | Path,
 ) -> None:
     """Rows (n_w, n / f(n_w), C): the collapsed curves."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["n_w", "n_scaled", "C"])
-        for curve in sorted(curves, key=lambda c: c.n_w):
-            f = scale_factors[curve.n_w]
-            for n, c in zip(curve.n, curve.c):
-                writer.writerow([curve.n_w, format(n / f, ".10g"), format(c, ".10g")])
+    rows = (
+        [cv.n_w, n / scale_factors[cv.n_w], c]
+        for cv in sorted(curves, key=lambda cv: cv.n_w)
+        for n, c in zip(cv.n.tolist(), cv.c)
+    )
+    write_csv(path, ["n_w", "n_scaled", "C"], rows)
 
 
 def write_scale_factors_csv(scale_factors: Mapping[int, float], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["n_w", "f"])
-        for n_w in sorted(scale_factors):
-            writer.writerow([n_w, format(scale_factors[n_w], ".10g")])
+    write_csv(path, ["n_w", "f"], ([n_w, scale_factors[n_w]] for n_w in sorted(scale_factors)))

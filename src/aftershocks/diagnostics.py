@@ -115,9 +115,6 @@ def bootstrap_ci(
     mu_opts = dict(opts.get("mu", {}))
     method = mu_opts.pop("method", "mle")
     bin_size = mu_opts.pop("bin_size", 1.0)
-    fit_range = mu_opts.pop("fit_range", None)
-    if fit_range == (None, None):
-        fit_range = None
     t0 = float(events.times[0])
     rank_of = np.argsort(np.argsort(taus))
 
@@ -138,7 +135,7 @@ def bootstrap_ci(
             if estimator != "omori":
                 waits = waiting_times(resampled)
                 data = build_histogram(waits, bin_size) if method == "lsq" else waits
-                value += fit_mu(data, fit_range=fit_range, method=method, **mu_opts).mu
+                value += fit_mu(data, method=method, **mu_opts).mu
         except (DataError, ValueError):
             failures += 1
             continue

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -89,17 +90,22 @@ def waiting_times(events: EventSequence) -> WaitingTimes:
     return WaitingTimes(taus=np.diff(events.times))
 
 
-def write_events_csv(events: EventSequence, path: str | Path) -> None:
-    """Single-column CSV of occurrence times (minutes since crash)."""
+def write_csv(path: str | Path, header: list[str], rows: Iterable[Sequence]) -> None:
+    """Write one artifact table: UTF-8, LF line ends, one header row, each
+    float cell as ``format(v, ".10g")`` and every other cell as given."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([EVENTS_CSV_HEADER])
-        for t in events.times:
-            writer.writerow([format(t, ".10g")])
+        writer.writerow(header)
+        writer.writerows([format(v, ".10g") if isinstance(v, float) else v for v in row] for row in rows)
 
 
-def read_events_csv(path: str | Path, **metadata) -> EventSequence:
-    """Inverse of :func:`write_events_csv`; extra kwargs become metadata."""
+def write_events_csv(events: EventSequence, path: str | Path) -> None:
+    """Single-column CSV of occurrence times (minutes since crash)."""
+    write_csv(path, [EVENTS_CSV_HEADER], ([t] for t in events.times))
+
+
+def read_events_csv(path: str | Path) -> EventSequence:
+    """Inverse of :func:`write_events_csv`."""
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
@@ -117,4 +123,4 @@ def read_events_csv(path: str | Path, **metadata) -> EventSequence:
             raise DataError(f"{path}: malformed event row ({exc})") from None
         except csv.Error as exc:
             raise DataError(f"{path}: malformed event row at line {reader.line_num} ({exc})") from None
-    return EventSequence(times=np.asarray(times), **metadata)
+    return EventSequence(times=np.asarray(times))

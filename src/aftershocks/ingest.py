@@ -322,19 +322,19 @@ def align_origin(series: PriceSeries, crash: datetime) -> PriceSeries:
     return replace(series, t_start=-idx, origin_wall_clock=origin)
 
 
-def window_length_for_days(series: PriceSeries, days: int, start_t: int = 0) -> int:
+def window_length_for_days(series: PriceSeries, days: int) -> int:
     """Window length, in exchange minutes, covering the first ``days``
-    distinct exchange dates at or after ``start_t``.
+    distinct exchange dates at or after t = 0.
 
     The venue's minutes-per-day is taken from the data itself: the result
-    is the largest offset T such that ``start_t + T`` still falls on one of
-    those dates. If the series ends sooner, the remaining span is returned.
+    is the largest offset T such that minute T still falls on one of those
+    dates. If the series ends sooner, the remaining span is returned.
     """
     if days <= 0:
         raise ValueError("days must be positive")
-    i0 = start_t - series.t_start
+    i0 = -series.t_start
     if i0 < 0 or i0 >= len(series):
-        raise DataError(f"window start t={start_t} outside the series")
+        raise DataError("window start t=0 outside the series")
     dates = series.wall_clock[i0:].astype("datetime64[D]")
     # offset of the last record of each date but the final one
     day_ends = np.flatnonzero(dates[1:] != dates[:-1])

@@ -73,22 +73,15 @@ def _validate_params(p: float, amplitude: float, c: float) -> None:
         raise ValueError("c must be positive when p >= 1 (the model diverges at c = 0)")
 
 
-def unit_model(t: np.ndarray, p: float, c: float) -> np.ndarray:
-    """Cumulative model with amplitude 1 (see :func:`omori_model`)."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("t must be nonnegative")
-    return _unit(t, p, c)
-
-
 def _unit(
     t: np.ndarray, p: float, c: float, lt: np.ndarray | None = None, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """:func:`unit_model` without the input check. ``lt`` may carry
-    ``log1p(t / c)``, the only term that depends on c and not on p, so a
-    search over p at one c computes it once; the cached array is returned
-    as is on the log branch and must not be modified. The power branch at
-    c > 0 is written into ``out`` when one is given."""
+    """Cumulative model with amplitude 1 (see :func:`omori_model`); t >= 0 is
+    not checked. ``lt`` may carry ``log1p(t / c)``, the only term that
+    depends on c and not on p, so a search over p at one c computes it once;
+    the cached array is returned as is on the log branch and must not be
+    modified. The power branch at c > 0 is written into ``out`` when one is
+    given."""
     if abs(p - 1.0) < LOG_BRANCH_WINDOW:
         return np.log1p(t / c) if lt is None else lt
     q = 1.0 - p
@@ -111,7 +104,10 @@ def omori_model(t, p: float, amplitude: float, c: float):
     there). c = 0 is valid only for p < 1.
     """
     _validate_params(p, amplitude, c)
-    out = amplitude * unit_model(np.asarray(t, dtype=float), p, c)
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
+        raise ValueError("t must be nonnegative")
+    out = amplitude * _unit(t, p, c)
     return out if out.ndim else float(out)
 
 
@@ -460,7 +456,7 @@ def fit_omori_mle(
         best = (val, p_ref, c_fix)
 
     nll, p_hat, c_hat = best
-    lam_unit = float(unit_model(np.asarray([horizon]), p_hat, c_hat)[0])
+    lam_unit = float(_unit(np.asarray([horizon]), p_hat, c_hat)[0])
     return OmoriFit(
         p=float(p_hat),
         amplitude=m / lam_unit,

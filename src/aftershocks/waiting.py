@@ -8,7 +8,6 @@ maximum-likelihood (Hill-type) estimate on the raw waiting times.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .events import WaitingTimes
+from .events import WaitingTimes, write_csv
 
 
 @dataclass(frozen=True)
@@ -52,12 +51,6 @@ class WaitingHistogram:
         if self.integer_data and self.bin_size == int(self.bin_size):
             return edges + (self.bin_size - 1.0) / 2.0, counts
         return np.sqrt(edges * (edges + self.bin_size)), counts
-
-    def tau_values(self) -> np.ndarray:
-        return self.bins()[0]
-
-    def total(self) -> int:
-        return int(sum(self.counts.values()))
 
 
 @dataclass(frozen=True)
@@ -116,8 +109,8 @@ def fit_mu(
 
     method="mle": continuous power-law maximum likelihood over tau >=
     tau_min (the lower end of ``fit_range``, or the smallest tau),
-    mu = n / sum(log(tau_i / tau_min)). Accepts raw waiting times (exact)
-    or a histogram (bins stand in for samples); needs 50 samples.
+    mu = n / sum(log(tau_i / tau_min)) over the raw waiting times; needs 50
+    samples.
     """
     if method == "lsq":
         if not isinstance(data, WaitingHistogram):
@@ -173,27 +166,19 @@ def _fit_lsq(hist: WaitingHistogram, fit_range) -> WaitingFit:
     )
 
 
-def _fit_mle(data: WaitingHistogram | WaitingTimes, fit_range) -> WaitingFit:
-    if isinstance(data, WaitingTimes):
-        samples = data.taus
-        weights = np.ones_like(samples)
-    elif isinstance(data, WaitingHistogram):
-        samples, weights = data.bins()
-    else:
-        raise TypeError("mle fitting needs WaitingTimes or a WaitingHistogram")
+def _fit_mle(data: WaitingTimes, fit_range) -> WaitingFit:
+    if not isinstance(data, WaitingTimes):
+        raise TypeError("mle fitting needs WaitingTimes")
+    samples = data.taus  # all positive: WaitingTimes checks that
     if samples.size == 0:
         raise DataError("no waiting times to fit")
-    positive = samples > 0
-    samples, weights = samples[positive], weights[positive]
-    if samples.size == 0:
-        raise DataError("no positive waiting times to fit")
     lo, hi = _resolve_range(fit_range, (float(samples.min()), math.inf))
-    sel = (samples >= lo) & (samples <= hi)
-    samples, weights = samples[sel], weights[sel]
-    n = float(weights.sum())
+    samples = samples[(samples >= lo) & (samples <= hi)]
+    n = samples.size
     if n < 50:
-        raise DataError(f"need at least 50 samples for the MLE, got {int(n)}")
-    s = float(weights @ np.log(samples / lo))
+        raise DataError(f"need at least 50 samples for the MLE, got {n}")
+    # a dot product, not np.sum, whose pairwise order changes the last bits of mu
+    s = float(np.ones_like(samples) @ np.log(samples / lo))
     if s <= 0:
         raise DataError("all waiting times equal tau_min; exponent undefined")
     mu = n / s
@@ -203,16 +188,11 @@ def _fit_mle(data: WaitingHistogram | WaitingTimes, fit_range) -> WaitingFit:
         fit_range=(lo, hi_eff),
         method="mle",
         stderr=float(mu / math.sqrt(n)),
-        n_used=int(n),
+        n_used=n,
         amplitude=None,
     )
 
 
 def write_histogram_csv(hist: WaitingHistogram, path: str | Path) -> None:
     """Two-column CSV (tau, count), sorted by tau."""
-    taus, counts = hist.bins()
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["tau", "count"])
-        for t, n in zip(taus, counts):
-            writer.writerow([format(t, ".10g"), format(n, ".10g")])
+    write_csv(path, ["tau", "count"], zip(*hist.bins()))

@@ -25,6 +25,27 @@ def _tree_digest(root: Path) -> dict[str, str]:
     }
 
 
+def _csv_digests(root: Path) -> dict[str, str]:
+    return {name: digest for name, digest in _tree_digest(root).items() if name.endswith(".csv")}
+
+
+# SHA-256 of every artifact table of the two golden runs, so a change to the
+# table format (encoding, line ends, float rendering) cannot pass unseen
+GOLDEN_SIMULATE_CSV = {
+    "collapsed_catalog.csv": "d9c2de3214aec6373e2dbc4350b34c6f467341f0247222a67cb46f79a154549b",
+    "corr_catalog.csv": "ba881296ccd1d51342dc6bde4cfe24bd3fd537eabbf18630d92e06afd5afed1b",
+    "events_catalog.csv": "008e2f3cd83e5e7ae16b70da5dfd0e42ba3518fd56f0fa25f35eee783fea2872",
+    "omori_catalog.csv": "967e9f0f4e42b8b8bf4f86e660e153177f05f59113c50a9fc8928af8e6b5bf22",
+    "scale_factors_catalog.csv": "d56a75457aaa6f39f9a51eb901ecf99fd39177777b4568698036e49072562c62",
+    "waiting_catalog.csv": "f12a44de794f6bb6da3dc4d1a146a57cce63c73022c6d900dfde4505aa4409f5",
+}
+GOLDEN_COLLAPSE_CSV = {
+    "collapsed_catalog.csv": "4e0c9bb7d1b02f44af9560295c6dd7c653c13e5f21a567bc3cbfce5f681b352e",
+    "corr_catalog.csv": "b0858a68d9b67f32a790c3cc835ee783e9ace7971c9712dd5f4c345a227548f1",
+    "scale_factors_catalog.csv": "46417468d8386f2bc9782f4e3c830086f3c5c3f1efd501d4aa255f34f9a5f0ce",
+}
+
+
 def _analyze(minute_bars_path, outdir, *extra):
     return _run(
         "analyze",
@@ -375,6 +396,11 @@ def test_reference_missing_from_n_w_is_usage_error(minute_bars_path, tmp_path, c
         # both would write thr2sigma files, and the report would list them twice
         ("thresholds", "2,2", "thresholds 2.0,2.0 give the label thr2sigma twice"),
         ("thresholds", "3,2,2.0000001", "thresholds 3.0,2.0,2.0000001 give the label thr2sigma twice"),
+        # an empty list would run no threshold, or hide the reference check
+        ("thresholds", ",", "must list at least one value"),
+        ("thresholds", "", "must list at least one value"),
+        ("n_w", ",", "must list at least one value"),
+        ("n_w", "", "must list at least one value"),
     ],
 )
 def test_repeated_list_value_is_usage_error(minute_bars_path, tmp_path, capsys, source, key, value, message):
@@ -576,6 +602,7 @@ class TestSimulate:
         assert code == EXIT_OK
         produced = (tmp_path / "golden-run" / "report.json").read_bytes()
         assert produced == golden_report_path.read_bytes()
+        assert _csv_digests(tmp_path / "golden-run") == GOLDEN_SIMULATE_CSV
 
     def test_schema_stable_against_golden(self, tmp_path, golden_report_path):
         # every field path in the golden report shows up in any same-kind run
@@ -641,6 +668,7 @@ class TestCollapseCommand:
         ) == EXIT_OK
         produced = (tmp_path / "col" / "report.json").read_bytes()
         assert produced == golden_collapse_report_path.read_bytes()
+        assert _csv_digests(tmp_path / "col") == GOLDEN_COLLAPSE_CSV
 
     def test_too_few_events_is_data_error(self, tmp_path, capsys):
         events_csv = tmp_path / "tiny.csv"
@@ -709,3 +737,29 @@ class TestReportCommand:
 
     def test_missing_report_is_data_error(self, tmp_path):
         assert _run("report", "--outdir", str(tmp_path)) == EXIT_DATA
+
+    @pytest.mark.parametrize(
+        "name,content,message",
+        [
+            ("report.json", b"{not json", "report.json: not a JSON report"),
+            ("report.json", b"\xff\xfe", "report.json: not a JSON report"),
+            ("report.json", b"[]", "report.json: not a JSON object"),
+            ("omori_catalog.csv", None, "cannot read"),
+            ("omori_catalog.csv", b"t,n_empirical,n_model\n0,x,0\n", "omori_catalog.csv: malformed table"),
+        ],
+        ids=["not-json", "not-utf8", "not-object", "missing-csv", "bad-cell"],
+    )
+    def test_malformed_run_directory_is_data_error(self, tmp_path, capsys, name, content, message):
+        run = tmp_path / "sim"
+        assert _run(
+            "simulate", "--kind", "omori", "--sim-horizon", "2000", "--seed", "2",
+            "--resamples", "0", "--outdir", str(run),
+        ) == EXIT_OK
+        capsys.readouterr()
+        if content is None:
+            (run / name).unlink()
+        else:
+            (run / name).write_bytes(content)
+        assert _run("report", "--outdir", str(run)) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert message in err and name in err

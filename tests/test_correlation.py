@@ -86,12 +86,10 @@ class TestAgingCurves:
             assert curve.c[0] == 1.0
             assert curve.n[0] == 0
 
-    def test_ordered_by_n_w_with_m_used(self):
+    def test_ordered_by_n_w(self):
         ev = gen_stationary(rate=1.0, horizon=1_000.0, seed=2)
         curves = aging_curves(ev, (10, 0, 5), 20)
         assert [c.n_w for c in curves] == [0, 5, 10]
-        length = len(ev)
-        assert curves[2].m_used.tolist() == [length - (n + 10) for n in range(21)]
 
     def test_curve_values_bounded(self):
         ev = gen_stationary(rate=0.5, horizon=2_000.0, seed=5)

@@ -400,6 +400,7 @@ class TestWindowLengthForDays:
         assert window_length_for_days(series, days) == _window_length_per_record(walls, days, i0)
 
     def test_start_outside_series(self):
-        series = compact_gaps(_records("2014-12-15 09:00"))
+        # a series whose first minute is t = 5 holds no t = 0 to count from
+        series = PriceSeries(x=np.ones(1), wall_clock=["2014-12-15 09:00"], t_start=5)
         with pytest.raises(DataError):
-            window_length_for_days(series, 1, start_t=5)
+            window_length_for_days(series, 1)
