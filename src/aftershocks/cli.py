@@ -136,6 +136,9 @@ def _parse_fit_range(text: str) -> tuple[float | None, float | None]:
         raise argparse.ArgumentTypeError("fit range must be 'lo,hi' (blank side = open)")
     lo = float(parts[0]) if parts[0].strip() else None
     hi = float(parts[1]) if parts[1].strip() else None
+    # the waiting-time MLE takes log(tau / lo)
+    if lo is not None and not (math.isfinite(lo) and lo > 0):
+        raise argparse.ArgumentTypeError(f"{text!r}: lower end must be finite and positive")
     return (lo, hi)
 
 

@@ -24,6 +24,10 @@ from .events import EventSequence, write_csv
 
 F_SEARCH_BOUNDS = (0.2, 50.0)
 _F_COARSE_POINTS = 57
+# the coarse factor grid of collapse(), with f = 1; sorted and deduplicated
+# by hand, because a bare np.unique imports numpy.ma
+_F_COARSE = np.sort(np.append(np.geomspace(*F_SEARCH_BOUNDS, _F_COARSE_POINTS), 1.0))
+_F_COARSE = _F_COARSE[np.diff(_F_COARSE, prepend=-np.inf) > 0]
 
 
 @dataclass(frozen=True)
@@ -67,8 +71,9 @@ def event_corr(events: EventSequence | np.ndarray, m: int, n: int) -> float:
         raise DataError(f"shifted windows too short: M={big} for (m={m}, n={n})")
     a = times[m : m + big]
     b = times[n : n + big]
-    ac = a - a.mean()
-    bc = b - b.mean()
+    # ndarray.mean's arithmetic without its Python wrapper
+    ac = a - np.add.reduce(a) / big
+    bc = b - np.add.reduce(b) / big
     va = float(ac @ ac)
     vb = float(bc @ bc)
     if va == 0.0 or vb == 0.0:
@@ -137,8 +142,6 @@ def collapse(curves: Iterable[CorrelationCurve], reference_n_w: int = 0) -> Coll
     if len(ref.n) < 3:
         raise DataError("reference curve shorter than 3 points")
 
-    coarse = np.unique(np.concatenate([np.geomspace(*F_SEARCH_BOUNDS, _F_COARSE_POINTS), [1.0]]))
-
     factors: dict[int, float] = {}
     total_sq = 0.0
     total_pts = 0
@@ -146,16 +149,16 @@ def collapse(curves: Iterable[CorrelationCurve], reference_n_w: int = 0) -> Coll
         if curve.n_w == reference_n_w:
             factors[curve.n_w] = 1.0
             continue
-        vals = [_collapse_objective(curve, ref, f)[0] for f in coarse]
+        vals = [_collapse_objective(curve, ref, f)[0] for f in _F_COARSE]
         k = int(np.argmin(vals))
         if not math.isfinite(vals[k]):
             raise DataError(f"no overlap with the reference after rescaling (n_w={curve.n_w})")
-        lo_k = math.log(coarse[max(0, k - 1)])
-        hi_k = math.log(coarse[min(len(coarse) - 1, k + 1)])
+        lo_k = math.log(_F_COARSE[max(0, k - 1)])
+        hi_k = math.log(_F_COARSE[min(len(_F_COARSE) - 1, k + 1)])
         f_ref, _ = brent(lambda lf: _collapse_objective(curve, ref, math.exp(lf))[0], lo_k, hi_k, tol=1e-7)
         # strict improvement over f = 1 required, so ties keep unit scale
         best_f, best_val = 1.0, _collapse_objective(curve, ref, 1.0)[0]
-        for cand in (float(coarse[k]), float(math.exp(f_ref))):
+        for cand in (float(_F_COARSE[k]), float(math.exp(f_ref))):
             val = _collapse_objective(curve, ref, cand)[0]
             if val < best_val:
                 best_f, best_val = cand, val

@@ -16,7 +16,9 @@ from .errors import DataError
 from .events import EventSequence, waiting_times
 from .omori import OmoriFit, fit_omori
 from .synth import derive_seeds, _rng
-from .waiting import WaitingFit, build_histogram, fit_mu
+# build_histogram is not called here, but perfbench/tracer.py wraps this
+# module's binding of it
+from .waiting import WaitingFit, build_histogram, fit_mu, histogram_sampler  # noqa: F401
 
 SCHEMA_VERSION = "1"
 
@@ -82,16 +84,22 @@ def bootstrap_ci(
     """Percentile (2.5%, 97.5%) bootstrap interval for a point-process
     estimator.
 
-    Waiting times are resampled with replacement and an event sequence is
-    rebuilt from the original first event. The resampled waits are laid
-    out in the rank order of the originals (shortest resampled wait where
-    the shortest original sat, and so on): the waiting-time estimators see
-    only the resampled multiset, which this does not change, while the
-    decay-rate estimator keeps the catalog's nonstationary profile instead
-    of a shuffled, flattened one. ``estimator`` is "omori" (the decay
-    exponent p), "mu" (waiting-time exponent) or "sum" (p + mu).
-    ``fit_options`` may carry keyword arguments for the underlying fits
-    under the "omori" and "mu" keys.
+    Waiting times are resampled with replacement. Where a fit needs an
+    event sequence, one is rebuilt from the original first event, the
+    resampled waits laid out in the rank order of the originals (shortest
+    resampled wait where the shortest original sat, and so on): the
+    waiting-time estimators see only the resampled multiset, which this
+    does not change, while the decay-rate estimator keeps the catalog's
+    nonstationary profile instead of a shuffled, flattened one.
+    ``estimator`` is "omori" (the decay exponent p), "mu" (waiting-time
+    exponent) or "sum" (p + mu). ``fit_options`` may carry keyword
+    arguments for the underlying fits under the "omori" and "mu" keys.
+
+    The least-squares mu reads only a histogram, so each original wait is
+    binned once (:func:`histogram_sampler`) and a resample's histogram is
+    the bin count of its draws. A resample rebuilds its event sequence
+    only for the Omori refit or for the raw waits of another mu method; a
+    rebuilt sequence that fails validation is a failed resample.
 
     For "sum" every resample fits mu first, and only the resamples whose mu
     fit succeeded are refitted with the Omori law. Those refits are one
@@ -117,6 +125,10 @@ def bootstrap_ci(
     bin_size = mu_opts.pop("bin_size", 1.0)
     t0 = float(events.times[0])
     rank_of = np.argsort(np.argsort(taus))
+    binned = method == "lsq" and estimator != "omori"
+    fit_waits = method != "lsq" and estimator != "omori"
+    if binned:
+        histogram = histogram_sampler(taus, bin_size)
 
     # mu first: its fit is cheap and is the one that fails on minute data,
     # so a resample it loses never pays for the Omori refit. Each estimate
@@ -127,15 +139,15 @@ def bootstrap_ci(
     for child in derive_seeds(seed, resamples):
         rng = _rng(child)
         idx = np.floor(rng.random(len(taus)) * len(taus)).astype(int)
-        arranged = np.sort(taus[idx])[rank_of]
-        times = t0 + np.concatenate([[0.0], np.cumsum(arranged)])
         value = 0.0
         try:
-            resampled = EventSequence(times=times)
-            if estimator != "omori":
-                waits = waiting_times(resampled)
-                data = build_histogram(waits, bin_size) if method == "lsq" else waits
-                value += fit_mu(data, method=method, **mu_opts).mu
+            if binned:
+                value += fit_mu(histogram(idx), method=method, **mu_opts).mu
+            if estimator != "mu" or fit_waits:
+                arranged = np.sort(taus[idx])[rank_of]
+                resampled = EventSequence(times=t0 + np.concatenate([[0.0], np.cumsum(arranged)]))
+            if fit_waits:
+                value += fit_mu(waiting_times(resampled), method=method, **mu_opts).mu
         except (DataError, ValueError):
             failures += 1
             continue

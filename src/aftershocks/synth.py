@@ -123,7 +123,9 @@ def gen_omori(spec: OmoriGenSpec) -> EventSequence:
     times = np.concatenate(pieces)
 
     if spec.round_to_minutes:
-        floored = np.unique(np.floor(times))
+        # times are sorted, so equal minutes are adjacent
+        floored = np.floor(times)
+        floored = floored[np.diff(floored, prepend=-np.inf) > 0]
         collapsed = len(times) - len(floored)
         if collapsed:
             log.info("minute rounding collapsed %d coincident events", collapsed)

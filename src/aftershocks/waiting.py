@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -75,16 +76,30 @@ def build_histogram(taus: WaitingTimes | np.ndarray, bin_size: float = 1.0) -> W
 
     Empty bins are not stored at all.
     """
+    values = taus.taus if isinstance(taus, WaitingTimes) else np.asarray(taus, dtype=float)
+    return histogram_sampler(values, bin_size)(np.arange(values.size))
+
+
+def histogram_sampler(taus: np.ndarray, bin_size: float) -> Callable[[np.ndarray], WaitingHistogram]:
+    """Bin ``taus`` once, as :func:`build_histogram` does; the returned
+    function gives the histogram of ``taus[idx]`` for an index array
+    ``idx``, such as a bootstrap draw, from the bin counts of its draws."""
     if bin_size <= 0:
         raise ValueError("bin_size must be positive")
-    values = taus.taus if isinstance(taus, WaitingTimes) else np.asarray(taus, dtype=float)
-    if values.size == 0:
-        return WaitingHistogram(bin_size=float(bin_size), counts={})
-    k = np.floor((values - 1.0) / bin_size)
-    uniq, cnt = np.unique(k, return_counts=True)
-    counts = dict(zip((1.0 + uniq * bin_size).tolist(), cnt.tolist()))
-    integral = bool(np.all(values == np.floor(values)))
-    return WaitingHistogram(bin_size=float(bin_size), counts=counts, integer_data=integral)
+    k, bin_of = np.unique(np.floor((taus - 1.0) / bin_size), return_inverse=True)
+    edges = 1.0 + k * bin_size
+    integral = taus == np.floor(taus)
+
+    def histogram(idx: np.ndarray) -> WaitingHistogram:
+        counts = np.bincount(bin_of[idx], minlength=len(edges))
+        full = np.flatnonzero(counts)
+        return WaitingHistogram(
+            bin_size=float(bin_size),
+            counts=dict(zip(edges[full].tolist(), counts[full].tolist())),
+            integer_data=bool(integral[idx].all()),
+        )
+
+    return histogram
 
 
 def _default_fit_range(taus: np.ndarray, counts: np.ndarray) -> tuple[float, float]:

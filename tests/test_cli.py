@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -289,8 +292,8 @@ class TestConfigFile:
         assert not (tmp_path / "out").exists()
 
     def test_every_numeric_setting_has_a_refused_value(self):
-        # fit_range is left open: its blank sides are open bounds, and any
-        # number bounds the waiting times meaningfully
+        # fit_range is left out: its blank sides are open bounds, and only a
+        # set lower end is checked (test_fit_range_lower_end_must_be_positive)
         numeric = {
             f.name
             for f in fields(RunConfig)
@@ -371,6 +374,49 @@ def test_delimiter_must_be_one_character(minute_bars_path, tmp_path, capsys, tex
         argv += ["--config", str(tmp_path / "run.cfg")]
     assert _run(*argv) == EXIT_USAGE
     assert "must be one character" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_analyze_does_not_import_numpy_ma(minute_bars_path, tmp_path):
+    # a bare np.unique imports numpy.ma on numpy 2.x (about 11 ms and 1 MB per
+    # run); the short n_w and n_max let this catalog reach the collapse, and
+    # the minute-floored catalog covers gen_omori's rounding
+    code = (
+        "import sys\n"
+        "from aftershocks import OmoriGenSpec, gen_omori\n"
+        "from aftershocks.cli import main\n"
+        "assert main(sys.argv[1:]) == 0\n"
+        "gen_omori(OmoriGenSpec(p=0.6, amplitude=8.0, c=0.0, horizon=3000.0, seed=1, round_to_minutes=True))\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    argv = ["analyze", "--input", str(minute_bars_path), "--delimiter", ";", "--crash", CRASH,
+            "--resamples", "100", "--n-w", "0,10", "--n-max", "20", "--outdir", str(tmp_path / "out")]
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    run = subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "False"
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert "correlation" in report["thresholds"][0]
+
+
+@pytest.mark.parametrize("text", ["-1,", "0,", "nan,5", "inf,"])
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_fit_range_lower_end_must_be_positive(minute_bars_path, tmp_path, capsys, text, source):
+    # the waiting-time MLE takes log(tau / lo); a lower end <= 0 used to end
+    # in an internal error (exit 3)
+    argv = ["analyze", "--input", str(minute_bars_path), "--delimiter", ";", "--crash", CRASH,
+            "--resamples", "0", "--outdir", str(tmp_path / "out")]
+    if source == "flag":
+        argv.append(f"--fit-range={text}")
+    else:
+        (tmp_path / "run.cfg").write_text(f"fit_range = {text}\n")
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    assert _run(*argv) == EXIT_USAGE
+    assert f"{text!r}: lower end must be finite and positive" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

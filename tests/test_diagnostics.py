@@ -177,6 +177,52 @@ class TestBootstrapCi:
         ci = bootstrap_ci(ev, "sum", resamples=100, seed=1, fit_options=opts)
         assert ci == (0.6605995137957372, 1.0454187546415417)
 
+    def test_continuous_catalog_sum_interval_equals_recorded_value(self):
+        # non-integer waits use geometric bin midpoints; one of the 100 LSQ mu
+        # fits fails. Recorded when every resample rebuilt its event sequence
+        # and binned the waits of that sequence
+        ev = gen_omori(OmoriGenSpec(p=0.6, amplitude=8.0, c=0.0, horizon=3000.0, seed=1))
+        ci = bootstrap_ci(ev, "sum", resamples=100, seed=1, fit_options=_pipeline_options(3000.0))
+        assert ci == (0.6573148632321131, 0.9052929662740109)
+
+    def test_sum_rebuilds_only_the_catalogs_it_refits(self, monkeypatch):
+        ev, horizon = _minute_catalog(6.0, 4000.0, seed=3)
+        fit_omori = diagnostics.fit_omori
+        built, refitted = [], []
+
+        def counted_sequence(times):
+            built.append(times)
+            return EventSequence(times=times)
+
+        def counted_omori(catalogs, **kwargs):
+            refitted.extend(catalogs)
+            return fit_omori(catalogs, **kwargs)
+
+        monkeypatch.setattr(diagnostics, "EventSequence", counted_sequence)
+        monkeypatch.setattr(diagnostics, "fit_omori", counted_omori)
+        with pytest.raises(DataError, match="42/100"):
+            bootstrap_ci(ev, "sum", resamples=100, seed=1, fit_options=_pipeline_options(horizon))
+        assert len(built) == len(refitted) == 58
+
+    @pytest.mark.parametrize(
+        "estimator,method,rebuilt", [("omori", "lsq", 100), ("mu", "lsq", 0), ("mu", "mle", 100)]
+    )
+    def test_catalog_rebuilt_only_where_a_fit_needs_it(self, monkeypatch, estimator, method, rebuilt):
+        # the Omori refit needs each resampled catalog and the MLE its raw
+        # waits; the LSQ mu reads only the resample's bin counts
+        ev, horizon = _minute_catalog(8.0, 3000.0, seed=1)
+        built = []
+
+        def counted_sequence(times):
+            built.append(times)
+            return EventSequence(times=times)
+
+        monkeypatch.setattr(diagnostics, "EventSequence", counted_sequence)
+        opts = _pipeline_options(horizon)
+        opts["mu"]["method"] = method
+        bootstrap_ci(ev, estimator, resamples=100, seed=1, fit_options=opts)
+        assert len(built) == rebuilt
+
     def test_coverage_of_nominal_interval(self):
         # 95% interval should cover the true exponent in >= 90 of 100 trials
         mu_true = 0.95
