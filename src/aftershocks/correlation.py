@@ -24,10 +24,6 @@ from .events import EventSequence, write_csv
 
 F_SEARCH_BOUNDS = (0.2, 50.0)
 _F_COARSE_POINTS = 57
-# the coarse factor grid of collapse(), with f = 1; sorted and deduplicated
-# by hand, because a bare np.unique imports numpy.ma
-_F_COARSE = np.sort(np.append(np.geomspace(*F_SEARCH_BOUNDS, _F_COARSE_POINTS), 1.0))
-_F_COARSE = _F_COARSE[np.diff(_F_COARSE, prepend=-np.inf) > 0]
 
 
 @dataclass(frozen=True)
@@ -142,6 +138,12 @@ def collapse(curves: Iterable[CorrelationCurve], reference_n_w: int = 0) -> Coll
     if len(ref.n) < 3:
         raise DataError("reference curve shorter than 3 points")
 
+    # sorted and deduplicated by hand: a bare np.unique imports numpy.ma. Not
+    # a module constant, which would cost every command numpy's first
+    # geomspace and sort (about 0.6 MB of resident memory)
+    coarse = np.sort(np.append(np.geomspace(*F_SEARCH_BOUNDS, _F_COARSE_POINTS), 1.0))
+    coarse = coarse[np.diff(coarse, prepend=-np.inf) > 0]
+
     factors: dict[int, float] = {}
     total_sq = 0.0
     total_pts = 0
@@ -149,16 +151,16 @@ def collapse(curves: Iterable[CorrelationCurve], reference_n_w: int = 0) -> Coll
         if curve.n_w == reference_n_w:
             factors[curve.n_w] = 1.0
             continue
-        vals = [_collapse_objective(curve, ref, f)[0] for f in _F_COARSE]
+        vals = [_collapse_objective(curve, ref, f)[0] for f in coarse]
         k = int(np.argmin(vals))
         if not math.isfinite(vals[k]):
             raise DataError(f"no overlap with the reference after rescaling (n_w={curve.n_w})")
-        lo_k = math.log(_F_COARSE[max(0, k - 1)])
-        hi_k = math.log(_F_COARSE[min(len(_F_COARSE) - 1, k + 1)])
+        lo_k = math.log(coarse[max(0, k - 1)])
+        hi_k = math.log(coarse[min(len(coarse) - 1, k + 1)])
         f_ref, _ = brent(lambda lf: _collapse_objective(curve, ref, math.exp(lf))[0], lo_k, hi_k, tol=1e-7)
         # strict improvement over f = 1 required, so ties keep unit scale
         best_f, best_val = 1.0, _collapse_objective(curve, ref, 1.0)[0]
-        for cand in (float(_F_COARSE[k]), float(math.exp(f_ref))):
+        for cand in (float(coarse[k]), float(math.exp(f_ref))):
             val = _collapse_objective(curve, ref, cand)[0]
             if val < best_val:
                 best_f, best_val = cand, val

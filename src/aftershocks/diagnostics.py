@@ -18,7 +18,7 @@ from .omori import OmoriFit, fit_omori
 from .synth import derive_seeds, _rng
 # build_histogram is not called here, but perfbench/tracer.py wraps this
 # module's binding of it
-from .waiting import WaitingFit, build_histogram, fit_mu, histogram_sampler  # noqa: F401
+from .waiting import WaitingFit, build_histogram, fit_mu, histogram_sampler
 
 SCHEMA_VERSION = "1"
 

@@ -9,7 +9,7 @@ from aftershocks import (
     gen_pareto_waits,
 )
 from aftershocks.events import WaitingTimes
-from aftershocks.waiting import WaitingHistogram, write_histogram_csv
+from aftershocks.waiting import WaitingHistogram, histogram_sampler, write_histogram_csv
 
 
 class TestBuildHistogram:
@@ -44,6 +44,22 @@ class TestBuildHistogram:
         hist = build_histogram(WaitingTimes(taus=np.array([1.0, 2.0, 9.0])), 1.0)
         assert hist.integer_data
         assert hist.bins()[0].tolist() == [1.0, 2.0, 9.0]
+
+    @pytest.mark.parametrize("bin_size", [1.0, 2.5])
+    def test_sampler_gives_the_histogram_of_each_draw(self, bin_size):
+        # the bootstrap's per-resample histograms; three non-integer waits
+        # make some draws integer data and some not
+        taus = np.concatenate([np.arange(1.0, 40.0), [0.5, 3.25, 7.75]])
+        sample = histogram_sampler(taus, bin_size)
+        rng = np.random.default_rng(0)
+        kinds = set()
+        for size in (1, 5, 5, 5, 5, 60):
+            idx = rng.integers(0, len(taus), size)
+            hist = sample(idx)
+            assert hist == build_histogram(taus[idx], bin_size)
+            assert list(hist.counts) == sorted(hist.counts)
+            kinds.add(hist.integer_data)
+        assert kinds == {True, False}
 
 
 class TestFitMuLsq:
