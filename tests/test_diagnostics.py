@@ -84,6 +84,19 @@ class TestMarkovRelation:
         assert one.verdict == other.verdict
 
 
+@pytest.fixture
+def built_catalogs(monkeypatch):
+    """The times of every event sequence bootstrap_ci builds."""
+    built = []
+
+    def counted_sequence(times):
+        built.append(times)
+        return EventSequence(times=times)
+
+    monkeypatch.setattr(diagnostics, "EventSequence", counted_sequence)
+    return built
+
+
 class TestBootstrapCi:
     def test_same_seed_same_interval(self):
         ev = _events_from_waits(0.95, 300, seed=4)
@@ -185,43 +198,31 @@ class TestBootstrapCi:
         ci = bootstrap_ci(ev, "sum", resamples=100, seed=1, fit_options=_pipeline_options(3000.0))
         assert ci == (0.6573148632321131, 0.9052929662740109)
 
-    def test_sum_rebuilds_only_the_catalogs_it_refits(self, monkeypatch):
+    def test_sum_rebuilds_only_the_catalogs_it_refits(self, monkeypatch, built_catalogs):
         ev, horizon = _minute_catalog(6.0, 4000.0, seed=3)
         fit_omori = diagnostics.fit_omori
-        built, refitted = [], []
-
-        def counted_sequence(times):
-            built.append(times)
-            return EventSequence(times=times)
+        refitted = []
 
         def counted_omori(catalogs, **kwargs):
             refitted.extend(catalogs)
             return fit_omori(catalogs, **kwargs)
 
-        monkeypatch.setattr(diagnostics, "EventSequence", counted_sequence)
         monkeypatch.setattr(diagnostics, "fit_omori", counted_omori)
         with pytest.raises(DataError, match="42/100"):
             bootstrap_ci(ev, "sum", resamples=100, seed=1, fit_options=_pipeline_options(horizon))
-        assert len(built) == len(refitted) == 58
+        assert len(built_catalogs) == len(refitted) == 58
 
     @pytest.mark.parametrize(
         "estimator,method,rebuilt", [("omori", "lsq", 100), ("mu", "lsq", 0), ("mu", "mle", 100)]
     )
-    def test_catalog_rebuilt_only_where_a_fit_needs_it(self, monkeypatch, estimator, method, rebuilt):
+    def test_catalog_rebuilt_only_where_a_fit_needs_it(self, built_catalogs, estimator, method, rebuilt):
         # the Omori refit needs each resampled catalog and the MLE its raw
         # waits; the LSQ mu reads only the resample's bin counts
         ev, horizon = _minute_catalog(8.0, 3000.0, seed=1)
-        built = []
-
-        def counted_sequence(times):
-            built.append(times)
-            return EventSequence(times=times)
-
-        monkeypatch.setattr(diagnostics, "EventSequence", counted_sequence)
         opts = _pipeline_options(horizon)
         opts["mu"]["method"] = method
         bootstrap_ci(ev, estimator, resamples=100, seed=1, fit_options=opts)
-        assert len(built) == rebuilt
+        assert len(built_catalogs) == rebuilt
 
     def test_coverage_of_nominal_interval(self):
         # 95% interval should cover the true exponent in >= 90 of 100 trials
