@@ -445,17 +445,18 @@ def _analyze_catalog(
     if omori_fit is not None and lsq_fit is not None:
         ci = None
         if config.resamples >= 100:
-            boot_opts = {
-                "omori": {
-                    "grid_step": max(config.grid_step, horizon / 512.0),
-                    "horizon": horizon,
-                    "c_search": config.c_search,
-                },
-                "mu": {"method": "lsq", "bin_size": config.bin_size, "fit_range": config.fit_range},
-            }
             try:
                 with _stage(f"bootstrap {label}"):
-                    ci = bootstrap_ci(ev, "sum", config.resamples, boot_seed, boot_opts)
+                    ci = bootstrap_ci(
+                        ev,
+                        config.resamples,
+                        boot_seed,
+                        horizon=horizon,
+                        grid_step=max(config.grid_step, horizon / 512.0),
+                        c_search=config.c_search,
+                        bin_size=config.bin_size,
+                        fit_range=config.fit_range,
+                    )
             except DataError as exc:
                 note(f"bootstrap failed ({exc}); Markov verdict uses the point estimate")
         elif config.resamples:

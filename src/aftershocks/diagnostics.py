@@ -76,59 +76,44 @@ def markov_relation(
 
 def bootstrap_ci(
     events: EventSequence,
-    estimator: str,
     resamples: int = 200,
     seed: int = 0,
-    fit_options: Mapping[str, Mapping[str, Any]] | None = None,
+    *,
+    horizon: float,
+    grid_step: float,
+    c_search: bool,
+    bin_size: float,
+    fit_range: tuple[float | None, float | None] | None,
 ) -> tuple[float, float]:
-    """Percentile (2.5%, 97.5%) bootstrap interval for a point-process
-    estimator.
+    """Percentile (2.5%, 97.5%) bootstrap interval for p + mu, the sum the
+    Markov check reads: the least-squares Omori p (:func:`fit_omori` with
+    ``horizon``, ``grid_step`` and ``c_search``) plus the least-squares
+    histogram mu (:func:`fit_mu` on ``bin_size`` bins over ``fit_range``).
 
-    Waiting times are resampled with replacement. Where a fit needs an
-    event sequence, one is rebuilt from the original first event, the
-    resampled waits laid out in the rank order of the originals (shortest
-    resampled wait where the shortest original sat, and so on): the
-    waiting-time estimators see only the resampled multiset, which this
-    does not change, while the decay-rate estimator keeps the catalog's
-    nonstationary profile instead of a shuffled, flattened one.
-    ``estimator`` is "omori" (the decay exponent p), "mu" (waiting-time
-    exponent) or "sum" (p + mu). ``fit_options`` may carry keyword
-    arguments for the underlying fits under the "omori" and "mu" keys.
-
-    The least-squares mu reads only a histogram, so each original wait is
-    binned once (:func:`histogram_sampler`) and a resample's histogram is
-    the bin count of its draws. A resample rebuilds its event sequence
-    only for the Omori refit or for the raw waits of another mu method; a
-    rebuilt sequence that fails validation is a failed resample.
-
-    For "sum" every resample fits mu first, and only the resamples whose mu
-    fit succeeded are refitted with the Omori law. Those refits are one
+    Waiting times are resampled with replacement. Each original wait is
+    binned once (:func:`histogram_sampler`), and a resample's histogram is
+    the bin count of its draws, so every resample fits mu first. Only a
+    resample whose mu fit succeeded rebuilds its event sequence: from the
+    original first event, the resampled waits laid out in the rank order
+    of the originals (shortest resampled wait where the shortest original
+    sat, and so on), so the Omori refit sees the catalog's nonstationary
+    profile instead of a shuffled, flattened one. Those refits are one
     :func:`fit_omori` call on the list of them, so they share the coarse
     scan of the bootstrap's fitting grid. A resample on which either fit
-    fails counts as one failure, and more than 10% failures raise
-    :class:`DataError`.
+    fails, or whose rebuilt sequence fails validation, counts as one
+    failure, and more than 10% failures raise :class:`DataError`.
 
     Each resample draws from its own spawned seed, so the interval is
     deterministic in (events, seed) and independent of evaluation order.
     """
     if resamples < 100:
         raise ValueError("resamples must be >= 100")
-    if estimator not in ("omori", "mu", "sum"):
-        raise ValueError(f"unknown estimator {estimator!r}")
     taus = waiting_times(events).taus
     if len(taus) < 2:
         raise DataError("need at least 3 events to bootstrap")
-    opts = fit_options or {}
-    omori_opts = dict(opts.get("omori", {}))
-    mu_opts = dict(opts.get("mu", {}))
-    method = mu_opts.pop("method", "mle")
-    bin_size = mu_opts.pop("bin_size", 1.0)
     t0 = float(events.times[0])
     rank_of = np.argsort(np.argsort(taus))
-    binned = method == "lsq" and estimator != "omori"
-    fit_waits = method != "lsq" and estimator != "omori"
-    if binned:
-        histogram = histogram_sampler(taus, bin_size)
+    histogram = histogram_sampler(taus, bin_size)
 
     # mu first: its fit is cheap and is the one that fails on minute data,
     # so a resample it loses never pays for the Omori refit. Each estimate
@@ -139,24 +124,18 @@ def bootstrap_ci(
     for child in derive_seeds(seed, resamples):
         rng = _rng(child)
         idx = np.floor(rng.random(len(taus)) * len(taus)).astype(int)
-        value = 0.0
         try:
-            if binned:
-                value += fit_mu(histogram(idx), method=method, **mu_opts).mu
-            if estimator != "mu" or fit_waits:
-                arranged = np.sort(taus[idx])[rank_of]
-                resampled = EventSequence(times=t0 + np.concatenate([[0.0], np.cumsum(arranged)]))
-            if fit_waits:
-                value += fit_mu(waiting_times(resampled), method=method, **mu_opts).mu
+            mu = fit_mu(histogram(idx), fit_range=fit_range).mu
+            arranged = np.sort(taus[idx])[rank_of]
+            resampled = EventSequence(times=t0 + np.concatenate([[0.0], np.cumsum(arranged)]))
         except (DataError, ValueError):
             failures += 1
             continue
-        partial.append(value)
-        if estimator != "mu":
-            survivors.append(resampled)
-    estimates = partial
+        partial.append(0.0 + mu)
+        survivors.append(resampled)
+    estimates = []
     if survivors:
-        fits = fit_omori(survivors, **omori_opts)
+        fits = fit_omori(survivors, horizon=horizon, grid_step=grid_step, c_search=c_search)
         estimates = [value + fit.p for value, fit in zip(partial, fits) if isinstance(fit, OmoriFit)]
         failures += len(survivors) - len(estimates)
     if failures > 0.1 * resamples:

@@ -19,39 +19,43 @@ from .errors import DataError
 from .events import WaitingTimes, write_csv
 
 
-@dataclass(frozen=True)
+# eq=False: a generated == would compare the arrays elementwise
+@dataclass(frozen=True, eq=False)
 class WaitingHistogram:
     """Counts of waiting times in bins [edge, edge + bin_size).
 
     Bin edges sit at 1 + k*bin_size, so unit bins line up with the minute
-    grid; only nonempty bins are stored, keyed by their lower edge.
+    grid. ``edges`` holds the lower edge of every nonempty bin, in
+    increasing order, and ``counts`` the count of each of those bins.
 
     The representative tau of a bin depends on the data: for integer times
     in integer bins it is the midpoint of the integers covered (the edge
     itself for unit bins), which is exact for a discrete distribution.
     Histograms built from continuous times use the geometric midpoint
     sqrt(edge * (edge + bin_size)) instead, which keeps power-law bin
-    counts on the power law (exactly so at mu = 1).
+    counts on the power law (exactly so at mu = 1); the bin below tau = 1
+    that a bin_size above 1 can give has a negative edge, and its
+    representative is sqrt(0 * (edge + bin_size)) = 0.
     """
 
     bin_size: float
-    counts: dict[float, int]
+    edges: np.ndarray
+    counts: np.ndarray
     integer_data: bool = True
 
     def __post_init__(self) -> None:
         if self.bin_size <= 0:
             raise ValueError("bin_size must be positive")
+        if len(self.edges) != len(self.counts):
+            raise ValueError("edges and counts must have the same length")
 
     def bins(self) -> tuple[np.ndarray, np.ndarray]:
         """The representative tau and the count of every bin, by increasing
-        edge, from one pass over ``counts``."""
-        edges = np.fromiter(self.counts, float, len(self.counts))
-        counts = np.fromiter(self.counts.values(), float, len(self.counts))
-        order = np.argsort(edges, kind="stable")
-        edges, counts = edges[order], counts[order]
+        edge."""
+        edges = self.edges
         if self.integer_data and self.bin_size == int(self.bin_size):
-            return edges + (self.bin_size - 1.0) / 2.0, counts
-        return np.sqrt(edges * (edges + self.bin_size)), counts
+            return edges + (self.bin_size - 1.0) / 2.0, self.counts
+        return np.sqrt(np.maximum(edges, 0.0) * (edges + self.bin_size)), self.counts
 
 
 @dataclass(frozen=True)
@@ -92,12 +96,8 @@ def histogram_sampler(taus: np.ndarray, bin_size: float) -> Callable[[np.ndarray
 
     def histogram(idx: np.ndarray) -> WaitingHistogram:
         counts = np.bincount(bin_of[idx], minlength=len(edges))
-        full = np.flatnonzero(counts)
-        return WaitingHistogram(
-            bin_size=float(bin_size),
-            counts=dict(zip(edges[full].tolist(), counts[full].tolist())),
-            integer_data=bool(integral[idx].all()),
-        )
+        full = counts > 0
+        return WaitingHistogram(float(bin_size), edges[full], counts[full], bool(integral[idx].all()))
 
     return histogram
 
@@ -148,7 +148,7 @@ def _resolve_range(
 
 
 def _fit_lsq(hist: WaitingHistogram, fit_range) -> WaitingFit:
-    if not hist.counts:
+    if not len(hist.counts):
         raise DataError("empty histogram")
     taus, counts = hist.bins()
     lo, hi = _resolve_range(fit_range, _default_fit_range(taus, counts))

