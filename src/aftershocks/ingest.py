@@ -11,7 +11,6 @@ the second.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import itertools
 import logging
@@ -144,6 +143,21 @@ def load_records(
             raise not_utf8(source, fh, exc) from None
 
 
+class _ParsedCells(dict):
+    """Cell text to its parsed value: a cell not seen yet is parsed by
+    ``parse`` and stored. A cell that fails to parse raises and is not
+    stored. Its ``__getitem__`` is cheaper to call per cell than a
+    ``functools.cache`` wrapper."""
+
+    def __init__(self, parse):
+        super().__init__()
+        self.parse = parse
+
+    def __missing__(self, cell: str) -> int:
+        value = self[cell] = self.parse(cell)
+        return value
+
+
 def _normalize_header_cell(cell: str) -> str:
     return cell.strip().strip("<>")
 
@@ -173,15 +187,16 @@ def _parse_stream(
 
     # A minute-bar file repeats each date on every row of its day and each
     # time on every day, so each distinct cell is parsed once.
-    @functools.cache
-    def day_seconds(cell: str) -> int:
+    def parse_day(cell: str) -> int:
         day = datetime.strptime(cell.strip(), date_format)
         return (day.toordinal() - _EPOCH_ORDINAL) * 86400
 
-    @functools.cache
-    def clock_seconds(cell: str) -> int:
+    def parse_clock(cell: str) -> int:
         clock = datetime.strptime(cell.strip(), time_format)
         return clock.hour * 3600 + clock.minute * 60 + clock.second
+
+    day_seconds = _ParsedCells(parse_day).__getitem__
+    clock_seconds = _ParsedCells(parse_clock).__getitem__
 
     parts = []
     rows = 0

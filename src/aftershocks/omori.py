@@ -36,7 +36,7 @@ _P_VALUES = np.arange(P_SEARCH_RANGE[0], P_SEARCH_RANGE[1] + P_SEARCH_STEP / 2.0
 _C_VALUES = (0.0, *(float(c) for c in C_SEARCH_GRID))
 MIN_EVENTS = 10  # fewest events either fit accepts
 
-_P_BLOCK = 64  # p rows evaluated per broadcast block in the coarse scan
+_BLOCK_BYTES = 1 << 19  # most bytes of model rows in one coarse-scan block
 _DOT_CHUNK = 10_000  # longest dot product OpenBLAS computes on one thread
 
 
@@ -167,17 +167,21 @@ def _coarse_scan(
     the admissibility test sum(y*g) > 0. Rows that c = 0 does not admit
     (p >= 1) are not computed.
 
-    Each block of g, which does not depend on the counts, is computed once,
-    and each row is scored against it with its own matrix-vector product
-    (gemv): one matrix product g @ Y.T (gemm) would sum in another order
-    and change the last bits, whereas per-row products keep every
-    catalog's cells those of a scan of that catalog alone.
+    g is computed in blocks of p rows of at most ``_BLOCK_BYTES`` (one row
+    when a single row is larger), one block at a time, so the scan holds one
+    block beside the counts, whatever the grid's length. Each block, which
+    does not depend on the counts, is computed once, and each row of ``ys``
+    is scored against it with its own matrix-vector product (gemv): one
+    matrix product g @ Y.T (gemm) would sum in another order and change the
+    last bits, whereas per-row products keep every catalog's cells those of
+    a scan of that catalog alone.
     """
     n_y, n_p = len(ys), len(p_values)
     sy2 = np.array([float(row @ row) for row in ys])
     q_all = 1.0 - p_values
     log_branch = np.abs(q_all) < LOG_BRANCH_WINDOW
-    block = np.empty((min(_P_BLOCK, n_p), len(grid)))
+    n_rows = max(1, _BLOCK_BYTES // (8 * len(grid)))
+    block = np.empty((min(n_rows, n_p), len(grid)))
     col = np.empty((n_y, n_p))
     col_min = np.empty((len(c_values), n_y))
     col_arg = np.empty((len(c_values), n_y), dtype=int)
@@ -187,8 +191,8 @@ def _coarse_scan(
         lt = np.log1p(grid / c) if c > 0 else np.log(grid)
         # log-branch rows are scored below; c = 0 admits p < 1 only
         rows = np.flatnonzero(~log_branch & ((q_all > 0) | (c > 0)))
-        for start in range(0, len(rows), _P_BLOCK):
-            idx = rows[start : start + _P_BLOCK]
+        for start in range(0, len(rows), n_rows):
+            idx = rows[start : start + n_rows]
             q = q_all[idx]
             g = block[: len(idx)]
             np.exp(np.multiply(q[:, None], lt, out=g), out=g)
@@ -257,7 +261,9 @@ def fit_omori(
     around the best cell by Brent's bounded method (:func:`._optim.brent`):
     log c along the (p, c) ridge with p re-optimized at each candidate,
     then a polish of p at the winning c. Ties resolve to the smallest p,
-    then smallest c. The refinement tries many p at each c it visits;
+    then smallest c. The coarse scan runs on the grid decimated to about
+    4,000 points, one block of at most ``_BLOCK_BYTES`` of model rows at a
+    time. The refinement tries many p at each c it visits;
     ``log1p(grid / c)`` is computed once per visited c and only the current
     c's array is held. Each full-grid cell is scored once per fit, and
     ``evaluations`` counts them.
@@ -272,8 +278,10 @@ def fit_omori(
     would raise. Catalogs on one grid share one coarse scan pass (see
     :func:`_coarse_scan`); catalogs whose grids differ, as when ``horizon``
     is None and each grid ends at its own last event, are scanned in their
-    own groups. Each catalog is then refined alone, so each result equals
-    that of a call on the catalog alone, ``evaluations`` included.
+    own groups. Each catalog is then counted on the full grid and refined
+    alone, so the call holds one full-grid count vector at a time, and each
+    result equals that of a call on the catalog alone, ``evaluations``
+    included.
     """
     if isinstance(events, EventSequence):
         (result,) = fit_omori([events], grid_step, horizon, c_search)
@@ -285,26 +293,26 @@ def fit_omori(
     results: list = [None] * len(events)
     # catalogs by horizon: with the step shared, the horizon alone tells
     # the grids apart
-    groups: dict[float, list] = {}
+    groups: dict[float, tuple[np.ndarray, list[int]]] = {}
     for n, ev in enumerate(events):
         try:
             grid_n, horizon_n = _fit_grid(ev, grid_step, horizon)
         except (DataError, ValueError) as exc:
             results[n] = exc.with_traceback(None)
             continue
-        groups.setdefault(horizon_n, []).append((n, grid_n))
+        groups.setdefault(horizon_n, (grid_n, []))[1].append(n)
 
-    for horizon_n, members in groups.items():
-        grid_n = members[0][1]
-        ys = np.stack([cumulative_count(events[n], grid_n) for n, _ in members])
-        # coarse localization may run on a decimated grid; refinement and
-        # the returned fit always use the full one
-        stride = max(1, len(grid_n) // 4000)
-        starts = _coarse_scan(ys[:, ::stride], grid_n[::stride], _P_VALUES, c_values)
-        for (n, _), y, start in zip(members, ys, starts):
+    for horizon_n, (grid_n, members) in groups.items():
+        # the coarse scan runs on a decimated grid; the refinement and the
+        # returned fit use the full one, counted for one catalog at a time
+        coarse = grid_n[:: max(1, len(grid_n) // 4000)]
+        ys = np.stack([cumulative_count(events[n], coarse) for n in members])
+        starts = _coarse_scan(ys, coarse, _P_VALUES, c_values)
+        for n, start in zip(members, starts):
             try:
                 if isinstance(start, DataError):
                     raise start
+                y = cumulative_count(events[n], grid_n)
                 results[n] = _refine(y, grid_n, start, grid_step, horizon_n, c_search)
             except (DataError, ValueError) as exc:
                 results[n] = exc.with_traceback(None)

@@ -1,9 +1,11 @@
 import dataclasses
+import itertools
 import math
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -392,22 +394,40 @@ class TestKernelsMatchReference:
                     assert omori._coarse_scan(y[None], grid, p_values, c_values)[0] == expected
 
     @pytest.mark.parametrize("stride", [1, 3])
-    def test_stacked_coarse_scan_bits(self, stride):
-        # rows as fit_omori passes them: decimated views of one count stack
-        full = np.arange(1.0, 6000.5)
-        ys = [cumulative_count(gen_omori(spec), full) for spec in _KERNEL_SPECS]
-        ys.append(np.zeros_like(full))  # no cell admits an empty count
-        stack = np.stack(ys)[:, ::stride]
-        grid = full[::stride]
+    def test_stacked_coarse_scan_bits(self, stride, monkeypatch):
+        # rows as fit_omori passes them: counts on a decimated grid
+        grid = np.arange(1.0, 6000.5)[::stride]
+        ys = [cumulative_count(gen_omori(spec), grid) for spec in _KERNEL_SPECS]
+        ys.append(np.zeros_like(grid))  # no cell admits an empty count
+        stack = np.stack(ys)
         default_p = np.arange(P_SEARCH_RANGE[0], P_SEARCH_RANGE[1] + P_SEARCH_STEP / 2.0, P_SEARCH_STEP)
-        for p_values in (default_p, np.array(_KERNEL_P)):
-            for c_values in ([0.0], [0.0, *C_SEARCH_GRID], list(_KERNEL_C)):
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    got = omori._coarse_scan(stack, grid, p_values, c_values)
-                    expected = [_coarse_scan_ref(y, grid, p_values, c_values) for y in stack[:-1]]
-                assert got[:-1] == expected
-                assert isinstance(got[-1], DataError)
-                assert str(got[-1]) == "no admissible (p, c) cell: cumulative counts do not support the model"
+        # the starts do not depend on how many p rows a block holds: one,
+        # the default budget's, or the whole p range
+        budgets = (8 * len(grid), omori._BLOCK_BYTES, 8 * len(grid) * len(default_p))
+        for budget, p_values, c_values in itertools.product(
+            budgets, (default_p, np.array(_KERNEL_P)), ([0.0], [0.0, *C_SEARCH_GRID], list(_KERNEL_C))
+        ):
+            monkeypatch.setattr(omori, "_BLOCK_BYTES", budget)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                got = omori._coarse_scan(stack, grid, p_values, c_values)
+                expected = [_coarse_scan_ref(y, grid, p_values, c_values) for y in stack[:-1]]
+            assert got[:-1] == expected, budget
+            assert isinstance(got[-1], DataError)
+            assert str(got[-1]) == "no admissible (p, c) cell: cumulative counts do not support the model"
+
+    def test_coarse_scan_memory_is_bounded(self):
+        # one block of model rows at a time, whatever the grid's length
+        grid = np.arange(1.0, 40_000.5)
+        spec = OmoriGenSpec(p=0.6, amplitude=5.0, c=0.0, horizon=40_000.0, seed=3)
+        y = cumulative_count(gen_omori(spec), grid)
+        ys = np.stack([y, y[::-1]])
+        tracemalloc.start()
+        try:
+            omori._coarse_scan(ys, grid, omori._P_VALUES, omori._C_VALUES)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < omori._BLOCK_BYTES + 4 * grid.nbytes
 
     @pytest.mark.parametrize("spec", _KERNEL_SPECS)
     @pytest.mark.parametrize("c_search", [False, True])
