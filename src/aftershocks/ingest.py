@@ -144,10 +144,8 @@ def load_records(
 
 
 class _ParsedCells(dict):
-    """Cell text to its parsed value: a cell not seen yet is parsed by
-    ``parse`` and stored. A cell that fails to parse raises and is not
-    stored. Its ``__getitem__`` is cheaper to call per cell than a
-    ``functools.cache`` wrapper."""
+    """Cell text to its value: a cell not seen yet is parsed by ``parse``
+    and stored; one that fails to parse raises and is not stored."""
 
     def __init__(self, parse):
         super().__init__()

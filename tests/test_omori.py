@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import math
 import os
 import subprocess
@@ -404,16 +403,17 @@ class TestKernelsMatchReference:
         # the starts do not depend on how many p rows a block holds: one,
         # the default budget's, or the whole p range
         budgets = (8 * len(grid), omori._BLOCK_BYTES, 8 * len(grid) * len(default_p))
-        for budget, p_values, c_values in itertools.product(
-            budgets, (default_p, np.array(_KERNEL_P)), ([0.0], [0.0, *C_SEARCH_GRID], list(_KERNEL_C))
-        ):
-            monkeypatch.setattr(omori, "_BLOCK_BYTES", budget)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                got = omori._coarse_scan(stack, grid, p_values, c_values)
-                expected = [_coarse_scan_ref(y, grid, p_values, c_values) for y in stack[:-1]]
-            assert got[:-1] == expected, budget
-            assert isinstance(got[-1], DataError)
-            assert str(got[-1]) == "no admissible (p, c) cell: cumulative counts do not support the model"
+        for p_values in (default_p, np.array(_KERNEL_P)):
+            for c_values in ([0.0], [0.0, *C_SEARCH_GRID], list(_KERNEL_C)):
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    expected = [_coarse_scan_ref(y, grid, p_values, c_values) for y in stack[:-1]]
+                for budget in budgets:
+                    monkeypatch.setattr(omori, "_BLOCK_BYTES", budget)
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        got = omori._coarse_scan(stack, grid, p_values, c_values)
+                    assert got[:-1] == expected, budget
+                    assert isinstance(got[-1], DataError)
+                    assert str(got[-1]) == "no admissible (p, c) cell: cumulative counts do not support the model"
 
     def test_coarse_scan_memory_is_bounded(self):
         # one block of model rows at a time, whatever the grid's length
