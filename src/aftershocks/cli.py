@@ -855,7 +855,11 @@ def cmd_report(args: argparse.Namespace) -> int:
         raise DataError(f"{report_path}: not a JSON report ({exc})") from None
     if not isinstance(report, dict):
         raise DataError(f"{report_path}: not a JSON object")
-    svgs = _write_report(report, outdir, svg=True)
+    try:
+        svgs = _write_report(report, outdir, svg=True)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        # a section or value of the wrong shape: the file is at fault, not the program
+        raise DataError(f"{report_path}: malformed report ({type(exc).__name__}: {exc})") from None
     print(f"rendered {len(svgs)} charts in {outdir}")
     return EXIT_OK
 
@@ -865,7 +869,10 @@ def _print_summary(report: dict, outdir: Path) -> None:
     if sigma:
         print(f"sigma = {sigma['sigma']:.6g} over window {sigma['window']}")
     for section in report.get("thresholds", []):
-        bits = [f"{section['label']}: {section.get('event_count', 0)} events"]
+        if "event_count" in section:
+            bits = [f"{section['label']}: {section['event_count']} events"]
+        else:  # a pareto run draws waits, not events
+            bits = [f"{section['label']}: {section['waiting']['n_taus']} waits"]
         omori = section.get("omori")
         if omori:
             bits.append(f"p={omori['p']:.4g} A={omori['amplitude']:.4g} c={omori['c']:.4g}")

@@ -158,12 +158,10 @@ def collapse(curves: Iterable[CorrelationCurve], reference_n_w: int = 0) -> Coll
         lo_k = math.log(coarse[max(0, k - 1)])
         hi_k = math.log(coarse[min(len(coarse) - 1, k + 1)])
         f_ref, _ = brent(lambda lf: _collapse_objective(curve, ref, math.exp(lf))[0], lo_k, hi_k, tol=1e-7)
-        # strict improvement over f = 1 required, so ties keep unit scale
-        best_f, best_val = 1.0, _collapse_objective(curve, ref, 1.0)[0]
-        for cand in (float(coarse[k]), float(math.exp(f_ref))):
-            val = _collapse_objective(curve, ref, cand)[0]
-            if val < best_val:
-                best_f, best_val = cand, val
+        # min keeps the first of equal values, so ties keep unit scale
+        best_f = min(
+            (1.0, float(coarse[k]), math.exp(f_ref)), key=lambda f: _collapse_objective(curve, ref, f)[0]
+        )
         factors[curve.n_w] = best_f
         sq, used = _collapse_objective(curve, ref, best_f)
         total_sq += sq

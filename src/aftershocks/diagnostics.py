@@ -6,7 +6,7 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass
-from datetime import date, datetime
+from datetime import datetime
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -18,7 +18,7 @@ from .omori import OmoriFit, fit_omori
 from .synth import derive_seeds, _rng
 # build_histogram is not called here, but perfbench/tracer.py wraps this
 # module's binding of it
-from .waiting import WaitingFit, build_histogram, fit_mu, histogram_sampler
+from .waiting import build_histogram, fit_mu, histogram_sampler
 
 SCHEMA_VERSION = "1"
 
@@ -48,17 +48,11 @@ class MarkovCheck:
     ci_source: str = "point"
 
 
-def markov_relation(
-    omori: OmoriFit | float,
-    waiting: WaitingFit | float,
-    ci: tuple[float, float] | None,
-) -> MarkovCheck:
+def markov_relation(p: float, mu: float, ci: tuple[float, float] | None) -> MarkovCheck:
     """Evaluate the scaling relation p + mu = 1 for the two fitted
     exponents; ``ci`` is a bootstrap interval for the sum (a zero-width
     interval at the point estimate is used when None, and ``ci_source``
     says which)."""
-    p = float(omori.p) if isinstance(omori, OmoriFit) else float(omori)
-    mu = float(waiting.mu) if isinstance(waiting, WaitingFit) else float(waiting)
     total = p + mu
     interval = (total, total) if ci is None else (float(ci[0]), float(ci[1]))
     applicable = 0.0 < p < 1.0 and 0.0 < mu < 1.0
@@ -152,14 +146,8 @@ def to_jsonable(obj: Any) -> Any:
         return obj
     if isinstance(obj, float):
         return obj if math.isfinite(obj) else None
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return to_jsonable(float(obj))
-    if isinstance(obj, np.ndarray):
-        return [to_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (datetime, date)):
-        return obj.isoformat(sep=" ") if isinstance(obj, datetime) else obj.isoformat()
+    if isinstance(obj, datetime):
+        return obj.isoformat(sep=" ")
     if isinstance(obj, Path):
         return str(obj)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
@@ -171,9 +159,8 @@ def to_jsonable(obj: Any) -> Any:
         }
     if isinstance(obj, Mapping):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        seq = sorted(obj) if isinstance(obj, (set, frozenset)) else obj
-        return [to_jsonable(v) for v in seq]
+    if isinstance(obj, (list, tuple)):
+        return [to_jsonable(v) for v in obj]
     raise TypeError(f"cannot normalize {type(obj).__name__} for the report")
 
 

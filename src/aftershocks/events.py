@@ -20,12 +20,10 @@ class EventSequence:
     """Ordered aftershock occurrence times, in minutes since the crash.
 
     Times are floats so that synthetic catalogs with continuous times share
-    the type; detector output is integer-valued. ``threshold`` is the
-    absolute return cutoff the events were detected at, when known.
+    the type; detector output is integer-valued.
     """
 
     times: np.ndarray
-    threshold: float | None = None
 
     def __post_init__(self) -> None:
         times = np.asarray(self.times, dtype=float)
@@ -76,11 +74,11 @@ def detect_events(
     if r_th <= 0:
         raise ValueError("r_th must be positive")
     if not len(returns):
-        return EventSequence(np.empty(0), threshold=float(r_th))
+        return EventSequence(np.empty(0))
     lo = 0 if window is None else max(0, int(window[0]))
     hi = int(returns.t[-1]) if window is None else int(window[1])
     mask = (returns.t >= lo) & (returns.t <= hi) & (np.abs(returns.r) > r_th)
-    return EventSequence(times=returns.t[mask].astype(float), threshold=float(r_th))
+    return EventSequence(times=returns.t[mask].astype(float))
 
 
 def waiting_times(events: EventSequence) -> WaitingTimes:

@@ -227,21 +227,13 @@ def _coarse_scan(
     ]
 
 
-def _fit_grid(events: EventSequence, grid_step: float, horizon: float | None) -> tuple[np.ndarray, float]:
-    """The fitting grid of one catalog and its horizon, after the checks
-    :func:`fit_omori` makes before it fits."""
+def _check_catalog(events: EventSequence) -> None:
+    """Raise the :class:`DataError` of a catalog :func:`fit_omori` cannot
+    fit, whatever the grid."""
     if len(events) < MIN_EVENTS:
         raise DataError(f"need at least {MIN_EVENTS} events to fit, got {len(events)}")
     if float(np.ptp(events.times)) == 0.0:
         raise DataError("degenerate event sequence: all events at one time")
-    if horizon is None:
-        horizon = float(events.times[-1])
-    if not (0 < horizon < math.inf and 0 < grid_step < math.inf):
-        raise ValueError("horizon and grid_step must be finite and positive")
-    grid = np.arange(grid_step, horizon + grid_step / 2.0, grid_step)
-    if len(grid) < 3:
-        raise DataError("fitting grid has fewer than 3 points")
-    return grid, float(horizon)
 
 
 def fit_omori(
@@ -249,7 +241,7 @@ def fit_omori(
     grid_step: float = 1.0,
     horizon: float | None = None,
     c_search: bool = True,
-) -> OmoriFit | list[OmoriFit | DataError | ValueError]:
+) -> OmoriFit | list[OmoriFit | DataError]:
     """Least-squares fit of the cumulative law to an event sequence.
 
     The empirical cumulative count is sampled on a uniform grid
@@ -272,50 +264,56 @@ def fit_omori(
     search, p at c = 0 is refined as well, so the fit is never worse than
     the pinned one. ``horizon`` defaults to the last event time.
 
-    ``events`` may also be a list of catalogs, fitted with the same
-    settings. The result is then a list holding, per catalog, its fit or
-    the :class:`DataError` or ``ValueError`` a call on that catalog alone
-    would raise. Catalogs on one grid share one coarse scan pass (see
-    :func:`_coarse_scan`); catalogs whose grids differ, as when ``horizon``
-    is None and each grid ends at its own last event, are scanned in their
-    own groups. Each catalog is then counted on the full grid and refined
-    alone, so the call holds one full-grid count vector at a time, and each
-    result equals that of a call on the catalog alone, ``evaluations``
-    included.
+    ``events`` may also be a list of catalogs, fitted on one grid with the
+    same settings; ``horizon`` is then required, and a ``horizon`` or
+    ``grid_step`` that is not finite and positive raises ``ValueError`` for
+    the whole call. The result is a list holding, per catalog, its fit or
+    the :class:`DataError` a call on that catalog alone would raise. The
+    catalogs share one coarse scan pass (see :func:`_coarse_scan`); each
+    is then counted on the full grid and refined alone, so the call holds
+    one full-grid count vector at a time, and each result equals that of a
+    call on the catalog alone, ``evaluations`` included.
     """
     if isinstance(events, EventSequence):
+        _check_catalog(events)
+        if horizon is None:
+            horizon = float(events.times[-1])
         (result,) = fit_omori([events], grid_step, horizon, c_search)
-        if isinstance(result, Exception):
+        if isinstance(result, DataError):
             raise result
         return result
 
-    c_values = _C_VALUES if c_search else _C_VALUES[:1]
+    if horizon is None:
+        raise ValueError("a list of catalogs needs a horizon")
+    if not (0 < horizon < math.inf and 0 < grid_step < math.inf):
+        raise ValueError("horizon and grid_step must be finite and positive")
+    grid = np.arange(grid_step, horizon + grid_step / 2.0, grid_step)
     results: list = [None] * len(events)
-    # catalogs by horizon: with the step shared, the horizon alone tells
-    # the grids apart
-    groups: dict[float, tuple[np.ndarray, list[int]]] = {}
+    members = []
     for n, ev in enumerate(events):
         try:
-            grid_n, horizon_n = _fit_grid(ev, grid_step, horizon)
-        except (DataError, ValueError) as exc:
+            _check_catalog(ev)
+            if len(grid) < 3:
+                raise DataError("fitting grid has fewer than 3 points")
+            members.append(n)
+        except DataError as exc:
             results[n] = exc.with_traceback(None)
-            continue
-        groups.setdefault(horizon_n, (grid_n, []))[1].append(n)
+    if not members:
+        return results
 
-    for horizon_n, (grid_n, members) in groups.items():
-        # the coarse scan runs on a decimated grid; the refinement and the
-        # returned fit use the full one, counted for one catalog at a time
-        coarse = grid_n[:: max(1, len(grid_n) // 4000)]
-        ys = np.stack([cumulative_count(events[n], coarse) for n in members])
-        starts = _coarse_scan(ys, coarse, _P_VALUES, c_values)
-        for n, start in zip(members, starts):
-            try:
-                if isinstance(start, DataError):
-                    raise start
-                y = cumulative_count(events[n], grid_n)
-                results[n] = _refine(y, grid_n, start, grid_step, horizon_n, c_search)
-            except (DataError, ValueError) as exc:
-                results[n] = exc.with_traceback(None)
+    # the coarse scan runs on a decimated grid; the refinement and the
+    # returned fit use the full one, counted for one catalog at a time
+    coarse = grid[:: max(1, len(grid) // 4000)]
+    ys = np.stack([cumulative_count(events[n], coarse) for n in members])
+    starts = _coarse_scan(ys, coarse, _P_VALUES, _C_VALUES if c_search else _C_VALUES[:1])
+    for n, start in zip(members, starts):
+        try:
+            if isinstance(start, DataError):
+                raise start
+            y = cumulative_count(events[n], grid)
+            results[n] = _refine(y, grid, start, grid_step, float(horizon), c_search)
+        except DataError as exc:
+            results[n] = exc.with_traceback(None)
     return results
 
 

@@ -12,6 +12,7 @@ from typing import Sequence
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf")
 
+_WIDTH, _HEIGHT = 720, 480
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64.0, 16.0, 36.0, 46.0
 
 
@@ -45,14 +46,12 @@ def _ticks(lo: float, hi: float, use_log: bool) -> list[tuple[float, str]]:
 def line_chart(
     series: Sequence[tuple[str, Sequence[float], Sequence[float]]],
     *,
-    title: str = "",
-    xlabel: str = "",
-    ylabel: str = "",
+    title: str,
+    xlabel: str,
+    ylabel: str,
     logx: bool = False,
     logy: bool = False,
     markers: bool = False,
-    width: float = 720.0,
-    height: float = 480.0,
 ) -> str:
     """Render labelled (x, y) series as an SVG document string.
 
@@ -60,8 +59,8 @@ def line_chart(
     draws small circles at data points in addition to the polyline (used
     for histogram-style charts).
     """
-    plot_w = width - _MARGIN_L - _MARGIN_R
-    plot_h = height - _MARGIN_T - _MARGIN_B
+    plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
+    plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
     txy = []
     for label, xs, ys in series:
@@ -90,15 +89,12 @@ def line_chart(
         return _MARGIN_T + (y_hi - v) / (y_hi - y_lo) * plot_h
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{int(width)}" height="{int(height)}" '
-        f'viewBox="0 0 {int(width)} {int(height)}">',
-        f'<rect width="{int(width)}" height="{int(height)}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
+        f'<text x="{_fmt(_WIDTH / 2)}" y="20" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="14">{title}</text>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{_fmt(width / 2)}" y="20" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{title}</text>'
-        )
 
     # axes
     x0, y0 = _MARGIN_L, _MARGIN_T + plot_h
@@ -132,17 +128,15 @@ def line_chart(
             f'<text x="{_fmt(x0 - 8)}" y="{_fmt(sy(v) + 4)}" text-anchor="end" '
             f'font-family="sans-serif" font-size="11">{label}</text>'
         )
-    if xlabel:
-        parts.append(
-            f'<text x="{_fmt(x0 + plot_w / 2)}" y="{_fmt(height - 8)}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12">{xlabel}</text>'
-        )
-    if ylabel:
-        parts.append(
-            f'<text x="14" y="{_fmt(_MARGIN_T + plot_h / 2)}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12" '
-            f'transform="rotate(-90 14 {_fmt(_MARGIN_T + plot_h / 2)})">{ylabel}</text>'
-        )
+    parts.append(
+        f'<text x="{_fmt(x0 + plot_w / 2)}" y="{_fmt(_HEIGHT - 8)}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="12">{xlabel}</text>'
+    )
+    parts.append(
+        f'<text x="14" y="{_fmt(_MARGIN_T + plot_h / 2)}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="12" '
+        f'transform="rotate(-90 14 {_fmt(_MARGIN_T + plot_h / 2)})">{ylabel}</text>'
+    )
 
     for i, (label, pts) in enumerate(txy):
         color = PALETTE[i % len(PALETTE)]
@@ -152,15 +146,14 @@ def line_chart(
         if markers or len(pts) < 2:
             for x, y in pts:
                 parts.append(f'<circle cx="{_fmt(sx(x))}" cy="{_fmt(sy(y))}" r="2.5" fill="{color}"/>')
-        if label:
-            ly = _MARGIN_T + 14 + 14 * i
-            parts.append(
-                f'<line x1="{_fmt(x0 + plot_w - 120)}" y1="{_fmt(ly - 4)}" '
-                f'x2="{_fmt(x0 + plot_w - 100)}" y2="{_fmt(ly - 4)}" stroke="{color}" stroke-width="2"/>'
-            )
-            parts.append(
-                f'<text x="{_fmt(x0 + plot_w - 94)}" y="{_fmt(ly)}" font-family="sans-serif" '
-                f'font-size="11">{label}</text>'
-            )
+        ly = _MARGIN_T + 14 + 14 * i
+        parts.append(
+            f'<line x1="{_fmt(x0 + plot_w - 120)}" y1="{_fmt(ly - 4)}" '
+            f'x2="{_fmt(x0 + plot_w - 100)}" y2="{_fmt(ly - 4)}" stroke="{color}" stroke-width="2"/>'
+        )
+        parts.append(
+            f'<text x="{_fmt(x0 + plot_w - 94)}" y="{_fmt(ly)}" font-family="sans-serif" '
+            f'font-size="11">{label}</text>'
+        )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -146,21 +146,8 @@ def gen_pareto_waits(spec: ParetoGenSpec) -> WaitingTimes:
 
 def gen_stationary(rate: float, horizon: float, seed: int) -> EventSequence:
     """Stationary Poisson catalog: exponential gaps of mean 1/rate,
-    truncated at the horizon."""
+    truncated at the horizon. It is :func:`gen_omori` at p = 0 and c = 0."""
     _require_finite(rate=rate, horizon=horizon)
     if rate <= 0:
         raise ValueError("rate must be positive")
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    rng = _rng(seed)
-    pieces: list[np.ndarray] = []
-    t_last = 0.0
-    while True:
-        t = t_last + np.cumsum(_std_exponentials(rng, _CHUNK) / rate)
-        t_last = float(t[-1])
-        done = t > horizon
-        if done.any():
-            pieces.append(t[: int(np.argmax(done))])
-            break
-        pieces.append(t)
-    return EventSequence(times=np.concatenate(pieces))
+    return gen_omori(OmoriGenSpec(p=0.0, amplitude=rate, c=0.0, horizon=horizon, seed=seed))

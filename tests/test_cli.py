@@ -622,13 +622,15 @@ class TestSimulate:
         assert lsq["n_used"] == 35
         assert not re.search(r"nan", (tmp_path / "waiting_catalog.svg").read_text(), re.IGNORECASE)
 
-    def test_pareto_kind(self, tmp_path):
+    def test_pareto_kind(self, tmp_path, capsys):
         code = _run(
             "simulate", "--kind", "pareto",
             "--mu", "0.95", "--count", "5000", "--seed", "3",
             "--outdir", str(tmp_path),
         )
         assert code == EXIT_OK
+        # the section has no event_count; the summary counts its waits
+        assert capsys.readouterr().out.startswith("catalog: 5000 waits  mu_lsq=")
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["synthetic"]["tau_count"] == 5000
         assert report["thresholds"][0]["waiting"]["mle"]["mu"] == pytest.approx(0.95, abs=0.05)
@@ -824,8 +826,20 @@ class TestReportCommand:
             ("report.json", b"[]", "report.json: not a JSON object"),
             ("omori_catalog.csv", None, "cannot read"),
             ("omori_catalog.csv", b"t,n_empirical,n_model\n0,x,0\n", "omori_catalog.csv: malformed table"),
+            ("report.json", b'{"thresholds": 5}', "report.json: malformed report (TypeError"),
+            ("report.json", b'{"thresholds": [{}]}', "report.json: malformed report (KeyError"),
+            ("report.json", b'{"thresholds": [{"label": "x", "omori_csv": 3}]}', "report.json: malformed report (TypeError"),
+            (
+                "report.json",
+                b'{"thresholds": [{"label": "catalog", "waiting": '
+                b'{"histogram_csv": "waiting_catalog.csv", "lsq": {"amplitude": "a", "mu": 0.5}}}]}',
+                "report.json: malformed report (TypeError",
+            ),
         ],
-        ids=["not-json", "not-utf8", "not-object", "missing-csv", "bad-cell"],
+        ids=[
+            "not-json", "not-utf8", "not-object", "missing-csv", "bad-cell",
+            "thresholds-not-list", "section-without-label", "csv-name-not-string", "amplitude-not-number",
+        ],
     )
     def test_malformed_run_directory_is_data_error(self, tmp_path, capsys, name, content, message):
         run = tmp_path / "sim"

@@ -25,7 +25,6 @@ class TestDetectEvents:
     def test_basic_scan(self):
         ev = detect_events(_returns([0.01, 0.0005, -0.02]), 0.008)
         assert ev.times.tolist() == [0.0, 2.0]
-        assert ev.threshold == pytest.approx(0.008)
 
     def test_all_below_threshold(self):
         ev = detect_events(_returns([0.001, -0.002, 0.0]), 0.008)
@@ -113,7 +112,7 @@ class TestWaitingTimes:
 
 class TestEventsCsv:
     def test_round_trip(self, tmp_path):
-        ev = EventSequence(times=np.array([0.0, 2.0, 7.5, 100.0]), threshold=0.01)
+        ev = EventSequence(times=np.array([0.0, 2.0, 7.5, 100.0]))
         path = tmp_path / "events.csv"
         write_events_csv(ev, path)
         back = read_events_csv(path)

@@ -123,6 +123,13 @@ class TestGenStationary:
         expected = 2.0 * 30_000.0
         assert abs(len(ev) - expected) <= 3.0 * np.sqrt(expected)
 
+    @pytest.mark.parametrize("rate", [0.5, 1.0, 2.0])
+    def test_is_omori_at_p0(self, rate):
+        # dividing the summed gaps by a power of two is exact, so the two
+        # draws agree to the bit
+        omori = gen_omori(OmoriGenSpec(p=0.0, amplitude=rate, c=0.0, horizon=5000.0, seed=4))
+        assert np.array_equal(gen_stationary(rate, 5000.0, 4).times, omori.times)
+
     def test_domain_violations(self):
         with pytest.raises(ValueError):
             gen_stationary(0.0, 100.0, 0)
