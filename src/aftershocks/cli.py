@@ -28,17 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import correlation as corr
-from .diagnostics import bootstrap_ci, build_report, markov_relation, serialize_report
 from .errors import DataError
-from .events import (
-    EventSequence,
-    detect_events,
-    read_events_csv,
-    waiting_times,
-    write_csv,
-    write_events_csv,
-)
 from .ingest import (
     ColumnMap,
     PriceSeries,
@@ -47,19 +37,48 @@ from .ingest import (
     load_records,
     window_length_for_days,
 )
-from .omori import MIN_EVENTS, OmoriFit, cumulative_count, fit_omori, fit_omori_mle, omori_model
-from .stats import compute_returns, window_stats
-from .svgplot import line_chart
-from .synth import (
-    RNG_ALGORITHM,
-    OmoriGenSpec,
-    ParetoGenSpec,
-    derive_seeds,
-    gen_omori,
-    gen_pareto_waits,
-    gen_stationary,
-)
-from .waiting import build_histogram, fit_mu, write_histogram_csv
+
+
+def _import_analysis() -> None:
+    """Bind the analysis layers' names into this module's globals.
+
+    ``ingest`` fits nothing, so these imports wait for the sub-commands that
+    do. A name that is already bound is left as it is: a caller may have
+    replaced it (a wrapper set from outside before :func:`main` runs).
+    """
+    from . import correlation as corr
+    from .diagnostics import bootstrap_ci, build_report, markov_relation, serialize_report
+    from .events import EventSequence, detect_events, read_events_csv, waiting_times, write_csv, write_events_csv
+    from .omori import MIN_EVENTS, P_SEARCH_RANGE, OmoriFit, cumulative_count, fit_omori, fit_omori_mle, omori_model
+    from .stats import compute_returns, window_stats
+    from .svgplot import line_chart
+    from .synth import (
+        RNG_ALGORITHM,
+        OmoriGenSpec,
+        ParetoGenSpec,
+        derive_seeds,
+        gen_omori,
+        gen_pareto_waits,
+        gen_stationary,
+    )
+    from .waiting import build_histogram, fit_mu, write_histogram_csv
+
+    # a copy: a trace function (coverage, pdb) refreshes locals() during the loop
+    imported = dict(locals())
+    for name, value in imported.items():
+        globals().setdefault(name, value)
+
+
+def __getattr__(name: str):
+    # ``cli.fit_omori`` from outside resolves before any sub-command has run.
+    # Dunder probes import nothing: ``from aftershocks.cli import main`` asks
+    # for ``__path__``.
+    if not name.startswith("__"):
+        _import_analysis()
+        if name in globals():
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -291,6 +310,7 @@ def run_pipeline(config: RunConfig) -> dict:
     ``<outdir>/report.json``. Identical configs and seeds produce
     byte-identical trees.
     """
+    _import_analysis()
     outdir = Path(config.outdir)
     artifacts: list[str] = []
     notes: list[str] = list(_METHOD_NOTES)
@@ -302,7 +322,7 @@ def run_pipeline(config: RunConfig) -> dict:
         config=_config_echo(config),
         rng={"algorithm": RNG_ALGORITHM, "seed": config.seed},
         notes=notes,
-        artifacts=sorted(artifacts) + ["report.json"],
+        artifacts=artifacts,
         **sections,
     )
     _write_report(report, outdir, config.svg)
@@ -427,6 +447,14 @@ def _analyze_catalog(
             section["omori_mle"] = fit_omori_mle(ev, horizon=horizon, c_search=config.c_search)
         except DataError as exc:
             note(f"rate-MLE cross-check unavailable ({exc})")
+        lo, hi = P_SEARCH_RANGE
+        for key in ("omori", "omori_mle"):
+            p = section[key].p if key in section else None
+            # the refinements stay strictly inside the range: an end is a coarse-scan cell
+            if p is not None and not lo < p < hi:
+                end = "lower" if p <= lo else "upper"
+                note(f"{key} p = {p:g} is the {end} end of the searched p range [{lo:g}, {hi:g}]; "
+                     "the best-fitting p may lie beyond it")
         curve_csv = f"omori_{label}.csv"
         _write_omori_curve_csv(ev, omori_fit, horizon, outdir / curve_csv)
         artifacts.append(curve_csv)
@@ -546,6 +574,7 @@ def _read_csv(path: Path) -> list[list[float]]:
 def render_svgs(sections: list[dict], outdir: Path) -> list[str]:
     """Render the standard charts of report threshold sections from a run's
     CSV artifacts; returns the SVG file names written."""
+    _import_analysis()
     written: list[str] = []
     for section in sections:
         label = section["label"]
@@ -632,14 +661,16 @@ def _write_svg(outdir: Path, name: str, content: str) -> str:
 def _write_report(report: dict, outdir: Path, svg: bool) -> list[str]:
     """Write ``<outdir>/report.json``; with ``svg``, first render the charts of
     the report's threshold sections and of a ``collapse`` run's correlation
-    section, and list them in its artifacts. Returns the SVG names written."""
+    section. The artifacts list the files named there and the SVGs in name
+    order, then ``report.json``. Returns the SVG names written."""
     svgs = []
     if svg:
         sections = list(report.get("thresholds", []))
         if "correlation" in report:
             sections.append({"label": "catalog", "correlation": report["correlation"]})
         svgs = render_svgs(sections, outdir)
-        report["artifacts"] = sorted(set(report.get("artifacts", [])) | set(svgs))
+    listed = set(report.get("artifacts", [])) | set(svgs)
+    report["artifacts"] = sorted(listed - {"report.json"}) + ["report.json"]
     (outdir / "report.json").write_text(serialize_report(report), encoding="utf-8")
     return svgs
 
@@ -826,17 +857,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_collapse(args: argparse.Namespace) -> int:
+    _import_analysis()
     config = _merge_config(args)
     ev = read_events_csv(args.events)
     outdir = Path(config.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    artifacts, notes = ["report.json"], []
+    artifacts, notes = [], []
     section = _correlation_section(ev, config, "catalog", outdir, artifacts, notes.append)
     report = build_report(
         config={"events": args.events, **{k: section[k] for k in ("n_w", "n_max", "reference")}},
         correlation=section,
         notes=notes,
-        artifacts=sorted(artifacts),
+        artifacts=artifacts,
     )
     _write_report(report, outdir, config.svg)
     factors = ", ".join(f"{k}:{v:.4g}" for k, v in sorted(section["scale_factors"].items()))
@@ -845,6 +877,7 @@ def cmd_collapse(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    _import_analysis()
     outdir = Path(args.outdir)
     report_path = outdir / "report.json"
     if not report_path.exists():

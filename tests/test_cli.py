@@ -392,6 +392,18 @@ def test_benchmark_tracer_bindings_resolve():
     assert "resamples" in inspect.signature(cli.bootstrap_ci).parameters
 
 
+def _fresh_python(code: str, *argv: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter that imports this checkout's package."""
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    run = subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert run.returncode == 0, run.stderr
+    return run
+
+
 def test_analyze_does_not_import_numpy_ma(minute_bars_path, tmp_path):
     # a bare np.unique imports numpy.ma on numpy 2.x (about 11 ms and 1 MB per
     # run); the short n_w and n_max let this catalog reach the collapse, and
@@ -406,16 +418,71 @@ def test_analyze_does_not_import_numpy_ma(minute_bars_path, tmp_path):
     )
     argv = ["analyze", "--input", str(minute_bars_path), "--delimiter", ";", "--crash", CRASH,
             "--resamples", "100", "--n-w", "0,10", "--n-max", "20", "--outdir", str(tmp_path / "out")]
-    env = dict(os.environ)
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    run = subprocess.run(
-        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert run.returncode == 0, run.stderr
+    run = _fresh_python(code, *argv)
     assert run.stdout.splitlines()[-1] == "False"
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert "correlation" in report["thresholds"][0]
+
+
+def test_ingest_imports_no_fitting_code(minute_bars_path, tmp_path):
+    # start-up is a large share of an ingest run; the package and the CLI
+    # import the fitting layers only when a name from them is used
+    code = (
+        "import json, sys\n"
+        "fitting = ['aftershocks.' + m for m in\n"
+        "           ('omori', 'correlation', 'diagnostics', 'synth', 'waiting', 'svgplot')]\n"
+        "def loaded(): return [m for m in fitting if m in sys.modules]\n"
+        "import aftershocks\n"
+        "seen = {'package': loaded(), 'dir': sorted(set(aftershocks.__all__) - set(dir(aftershocks)))}\n"
+        "from aftershocks.cli import main\n"
+        "seen['cli'] = loaded()\n"
+        "assert main(sys.argv[1:]) == 0\n"
+        "seen['ingest'] = loaded()\n"
+        "print(json.dumps(seen))\n"
+    )
+    argv = ["ingest", "--input", str(minute_bars_path), "--delimiter", ";", "--outdir", str(tmp_path)]
+    run = _fresh_python(code, *argv)
+    assert json.loads(run.stdout.splitlines()[-1]) == {"package": [], "dir": [], "cli": [], "ingest": []}
+    assert (tmp_path / "series.csv").is_file()
+
+
+def test_package_exports_are_the_defining_modules_objects():
+    import aftershocks
+
+    for name in aftershocks.__all__:
+        value = getattr(aftershocks, name)
+        # RNG_ALGORITHM is a str, which does not record its module
+        defining = "aftershocks.synth" if name == "RNG_ALGORITHM" else value.__module__
+        assert getattr(importlib.import_module(defining), name) is value, name
+    with pytest.raises(AttributeError):
+        aftershocks.no_such_name
+
+
+def test_wrappers_set_before_the_analysis_import_see_every_call(minute_bars_path, tmp_path):
+    # perfbench/tracer.py wraps cli.<name> and cli.corr.<name> through
+    # getattr/setattr before main runs; the analysis import that the
+    # sub-command makes later must keep those wrappers
+    code = (
+        "import json, sys\n"
+        "from aftershocks import cli\n"
+        "assert 'aftershocks.omori' not in sys.modules\n"
+        "calls = {'fit_omori': 0, 'aging_curves': 0}\n"
+        "def counting(namespace, name):\n"
+        "    fn = getattr(namespace, name)\n"
+        "    def counted(*args, **kwargs):\n"
+        "        calls[name] += 1\n"
+        "        return fn(*args, **kwargs)\n"
+        "    setattr(namespace, name, counted)\n"
+        "counting(cli, 'fit_omori')\n"
+        "counting(getattr(cli, 'corr'), 'aging_curves')\n"
+        "assert cli.main(sys.argv[1:]) == 0\n"
+        "print(json.dumps(calls))\n"
+    )
+    argv = ["analyze", "--input", str(minute_bars_path), "--delimiter", ";", "--crash", CRASH,
+            "--resamples", "0", "--n-w", "0,10", "--n-max", "20", "--outdir", str(tmp_path)]
+    run = _fresh_python(code, *argv)
+    # one list-form fit of both thresholds; only the 2-sigma catalog reaches the collapse
+    assert json.loads(run.stdout.splitlines()[-1]) == {"fit_omori": 1, "aging_curves": 1}
 
 
 @pytest.mark.parametrize("text", ["-1,", "0,", "nan,5", "inf,"])
@@ -622,6 +689,22 @@ class TestSimulate:
         assert lsq["n_used"] == 35
         assert not re.search(r"nan", (tmp_path / "waiting_catalog.svg").read_text(), re.IGNORECASE)
 
+    def test_fit_at_an_end_of_the_p_range_is_noted(self, tmp_path):
+        # the stationary null has p = 0, below the searched range, so both
+        # fits stop at its lower end
+        assert _run(
+            "simulate", "--kind", "stationary", "--sim-horizon", "3000", "--resamples", "0",
+            "--outdir", str(tmp_path),
+        ) == EXIT_OK
+        report = json.loads((tmp_path / "report.json").read_text())
+        section = report["thresholds"][0]
+        assert section["omori"]["p"] == section["omori_mle"]["p"] == 0.05
+        for key in ("omori", "omori_mle"):
+            assert (
+                f"catalog: {key} p = 0.05 is the lower end of the searched p range [0.05, 2.5]; "
+                "the best-fitting p may lie beyond it"
+            ) in report["notes"]
+
     def test_pareto_kind(self, tmp_path, capsys):
         code = _run(
             "simulate", "--kind", "pareto",
@@ -712,6 +795,30 @@ class TestSimulate:
         missing = field_paths(golden) - field_paths(fresh)
         missing = {p for p in missing if not p.startswith("config")}  # config echoes flags
         assert not missing
+
+
+@pytest.mark.parametrize("svg", [False, True], ids=["csv", "svg"])
+@pytest.mark.parametrize("command", ["analyze", "simulate", "collapse"])
+def test_manifest_lists_every_file_with_report_last(minute_bars_path, tmp_path, command, svg):
+    flags = ["--svg"] if svg else []
+    run = tmp_path / "run"
+    if command == "analyze":
+        assert _analyze(minute_bars_path, run, "--resamples", "0", *flags) == EXIT_OK
+    else:
+        sim = run if command == "simulate" else tmp_path / "sim"
+        assert _run(
+            "simulate", "--kind", "omori", "--sim-horizon", "3000", "--resamples", "0",
+            "--outdir", str(sim), *(flags if command == "simulate" else []),
+        ) == EXIT_OK
+    if command == "collapse":
+        assert _run(
+            "collapse", "--events", str(tmp_path / "sim" / "events_catalog.csv"), "--n-w", "0,10,20",
+            "--n-max", "30", "--outdir", str(run), *flags,
+        ) == EXIT_OK
+    artifacts = json.loads((run / "report.json").read_text())["artifacts"]
+    assert set(artifacts) == {p.name for p in run.iterdir() if p.is_file()}
+    assert any(name.endswith(".svg") for name in artifacts) == svg
+    assert artifacts == sorted(artifacts[:-1]) + ["report.json"]
 
 
 class TestCollapseCommand:
