@@ -8,21 +8,24 @@ output directory honors $AFTERSHOCKS_OUTDIR.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error;
 statistical verdicts never affect the exit status. All emitted files are
-deterministic functions of the configuration and seeds, and every one of
-them is listed in the report manifest.
+deterministic functions of the configuration and seeds. The section
+builders only record their tables; :func:`_write_report` writes the whole
+tree once every stage has passed, so the report manifest is exactly the
+files the run wrote and a failed run writes nothing.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import logging
 import math
 import os
 import sys
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from datetime import datetime
 from pathlib import Path
 
@@ -158,6 +161,9 @@ def _parse_fit_range(text: str) -> tuple[float | None, float | None]:
     # the waiting-time MLE takes log(tau / lo)
     if lo is not None and not (math.isfinite(lo) and lo > 0):
         raise argparse.ArgumentTypeError(f"{text!r}: lower end must be finite and positive")
+    # an empty range leaves every waiting fit without data; NaN compares false
+    if hi is not None and not hi > (lo or 0.0):
+        raise argparse.ArgumentTypeError(f"{text!r}: upper end must be positive and above the lower end")
     return (lo, hi)
 
 
@@ -311,25 +317,30 @@ def run_pipeline(config: RunConfig) -> dict:
     byte-identical trees.
     """
     _import_analysis()
-    outdir = Path(config.outdir)
-    artifacts: list[str] = []
+    tables: dict = {}  # file name -> a call that writes that table to the path it is given
     notes: list[str] = list(_METHOD_NOTES)
-
-    # each makes outdir once its input is loaded, so a refused run leaves none
     run = _run_analysis if config.simulate is None else _run_synthetic
-    sections = run(config, outdir, artifacts, notes)
+    sections = run(config, tables, notes)
     report = build_report(
         config=_config_echo(config),
         rng={"algorithm": RNG_ALGORITHM, "seed": config.seed},
         notes=notes,
-        artifacts=artifacts,
         **sections,
     )
-    _write_report(report, outdir, config.svg)
+    _write_report(report, Path(config.outdir), config.svg, tables)
     return report
 
 
-def _run_analysis(config: RunConfig, outdir: Path, artifacts: list[str], notes: list[str]) -> dict:
+def _fit_omori(catalogs: list[EventSequence], config: RunConfig, horizon: float) -> list:
+    """The list-form :func:`fit_omori` of ``catalogs`` on the configured grid."""
+    try:
+        return fit_omori(catalogs, grid_step=config.grid_step, horizon=horizon, c_search=config.c_search)
+    except ValueError as exc:
+        # the grid comes from the command line; fit_omori refuses one too large to hold
+        raise _UsageError(f"--horizon {horizon:g} / --grid-step {config.grid_step:g}: {exc}") from None
+
+
+def _run_analysis(config: RunConfig, tables: dict, notes: list[str]) -> dict:
     if config.input is None:
         raise _UsageError("analyze requires an input file")
     if config.crash is None:
@@ -337,7 +348,6 @@ def _run_analysis(config: RunConfig, outdir: Path, artifacts: list[str], notes: 
 
     with _stage("ingest"):
         series = _load_series(config)
-    outdir.mkdir(parents=True, exist_ok=True)
     if series.origin_wall_clock != config.crash:
         notes.append(
             f"crash instant {config.crash.isoformat(sep=' ')} fell in a no-trading gap; "
@@ -369,12 +379,12 @@ def _run_analysis(config: RunConfig, outdir: Path, artifacts: list[str], notes: 
     for multiple in config.thresholds:
         with _stage(f"events {_threshold_label(multiple)}"):
             catalogs.append(detect_events(returns, multiple * sw.sigma, window=(0, window)))
-    fits = fit_omori(catalogs, grid_step=config.grid_step, horizon=horizon, c_search=config.c_search)
+    fits = _fit_omori(catalogs, config, horizon)
     boot_seeds = derive_seeds(config.seed, len(config.thresholds))
     threshold_sections = []
     for multiple, ev, fit, boot_seed in zip(config.thresholds, catalogs, fits, boot_seeds):
         label = _threshold_label(multiple)
-        section = _analyze_catalog(ev, fit, config, label, horizon, outdir, artifacts, notes, boot_seed)
+        section = _analyze_catalog(ev, fit, config, label, horizon, tables, notes, boot_seed)
         section["multiple"] = multiple
         section["r_th"] = multiple * sw.sigma
         threshold_sections.append(section)
@@ -385,7 +395,7 @@ def _threshold_label(multiple: float) -> str:
     return f"thr{multiple:g}sigma"
 
 
-def _run_synthetic(config: RunConfig, outdir: Path, artifacts: list[str], notes: list[str]) -> dict:
+def _run_synthetic(config: RunConfig, tables: dict, notes: list[str]) -> dict:
     spec = config.simulate
     assert spec is not None
     if spec.kind not in _GENERATORS:
@@ -397,18 +407,17 @@ def _run_synthetic(config: RunConfig, outdir: Path, artifacts: list[str], notes:
     except ValueError as exc:
         # a generator's parameter check: the parameters came from the command line
         raise _UsageError(f"simulate {spec.kind}: {exc}") from None
-    outdir.mkdir(parents=True, exist_ok=True)
     synthetic = {"kind": spec.kind, "seed": config.seed, "params": params}
 
     if spec.kind == "pareto":
         synthetic["tau_count"] = len(sample)
-        section = {"label": "catalog", "waiting": _waiting_section(sample, config, "catalog", outdir, artifacts)}
+        section = {"label": "catalog", "waiting": _waiting_section(sample, config, "catalog", tables)}
     else:
         synthetic["event_count"] = len(sample)
         horizon = float(config.horizon if config.horizon is not None else spec.horizon)
         boot_seed = derive_seeds(config.seed, 1)[0]
-        (fit,) = fit_omori([sample], grid_step=config.grid_step, horizon=horizon, c_search=config.c_search)
-        section = _analyze_catalog(sample, fit, config, "catalog", horizon, outdir, artifacts, notes, boot_seed)
+        (fit,) = _fit_omori([sample], config, horizon)
+        section = _analyze_catalog(sample, fit, config, "catalog", horizon, tables, notes, boot_seed)
     return {"thresholds": [section], "synthetic": synthetic}
 
 
@@ -418,13 +427,12 @@ def _analyze_catalog(
     config: RunConfig,
     label: str,
     horizon: float,
-    outdir: Path,
-    artifacts: list[str],
+    tables: dict,
     notes: list[str],
     boot_seed: int,
 ) -> dict:
     """Omori fit, waiting-time fits, Markov check and correlation study for
-    one event catalog; writes that catalog's artifact files. ``fit`` is the
+    one event catalog; records that catalog's tables in ``tables``. ``fit`` is the
     catalog's entry from the list form of :func:`fit_omori`; an error there
     other than too few events is raised in this catalog's Omori stage."""
     section: dict = {"label": label, "event_count": len(ev)}
@@ -432,10 +440,8 @@ def _analyze_catalog(
     def note(text: str) -> None:
         notes.append(f"{label}: {text}")
 
-    events_csv = f"events_{label}.csv"
-    write_events_csv(ev, outdir / events_csv)
-    artifacts.append(events_csv)
-    section["events_csv"] = events_csv
+    events_csv = section["events_csv"] = f"events_{label}.csv"
+    tables[events_csv] = functools.partial(write_events_csv, ev)
 
     omori_fit = None
     if len(ev) >= MIN_EVENTS:
@@ -455,15 +461,13 @@ def _analyze_catalog(
                 end = "lower" if p <= lo else "upper"
                 note(f"{key} p = {p:g} is the {end} end of the searched p range [{lo:g}, {hi:g}]; "
                      "the best-fitting p may lie beyond it")
-        curve_csv = f"omori_{label}.csv"
-        _write_omori_curve_csv(ev, omori_fit, horizon, outdir / curve_csv)
-        artifacts.append(curve_csv)
-        section["omori_csv"] = curve_csv
+        curve_csv = section["omori_csv"] = f"omori_{label}.csv"
+        tables[curve_csv] = functools.partial(_write_omori_curve_csv, ev, omori_fit, horizon)
     else:
         note(f"too few events ({len(ev)}) for an Omori fit")
 
     waits = waiting_times(ev)
-    wsec = _waiting_section(waits, config, label, outdir, artifacts) if len(waits) else None
+    wsec = _waiting_section(waits, config, label, tables) if len(waits) else None
     if wsec is not None:
         section["waiting"] = wsec
     elif len(ev):
@@ -496,18 +500,16 @@ def _analyze_catalog(
     min_events = config.n_max + max(config.n_w) + 2
     if len(ev) >= min_events:
         with _stage(f"correlation {label}"):
-            section["correlation"] = _correlation_section(ev, config, label, outdir, artifacts, note)
+            section["correlation"] = _correlation_section(ev, config, label, tables, note)
     else:
         note(f"{len(ev)} events < {min_events} needed for the correlation study; skipped")
     return section
 
 
-def _correlation_section(
-    ev: EventSequence, config: RunConfig, label: str, outdir: Path, artifacts: list[str], note
-) -> dict:
-    """Aging curves of one catalog and their collapse; writes the catalog's
-    three correlation CSVs. ``note`` records why the scale-factor law is
-    missing when it cannot be fitted."""
+def _correlation_section(ev: EventSequence, config: RunConfig, label: str, tables: dict, note) -> dict:
+    """Aging curves of one catalog and their collapse; records the catalog's
+    three correlation CSVs in ``tables``. ``note`` records why the
+    scale-factor law is missing when it cannot be fitted."""
     curves = corr.aging_curves(ev, config.n_w, config.n_max)
     result = corr.collapse(curves, reference_n_w=config.reference)
     section: dict = {
@@ -524,18 +526,16 @@ def _correlation_section(
         section["a"], section["gamma"] = corr.fit_f(result.scale_factors)
     except DataError as exc:
         note(f"scale-factor law not fitted ({exc})")
-    corr.write_curves_csv(curves, outdir / section["curves_csv"])
-    corr.write_collapsed_csv(curves, result.scale_factors, outdir / section["collapsed_csv"])
-    corr.write_scale_factors_csv(result.scale_factors, outdir / section["scale_factors_csv"])
-    artifacts.extend([section["curves_csv"], section["collapsed_csv"], section["scale_factors_csv"]])
+    tables[section["curves_csv"]] = functools.partial(corr.write_curves_csv, curves)
+    tables[section["collapsed_csv"]] = functools.partial(corr.write_collapsed_csv, curves, result.scale_factors)
+    tables[section["scale_factors_csv"]] = functools.partial(corr.write_scale_factors_csv, result.scale_factors)
     return section
 
 
-def _waiting_section(waits, config: RunConfig, label: str, outdir: Path, artifacts: list[str]) -> dict:
+def _waiting_section(waits, config: RunConfig, label: str, tables: dict) -> dict:
     hist = build_histogram(waits, config.bin_size)
     hist_csv = f"waiting_{label}.csv"
-    write_histogram_csv(hist, outdir / hist_csv)
-    artifacts.append(hist_csv)
+    tables[hist_csv] = functools.partial(write_histogram_csv, hist)
     wsec: dict = {"bin_size": config.bin_size, "histogram_csv": hist_csv, "n_taus": len(waits)}
     try:
         wsec["lsq"] = fit_mu(hist, fit_range=config.fit_range, method="lsq")
@@ -658,18 +658,23 @@ def _write_svg(outdir: Path, name: str, content: str) -> str:
     return name
 
 
-def _write_report(report: dict, outdir: Path, svg: bool) -> list[str]:
-    """Write ``<outdir>/report.json``; with ``svg``, first render the charts of
-    the report's threshold sections and of a ``collapse`` run's correlation
-    section. The artifacts list the files named there and the SVGs in name
-    order, then ``report.json``. Returns the SVG names written."""
+def _write_report(report: dict, outdir: Path, svg: bool, tables: dict) -> list[str]:
+    """Write a run's output tree, the one place that does: make ``outdir``,
+    write ``tables``, with ``svg`` render the charts of the report's
+    threshold sections and of a ``collapse`` run's correlation section,
+    then write ``report.json``. Its artifacts list the files listed there
+    already, the tables and the SVGs in name order, then ``report.json``.
+    Returns the SVG names written."""
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, write in tables.items():
+        write(outdir / name)
     svgs = []
     if svg:
         sections = list(report.get("thresholds", []))
         if "correlation" in report:
             sections.append({"label": "catalog", "correlation": report["correlation"]})
         svgs = render_svgs(sections, outdir)
-    listed = set(report.get("artifacts", [])) | set(svgs)
+    listed = set(report.get("artifacts", [])) | set(tables) | set(svgs)
     report["artifacts"] = sorted(listed - {"report.json"}) + ["report.json"]
     (outdir / "report.json").write_text(serialize_report(report), encoding="utf-8")
     return svgs
@@ -735,6 +740,9 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         raise _UsageError(f"thresholds {listed} give the label {repeated} twice")
     if merged["reference"] not in merged["n_w"]:
         raise _UsageError(f"reference {merged['reference']} is not one of n_w {n_w}")
+    if getattr(args, "command", None) == "simulate":
+        flags = {f.name: getattr(args, f.metadata["flag"][2:].replace("-", "_")) for f in fields(SimulateSpec)[1:]}
+        merged["simulate"] = SimulateSpec(kind=args.kind, **{name: v for name, v in flags.items() if v is not None})
     return RunConfig(**merged)
 
 
@@ -778,7 +786,7 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             p_sim.add_argument(flag, type=parse, help=help)
     _add_setting_flags(p_sim, "simulate")
-    p_sim.set_defaults(func=cmd_simulate)
+    p_sim.set_defaults(func=cmd_analyze)
 
     p_collapse = subs.add_parser("collapse", help="correlation study on an event CSV")
     p_collapse.add_argument("--events", type=Path, required=True, help="single-column event CSV")
@@ -846,31 +854,19 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    config = _merge_config(args)
-    flags = {f.name: getattr(args, f.metadata["flag"][2:].replace("-", "_")) for f in fields(SimulateSpec)[1:]}
-    spec = SimulateSpec(kind=args.kind, **{name: v for name, v in flags.items() if v is not None})
-    config = replace(config, simulate=spec)
-    report = run_pipeline(config)
-    _print_summary(report, Path(config.outdir))
-    return EXIT_OK
-
-
 def cmd_collapse(args: argparse.Namespace) -> int:
     _import_analysis()
     config = _merge_config(args)
     ev = read_events_csv(args.events)
-    outdir = Path(config.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    artifacts, notes = [], []
-    section = _correlation_section(ev, config, "catalog", outdir, artifacts, notes.append)
+    tables, notes = {}, []
+    section = _correlation_section(ev, config, "catalog", tables, notes.append)
     report = build_report(
         config={"events": args.events, **{k: section[k] for k in ("n_w", "n_max", "reference")}},
         correlation=section,
         notes=notes,
-        artifacts=artifacts,
     )
-    _write_report(report, outdir, config.svg)
+    outdir = Path(config.outdir)
+    _write_report(report, outdir, config.svg, tables)
     factors = ", ".join(f"{k}:{v:.4g}" for k, v in sorted(section["scale_factors"].items()))
     print(f"scale factors {{{factors}}} -> {outdir / 'report.json'}")
     return EXIT_OK
@@ -889,7 +885,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     if not isinstance(report, dict):
         raise DataError(f"{report_path}: not a JSON object")
     try:
-        svgs = _write_report(report, outdir, svg=True)
+        svgs = _write_report(report, outdir, svg=True, tables={})
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         # a section or value of the wrong shape: the file is at fault, not the program
         raise DataError(f"{report_path}: malformed report ({type(exc).__name__}: {exc})") from None

@@ -173,13 +173,13 @@ def build_report(
     correlation: Mapping[str, Any] | None = None,
     rng: Mapping[str, Any] | None = None,
     notes: list[str] | None = None,
-    artifacts: list[str] | None = None,
 ) -> dict:
     """Assemble the analysis report as a JSON-ready dict.
 
     Sections that are None or empty are omitted; the schema version is
     always present. Every value is normalized via :func:`to_jsonable`, so
-    ``json.loads(serialize_report(r)) == r`` holds for the result.
+    ``json.loads(serialize_report(r)) == r`` holds for the result. The
+    ``artifacts`` manifest is left to the writer of the output tree.
     """
     report: dict[str, Any] = {"schema_version": SCHEMA_VERSION}
     sections = [
@@ -190,7 +190,6 @@ def build_report(
         ("correlation", correlation),
         ("rng", rng),
         ("notes", notes),
-        ("artifacts", artifacts),
     ]
     for key, value in sections:
         if value is None:

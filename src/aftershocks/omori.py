@@ -35,6 +35,8 @@ C_SEARCH_GRID = tuple(np.logspace(-1.0, 4.0, 26))
 _P_VALUES = np.arange(P_SEARCH_RANGE[0], P_SEARCH_RANGE[1] + P_SEARCH_STEP / 2.0, P_SEARCH_STEP)
 _C_VALUES = (0.0, *(float(c) for c in C_SEARCH_GRID))
 MIN_EVENTS = 10  # fewest events either fit accepts
+# most points of a fitting grid; the refinement's arrays at the cap take about 170 MB
+MAX_GRID_POINTS = 1 << 22
 
 _BLOCK_BYTES = 1 << 19  # most bytes of model rows in one coarse-scan block
 _DOT_CHUNK = 10_000  # longest dot product OpenBLAS computes on one thread
@@ -266,8 +268,8 @@ def fit_omori(
 
     ``events`` may also be a list of catalogs, fitted on one grid with the
     same settings; ``horizon`` is then required, and a ``horizon`` or
-    ``grid_step`` that is not finite and positive raises ``ValueError`` for
-    the whole call. The result is a list holding, per catalog, its fit or
+    ``grid_step`` that is not finite and positive, or a grid of more than
+    ``MAX_GRID_POINTS`` points, raises ``ValueError`` for the whole call. The result is a list holding, per catalog, its fit or
     the :class:`DataError` a call on that catalog alone would raise. The
     catalogs share one coarse scan pass (see :func:`_coarse_scan`); each
     is then counted on the full grid and refined alone, so the call holds
@@ -287,6 +289,8 @@ def fit_omori(
         raise ValueError("a list of catalogs needs a horizon")
     if not (0 < horizon < math.inf and 0 < grid_step < math.inf):
         raise ValueError("horizon and grid_step must be finite and positive")
+    if horizon / grid_step > MAX_GRID_POINTS:
+        raise ValueError(f"a fitting grid of {horizon / grid_step:.4g} points exceeds the cap of {MAX_GRID_POINTS}")
     grid = np.arange(grid_step, horizon + grid_step / 2.0, grid_step)
     results: list = [None] * len(events)
     members = []

@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 import inspect
 import json
+import math
 import os
 import re
 import subprocess
@@ -485,11 +486,16 @@ def test_wrappers_set_before_the_analysis_import_see_every_call(minute_bars_path
     assert json.loads(run.stdout.splitlines()[-1]) == {"fit_omori": 1, "aging_curves": 1}
 
 
-@pytest.mark.parametrize("text", ["-1,", "0,", "nan,5", "inf,"])
+@pytest.mark.parametrize("text", ["-1,", "0,", "nan,5", "inf,", "10,5", "1,nan", "5,5", ",0"])
 @pytest.mark.parametrize("source", ["flag", "file"])
 def test_fit_range_lower_end_must_be_positive(minute_bars_path, tmp_path, capsys, text, source):
     # the waiting-time MLE takes log(tau / lo); a lower end <= 0 used to end
-    # in an internal error (exit 3)
+    # in an internal error (exit 3). An empty range used to exit 0 with every
+    # waiting fit failed and no Markov check.
+    if text in ("-1,", "0,", "nan,5", "inf,"):
+        end = "lower end must be finite and positive"
+    else:
+        end = "upper end must be positive and above the lower end"
     argv = ["analyze", "--input", str(minute_bars_path), "--delimiter", ";", "--crash", CRASH,
             "--resamples", "0", "--outdir", str(tmp_path / "out")]
     if source == "flag":
@@ -498,7 +504,42 @@ def test_fit_range_lower_end_must_be_positive(minute_bars_path, tmp_path, capsys
         (tmp_path / "run.cfg").write_text(f"fit_range = {text}\n")
         argv += ["--config", str(tmp_path / "run.cfg")]
     assert _run(*argv) == EXIT_USAGE
-    assert f"{text!r}: lower end must be finite and positive" in capsys.readouterr().err
+    assert f"{text!r}: {end}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_fit_range_upper_end_may_be_open_or_infinite():
+    assert cli._parse_fit_range("1,inf") == (1.0, math.inf)
+    assert cli._parse_fit_range(",inf") == (None, math.inf)
+    assert cli._parse_fit_range("2,") == (2.0, None)
+
+
+def test_run_failing_after_ingest_writes_nothing(minute_bars_path, tmp_path, capsys):
+    # the 2-sigma catalog's events table used to be written before the Omori
+    # stage refused the grid
+    argv = ["analyze", "--input", str(minute_bars_path), "--delimiter", ";", "--crash", CRASH,
+            "--grid-step", "100000", "--outdir", str(tmp_path / "out")]
+    assert _run(*argv) == EXIT_DATA
+    assert "stage 'omori thr2sigma': fitting grid has fewer than 3 points" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_collapse_of_too_short_a_catalog_writes_nothing(tmp_path, capsys):
+    (tmp_path / "events.csv").write_text("t_minutes\n" + "".join(f"{t}\n" for t in range(1, 30)))
+    argv = ["collapse", "--events", str(tmp_path / "events.csv"), "--n-max", "1000", "--outdir", str(tmp_path / "out")]
+    assert _run(*argv) == EXIT_DATA
+    assert "too short for n_max=1000" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_fitting_grid_over_the_cap_is_usage_error(tmp_path, capsys):
+    # a 1e9-point grid was OOM-killed and a 1e15-point one ended in an
+    # internal MemoryError
+    argv = ["simulate", "--kind", "omori", "--sim-horizon", "3000", "--horizon", "1e15", "--resamples", "0",
+            "--outdir", str(tmp_path / "out")]
+    assert _run(*argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "--horizon 1e+15 / --grid-step 1: a fitting grid of 1e+15 points exceeds the cap of 4194304" in err
     assert not (tmp_path / "out").exists()
 
 

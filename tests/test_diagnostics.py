@@ -204,7 +204,6 @@ class TestReport:
             sigma={"sigma": np.float64(0.00404)},
             thresholds=[{"label": "thr2sigma", "omori": fit, "scale_factors": {10: 1.05}}],
             notes=["a note"],
-            artifacts=["report.json"],
         )
         assert json.loads(serialize_report(report)) == report
 

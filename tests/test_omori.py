@@ -503,3 +503,12 @@ class TestFitOmoriList:
             fit_omori(ev, **kwargs)
         with pytest.raises(ValueError, match=message):
             fit_omori([ev], **{"horizon": 4000.0, **kwargs})
+
+    def test_grid_over_the_cap_is_value_error(self):
+        # a 1e9-point grid was allocated whole and ran the machine out of memory
+        ev = gen_omori(_KERNEL_SPECS[0])
+        message = f"a fitting grid of 1e\\+15 points exceeds the cap of {omori.MAX_GRID_POINTS}"
+        with pytest.raises(ValueError, match=message):
+            fit_omori([ev], horizon=1e15)
+        with pytest.raises(ValueError, match=message):
+            fit_omori(ev, horizon=1e12, grid_step=1e-3)
