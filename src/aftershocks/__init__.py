@@ -27,7 +27,6 @@ _EXPORTS = {
         "write_events_csv",
     ),
     "ingest": (
-        "ColumnMap",
         "MinuteBars",
         "PriceSeries",
         "align_origin",
@@ -37,15 +36,7 @@ _EXPORTS = {
     ),
     "omori": ("OmoriFit", "cumulative_count", "fit_omori", "fit_omori_mle", "omori_model"),
     "stats": ("ReturnSeries", "WindowStats", "compute_returns", "window_stats"),
-    "synth": (
-        "RNG_ALGORITHM",
-        "OmoriGenSpec",
-        "ParetoGenSpec",
-        "derive_seeds",
-        "gen_omori",
-        "gen_pareto_waits",
-        "gen_stationary",
-    ),
+    "synth": ("RNG_ALGORITHM", "derive_seeds", "gen_omori", "gen_pareto_waits", "gen_stationary"),
     "waiting": ("WaitingFit", "WaitingHistogram", "build_histogram", "fit_mu"),
 }
 

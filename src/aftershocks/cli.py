@@ -32,14 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .ingest import (
-    ColumnMap,
-    PriceSeries,
-    align_origin,
-    compact_gaps,
-    load_records,
-    window_length_for_days,
-)
+from .ingest import PriceSeries, align_origin, compact_gaps, load_records, window_length_for_days
 
 
 def _import_analysis() -> None:
@@ -55,15 +48,7 @@ def _import_analysis() -> None:
     from .omori import MIN_EVENTS, P_SEARCH_RANGE, OmoriFit, cumulative_count, fit_omori, fit_omori_mle, omori_model
     from .stats import compute_returns, window_stats
     from .svgplot import line_chart
-    from .synth import (
-        RNG_ALGORITHM,
-        OmoriGenSpec,
-        ParetoGenSpec,
-        derive_seeds,
-        gen_omori,
-        gen_pareto_waits,
-        gen_stationary,
-    )
+    from .synth import RNG_ALGORITHM, derive_seeds, gen_omori, gen_pareto_waits, gen_stationary
     from .waiting import build_histogram, fit_mu, write_histogram_csv
 
     # a copy: a trace function (coverage, pdb) refreshes locals() during the loop
@@ -111,17 +96,11 @@ def _sim_param(default, parse, flag: str, kinds: tuple[str, ...], help: str):
     return field(default=default, metadata={"parse": parse, "flag": flag, "kinds": kinds, "help": help})
 
 
-_GENERATORS = {
-    "omori": lambda seed, **params: gen_omori(OmoriGenSpec(**params, seed=seed)),
-    "pareto": lambda seed, **params: gen_pareto_waits(ParetoGenSpec(**params, seed=seed)),
-    "stationary": lambda seed, **params: gen_stationary(**params, seed=seed),
-}
-
-
 @dataclass(frozen=True)
 class SimulateSpec:
-    """Generator selection for simulate-mode runs: ``kind`` is a key of
-    ``_GENERATORS``, and every other field is a generator parameter."""
+    """Generator selection for simulate-mode runs: ``kind`` names the
+    generator (``--kind``), and every other field is a keyword parameter of
+    the generators its ``kinds`` metadata lists."""
 
     kind: str
     p: float = _sim_param(0.5, float, "--p", ("omori",), "decay exponent (omori)")
@@ -296,7 +275,9 @@ def _load_series(config: RunConfig) -> PriceSeries:
     crash instant when one is set."""
     records = load_records(
         config.input,
-        ColumnMap(date=config.date_column, time=config.time_column, price=config.price_column),
+        date_column=config.date_column,
+        time_column=config.time_column,
+        price_column=config.price_column,
         delimiter=config.delimiter,
         date_format=config.date_format,
         time_format=config.time_format,
@@ -398,12 +379,13 @@ def _threshold_label(multiple: float) -> str:
 def _run_synthetic(config: RunConfig, tables: dict, notes: list[str]) -> dict:
     spec = config.simulate
     assert spec is not None
-    if spec.kind not in _GENERATORS:
+    generate = {"omori": gen_omori, "pareto": gen_pareto_waits, "stationary": gen_stationary}.get(spec.kind)
+    if generate is None:
         raise _UsageError(f"unknown simulate kind {spec.kind!r}")
     params = {f.name: getattr(spec, f.name) for f in fields(spec)[1:] if spec.kind in f.metadata["kinds"]}
     try:
         with _stage("simulate"):
-            sample = _GENERATORS[spec.kind](config.seed, **params)
+            sample = generate(**params, seed=config.seed)
     except ValueError as exc:
         # a generator's parameter check: the parameters came from the command line
         raise _UsageError(f"simulate {spec.kind}: {exc}") from None
@@ -559,7 +541,16 @@ def _write_omori_curve_csv(ev: EventSequence, fit, horizon: float, path: Path) -
 # SVG rendering (reads the CSV intermediates, so `report` can re-render)
 
 
-def _read_csv(path: Path) -> list[list[float]]:
+def _plain_name(name: str) -> str:
+    """``name`` when it is a plain file name, one that stays in the run
+    directory; otherwise ``ValueError`` (``TypeError`` when not a string)."""
+    if Path(name).name != name or name in ("", ".", ".."):
+        raise ValueError(f"{name!r} is not a plain file name")
+    return name
+
+
+def _read_csv(outdir: Path, name: str) -> list[list[float]]:
+    path = outdir / _plain_name(name)
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
@@ -573,13 +564,14 @@ def _read_csv(path: Path) -> list[list[float]]:
 
 def render_svgs(sections: list[dict], outdir: Path) -> list[str]:
     """Render the standard charts of report threshold sections from a run's
-    CSV artifacts; returns the SVG file names written."""
+    CSV artifacts; returns the SVG file names written. Every label and table
+    name must be a plain file name, and is checked before anything is written."""
     _import_analysis()
-    written: list[str] = []
+    charts: dict[str, str] = {}
     for section in sections:
-        label = section["label"]
+        label = _plain_name(section["label"])
         if "omori_csv" in section:
-            rows = _read_csv(outdir / section["omori_csv"])
+            rows = _read_csv(outdir, section["omori_csv"])
             t = [r[0] for r in rows]
             chart = line_chart(
                 [("empirical", t, [r[1] for r in rows]), ("model", t, [r[2] for r in rows])],
@@ -587,10 +579,10 @@ def render_svgs(sections: list[dict], outdir: Path) -> list[str]:
                 xlabel="t [min]",
                 ylabel="N(t)",
             )
-            written.append(_write_svg(outdir, f"omori_{label}.svg", chart))
+            charts[f"omori_{label}.svg"] = chart
         waiting = section.get("waiting")
         if waiting and "histogram_csv" in waiting:
-            rows = _read_csv(outdir / waiting["histogram_csv"])
+            rows = _read_csv(outdir, waiting["histogram_csv"])
             taus = [r[0] for r in rows]
             series = [("counts", taus, [r[1] for r in rows])]
             lsq = waiting.get("lsq")
@@ -608,24 +600,24 @@ def render_svgs(sections: list[dict], outdir: Path) -> list[str]:
                 logy=True,
                 markers=True,
             )
-            written.append(_write_svg(outdir, f"waiting_{label}.svg", chart))
+            charts[f"waiting_{label}.svg"] = chart
         csection = section.get("correlation")
         if csection:
             chart = line_chart(
-                _group_curves(_read_csv(outdir / csection["curves_csv"])),
+                _group_curves(_read_csv(outdir, csection["curves_csv"])),
                 title=f"aging curves ({label})",
                 xlabel="n",
                 ylabel="C(n+n_w, n_w)",
             )
-            written.append(_write_svg(outdir, f"aging_{label}.svg", chart))
+            charts[f"aging_{label}.svg"] = chart
             chart = line_chart(
-                _group_curves(_read_csv(outdir / csection["collapsed_csv"])),
+                _group_curves(_read_csv(outdir, csection["collapsed_csv"])),
                 title=f"collapsed curves ({label})",
                 xlabel="n / f(n_w)",
                 ylabel="C",
             )
-            written.append(_write_svg(outdir, f"collapse_{label}.svg", chart))
-            rows = _read_csv(outdir / csection["scale_factors_csv"])
+            charts[f"collapse_{label}.svg"] = chart
+            rows = _read_csv(outdir, csection["scale_factors_csv"])
             n_ws = [r[0] for r in rows]
             series = [("f", n_ws, [r[1] for r in rows])]
             if csection.get("a") is not None:
@@ -640,8 +632,10 @@ def render_svgs(sections: list[dict], outdir: Path) -> list[str]:
                 ylabel="f",
                 markers=True,
             )
-            written.append(_write_svg(outdir, f"scale_factors_{label}.svg", chart))
-    return written
+            charts[f"scale_factors_{label}.svg"] = chart
+    for name, chart in charts.items():
+        (outdir / name).write_text(chart, encoding="utf-8")
+    return list(charts)
 
 
 def _group_curves(rows: list[list[float]]) -> list[tuple[str, list[float], list[float]]]:
@@ -651,11 +645,6 @@ def _group_curves(rows: list[list[float]]) -> list[tuple[str, list[float], list[
         grouped[n_w][0].append(x)
         grouped[n_w][1].append(y)
     return [(f"n_w={int(k)}", xs, ys) for k, (xs, ys) in sorted(grouped.items())]
-
-
-def _write_svg(outdir: Path, name: str, content: str) -> str:
-    (outdir / name).write_text(content, encoding="utf-8")
-    return name
 
 
 def _write_report(report: dict, outdir: Path, svg: bool, tables: dict) -> list[str]:
@@ -777,7 +766,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.set_defaults(func=cmd_analyze)
 
     p_sim = subs.add_parser("simulate", help="seeded synthetic catalog plus fits")
-    p_sim.add_argument("--kind", choices=tuple(_GENERATORS), required=True)
+    p_sim.add_argument("--kind", choices=("omori", "pareto", "stationary"), required=True)
     # argparse names each dest after its flag (sim_horizon), apart from the settings'
     for f in fields(SimulateSpec)[1:]:
         flag, parse, help = f.metadata["flag"], f.metadata["parse"], f.metadata["help"]

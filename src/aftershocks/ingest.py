@@ -37,19 +37,6 @@ _CHUNK_CHARS = 1 << 16
 
 
 @dataclass(frozen=True)
-class ColumnMap:
-    """Names of the date, time and price columns in the input header.
-
-    Header cells are compared after stripping surrounding angle brackets,
-    so ``<CLOSE>`` in a finam export matches the default ``CLOSE``.
-    """
-
-    date: str = "DATE"
-    time: str = "TIME"
-    price: str = "CLOSE"
-
-
-@dataclass(frozen=True)
 class MinuteBars:
     """Parsed minute bars in file order, as columns: the ``datetime64[s]``
     wall-clock timestamp and the positive price of every row."""
@@ -99,13 +86,19 @@ class PriceSeries:
 
 def load_records(
     source: str | Path | IO[str],
-    column_map: ColumnMap | None = None,
     *,
+    date_column: str = "DATE",
+    time_column: str = "TIME",
+    price_column: str = "CLOSE",
     delimiter: str = ",",
     date_format: str = DEFAULT_DATE_FORMAT,
     time_format: str = DEFAULT_TIME_FORMAT,
 ) -> MinuteBars:
     """Parse minute-bar records from a delimited text stream or file path.
+
+    ``date_column``, ``time_column`` and ``price_column`` name the columns in
+    the header row. Header cells are compared after stripping surrounding
+    angle brackets, so ``<CLOSE>`` in a finam export matches ``CLOSE``.
 
     Records come back in file order; nothing is sorted, deduplicated or
     dropped here (that is :func:`compact_gaps`'s job, and it is strict).
@@ -129,16 +122,16 @@ def load_records(
             1-based data row or the first undecodable byte's offset is
             named in the message.
     """
-    cmap = column_map or ColumnMap()
+    columns = {"date": date_column, "time": time_column, "price": price_column}
     if not isinstance(source, (str, Path)):
-        return _parse_stream(source, cmap, delimiter, date_format, time_format)
+        return _parse_stream(source, columns, delimiter, date_format, time_format)
     try:
         fh = open(source, "r", encoding="utf-8", newline="")
     except OSError as exc:
         raise DataError(f"cannot read {source}: {exc.strerror}") from None
     with fh:
         try:
-            return _parse_stream(fh, cmap, delimiter, date_format, time_format)
+            return _parse_stream(fh, columns, delimiter, date_format, time_format)
         except UnicodeDecodeError as exc:
             raise not_utf8(source, fh, exc) from None
 
@@ -162,7 +155,7 @@ def _normalize_header_cell(cell: str) -> str:
 
 def _parse_stream(
     stream: IO[str],
-    cmap: ColumnMap,
+    columns: dict[str, str],
     delimiter: str,
     date_format: str,
     time_format: str,
@@ -176,7 +169,7 @@ def _parse_stream(
         raise DataError(f"malformed header row: {exc}") from None
     names = [_normalize_header_cell(cell) for cell in header]
     indices = {}
-    for role, wanted in (("date", cmap.date), ("time", cmap.time), ("price", cmap.price)):
+    for role, wanted in columns.items():
         if wanted not in names:
             raise DataError(f"missing configured {role} column {wanted!r} (header: {names})")
         indices[role] = names.index(wanted)

@@ -1,9 +1,9 @@
 """Seeded synthetic point processes used as estimation oracles.
 
 All generators draw only raw uniform doubles from a PCG64 stream and
-apply explicit inverse-CDF transforms, so a given spec reproduces the
-same catalog bit-for-bit run after run (and across platforms up to libm
-differences in log/exp). The algorithm identifier below is recorded in
+apply explicit inverse-CDF transforms, so the same parameters and seed
+reproduce the same catalog bit-for-bit run after run (and across
+platforms up to libm differences in log/exp). The algorithm identifier below is recorded in
 run reports alongside the seed.
 """
 
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +21,9 @@ log = logging.getLogger(__name__)
 
 RNG_ALGORITHM = "pcg64:inverse-cdf"
 _CHUNK = 4096
+
+# the most events or waits one catalog may hold: 32 MiB of float64
+MAX_EVENTS = 1 << 22
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -49,59 +51,55 @@ def derive_seeds(seed: int, n: int) -> list[int]:
     return [int(ss.generate_state(1, np.uint64)[0]) for ss in np.random.SeedSequence(seed).spawn(n)]
 
 
-@dataclass(frozen=True)
-class OmoriGenSpec:
-    """Inhomogeneous-Poisson catalog with rate amplitude * (t + c)**-p.
+def _require_within_cap(count: float, what: str) -> None:
+    """Raise ``ValueError`` when ``count``, the events or waits a generator
+    would draw, is above ``MAX_EVENTS`` or not finite: such a catalog would
+    not fit in memory, or would take all of it."""
+    if not count <= MAX_EVENTS:
+        raise ValueError(f"{what} of {count:.4g} exceeds the cap of {MAX_EVENTS}")
+
+
+def gen_omori(
+    *, p: float, amplitude: float, c: float, horizon: float, seed: int, round_to_minutes: bool = False
+) -> EventSequence:
+    """Inhomogeneous-Poisson catalog with rate amplitude * (t + c)**-p on
+    [0, horizon], drawn by time-rescaling inversion.
 
     Parameter domains match the cumulative model: p > 0, amplitude > 0,
-    c >= 0 with c > 0 required for p >= 1. ``round_to_minutes`` floors
-    times to the minute grid and collapses the resulting duplicates
-    (collapsed count is logged); estimator tests keep it off so that
-    discretization error stays out of the picture.
-    """
-
-    p: float
-    amplitude: float
-    c: float
-    horizon: float
-    seed: int
-    round_to_minutes: bool = False
-
-
-@dataclass(frozen=True)
-class ParetoGenSpec:
-    """Pareto waiting times: tau = tau_min * (1 - U)**(-1/mu)."""
-
-    mu: float
-    tau_min: float
-    count: int
-    seed: int
-
-
-def gen_omori(spec: OmoriGenSpec) -> EventSequence:
-    """Draw an Omori-rate catalog by time-rescaling inversion.
+    c >= 0 with c > 0 required for p >= 1. Unlike the cumulative-model fit,
+    p = 0 is accepted here: the rate is then the constant ``amplitude`` (a
+    homogeneous Poisson catalog, handy as a null model). A catalog whose
+    expected size, ``amplitude`` times the unit cumulative law at the
+    horizon, is above ``MAX_EVENTS`` is refused.
 
     Unit-rate Poisson arrivals s_k are mapped through the inverse of the
     cumulative law: for p != 1, t = (s(1-p)/A + c**(1-p))**(1/(1-p)) - c;
     for p = 1, t = c(exp(s/A) - 1); truncated at the horizon. For p > 1
     the total intensity is finite and the stream simply runs dry.
 
-    Unlike the cumulative-model fit, p = 0 is accepted here: the rate is
-    then the constant ``amplitude`` (a homogeneous Poisson catalog, handy
-    as a null model).
+    ``round_to_minutes`` floors times to the minute grid and collapses the
+    resulting duplicates (collapsed count is logged); estimator tests keep
+    it off so that discretization error stays out of the picture.
     """
-    p, amp, c = spec.p, spec.amplitude, spec.c
-    _require_finite(p=p, amplitude=amp, c=c, horizon=spec.horizon)
-    if p < 0 or amp <= 0 or c < 0:
+    _require_finite(p=p, amplitude=amplitude, c=c, horizon=horizon)
+    if p < 0 or amplitude <= 0 or c < 0:
         raise ValueError("require p >= 0, amplitude > 0, c >= 0")
     if c == 0 and p >= 1.0 - LOG_BRANCH_WINDOW:
         raise ValueError("c must be positive when p >= 1")
-    if spec.horizon <= 0:
+    if horizon <= 0:
         raise ValueError("horizon must be positive")
-
-    rng = _rng(spec.seed)
     q = 1.0 - p
     log_branch = abs(p - 1.0) < LOG_BRANCH_WINDOW
+    with np.errstate(all="ignore"):
+        # the unit cumulative law at the horizon, in a form that a tiny c
+        # does not overflow the way omori's log1p(horizon / c) does
+        if log_branch:
+            unit = np.log(horizon + c) - np.log(c)
+        else:
+            unit = (np.float64(horizon + c) ** q - np.float64(c) ** q) / q
+    _require_within_cap(amplitude * float(unit), "an expected event count")
+
+    rng = _rng(seed)
     pieces: list[np.ndarray] = []
     s_last = 0.0
     while True:
@@ -109,20 +107,20 @@ def gen_omori(spec: OmoriGenSpec) -> EventSequence:
         s_last = float(s[-1])
         with np.errstate(over="ignore", invalid="ignore"):
             if log_branch:
-                t = c * np.expm1(s / amp)
+                t = c * np.expm1(s / amplitude)
             elif p < 1:
-                t = (s * q / amp + c**q) ** (1.0 / q) - c
+                t = (s * q / amplitude + c**q) ** (1.0 / q) - c
             else:
-                base = c**q - s * (p - 1.0) / amp
+                base = c**q - s * (p - 1.0) / amplitude
                 t = np.where(base > 0, np.maximum(base, 1e-300) ** (1.0 / q) - c, np.inf)
-        done = t > spec.horizon
+        done = t > horizon
         if done.any():
             pieces.append(t[: int(np.argmax(done))])
             break
         pieces.append(t)
     times = np.concatenate(pieces)
 
-    if spec.round_to_minutes:
+    if round_to_minutes:
         # times are sorted, so equal minutes are adjacent
         floored = np.floor(times)
         floored = floored[np.diff(floored, prepend=-np.inf) > 0]
@@ -133,21 +131,24 @@ def gen_omori(spec: OmoriGenSpec) -> EventSequence:
     return EventSequence(times=times)
 
 
-def gen_pareto_waits(spec: ParetoGenSpec) -> WaitingTimes:
-    """Seeded Pareto waiting times with survival (tau/tau_min)**-mu."""
-    _require_finite(mu=spec.mu, tau_min=spec.tau_min)
-    if spec.mu <= 0 or spec.tau_min <= 0:
+def gen_pareto_waits(*, mu: float, tau_min: float, count: int, seed: int) -> WaitingTimes:
+    """``count`` seeded Pareto waiting times with survival (tau/tau_min)**-mu:
+    tau = tau_min * (1 - U)**(-1/mu). A ``count`` above ``MAX_EVENTS`` is
+    refused."""
+    _require_finite(mu=mu, tau_min=tau_min)
+    if mu <= 0 or tau_min <= 0:
         raise ValueError("require mu > 0 and tau_min > 0")
-    if spec.count < 0:
+    if count < 0:
         raise ValueError("count must be nonnegative")
-    u = _rng(spec.seed).random(spec.count)
-    return WaitingTimes(taus=spec.tau_min * (1.0 - u) ** (-1.0 / spec.mu))
+    _require_within_cap(count, "a count")
+    u = _rng(seed).random(count)
+    return WaitingTimes(taus=tau_min * (1.0 - u) ** (-1.0 / mu))
 
 
-def gen_stationary(rate: float, horizon: float, seed: int) -> EventSequence:
+def gen_stationary(*, rate: float, horizon: float, seed: int) -> EventSequence:
     """Stationary Poisson catalog: exponential gaps of mean 1/rate,
     truncated at the horizon. It is :func:`gen_omori` at p = 0 and c = 0."""
     _require_finite(rate=rate, horizon=horizon)
     if rate <= 0:
         raise ValueError("rate must be positive")
-    return gen_omori(OmoriGenSpec(p=0.0, amplitude=rate, c=0.0, horizon=horizon, seed=seed))
+    return gen_omori(p=0.0, amplitude=rate, c=0.0, horizon=horizon, seed=seed)

@@ -18,8 +18,6 @@ import pytest
 
 from aftershocks import (
     EventSequence,
-    OmoriGenSpec,
-    ParetoGenSpec,
     aging_curves,
     build_histogram,
     collapse,
@@ -55,9 +53,7 @@ def test_criterion_1_omori_recovery(p_true, a_nominal, c_true, scale, horizon, g
     hits = 0
     slowest = 0.0
     for seed in range(10):
-        ev = gen_omori(
-            OmoriGenSpec(p=p_true, amplitude=a_true, c=c_true, horizon=horizon, seed=seed)
-        )
+        ev = gen_omori(p=p_true, amplitude=a_true, c=c_true, horizon=horizon, seed=seed)
         assert len(ev) >= 2000
         start = time.perf_counter()
         fit = fit_omori(ev, grid_step=grid_step, horizon=horizon, c_search=True)
@@ -78,7 +74,7 @@ def test_criterion_2_waiting_recovery(mu_true):
     # LSQ range ends where the expected unit-bin count drops to ~20
     lsq_hi = (10_000 * mu_true / 20.0) ** (1.0 / (1.0 + mu_true))
     for seed in range(10):
-        waits = gen_pareto_waits(ParetoGenSpec(mu=mu_true, tau_min=1.0, count=10_000, seed=seed))
+        waits = gen_pareto_waits(mu=mu_true, tau_min=1.0, count=10_000, seed=seed)
         mle = fit_mu(waits, fit_range=(1.0, None), method="mle")
         mle_hits += abs(mle.mu - mu_true) <= 0.05
         lsq = fit_mu(build_histogram(waits, 1.0), fit_range=(1.0, lsq_hi), method="lsq")
@@ -100,7 +96,7 @@ def test_criterion_3_branch_continuity():
 def test_criterion_4_correlation_normalization():
     catalogs = [
         gen_stationary(rate=1.0, horizon=500.0, seed=1),
-        gen_omori(OmoriGenSpec(p=0.5, amplitude=5.0, c=0.0, horizon=2000.0, seed=2)),
+        gen_omori(p=0.5, amplitude=5.0, c=0.0, horizon=2000.0, seed=2),
         EventSequence(times=np.array([0.0, 1.0, 5.0])),
     ]
     worst = 0.0

@@ -411,10 +411,10 @@ def test_analyze_does_not_import_numpy_ma(minute_bars_path, tmp_path):
     # the minute-floored catalog covers gen_omori's rounding
     code = (
         "import sys\n"
-        "from aftershocks import OmoriGenSpec, gen_omori\n"
+        "from aftershocks import gen_omori\n"
         "from aftershocks.cli import main\n"
         "assert main(sys.argv[1:]) == 0\n"
-        "gen_omori(OmoriGenSpec(p=0.6, amplitude=8.0, c=0.0, horizon=3000.0, seed=1, round_to_minutes=True))\n"
+        "gen_omori(p=0.6, amplitude=8.0, c=0.0, horizon=3000.0, seed=1, round_to_minutes=True)\n"
         "print('numpy.ma' in sys.modules)\n"
     )
     argv = ["analyze", "--input", str(minute_bars_path), "--delimiter", ";", "--crash", CRASH,
@@ -676,6 +676,34 @@ def test_infinite_setting_is_usage_error(minute_bars_path, tmp_path, capsys, fla
 def test_bad_generator_parameter_is_usage_error(tmp_path, capsys, argv, message):
     assert _run("simulate", *argv, "--resamples", "0", "--outdir", str(tmp_path / "out")) == EXIT_USAGE
     assert f"usage error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--kind", "pareto", "--count", "1000000000000"], "simulate pareto: a count of 1e+12"),
+        (["--kind", "omori", "--amplitude", "1e300"], "simulate omori: an expected event count of 2e+302"),
+        (["--kind", "stationary", "--sim-horizon", "1e15"], "simulate stationary: an expected event count of 1e+15"),
+    ],
+    ids=["pareto-count", "omori-amplitude", "stationary-horizon"],
+)
+def test_catalog_over_the_cap_is_usage_error(tmp_path, argv, message):
+    # these ended in an internal MemoryError or took the machine's memory; a
+    # new interpreter with a 2 GB address space keeps a regression from doing so
+    resource = pytest.importorskip("resource")
+    limit = 2 << 30
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    code = "import sys\nfrom aftershocks.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    run = subprocess.run(
+        [sys.executable, "-c", code, "simulate", *argv, "--resamples", "0", "--outdir", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert run.returncode == EXIT_USAGE, run.stderr
+    assert f"usage error: {message} exceeds the cap of 4194304" in run.stderr
     assert not (tmp_path / "out").exists()
 
 
@@ -983,10 +1011,22 @@ class TestReportCommand:
                 b'{"histogram_csv": "waiting_catalog.csv", "lsq": {"amplitude": "a", "mu": 0.5}}}]}',
                 "report.json: malformed report (TypeError",
             ),
+            # a label names SVGs and a table name is read: each must stay in the run directory
+            (
+                "report.json",
+                b'{"thresholds": [{"label": "../escaped"}]}',
+                "report.json: malformed report (ValueError: '../escaped' is not a plain file name",
+            ),
+            (
+                "report.json",
+                b'{"thresholds": [{"label": "catalog", "omori_csv": "/etc/hostname"}]}',
+                "report.json: malformed report (ValueError: '/etc/hostname' is not a plain file name",
+            ),
         ],
         ids=[
             "not-json", "not-utf8", "not-object", "missing-csv", "bad-cell",
             "thresholds-not-list", "section-without-label", "csv-name-not-string", "amplitude-not-number",
+            "label-escapes", "csv-name-absolute",
         ],
     )
     def test_malformed_run_directory_is_data_error(self, tmp_path, capsys, name, content, message):

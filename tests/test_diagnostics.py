@@ -7,7 +7,6 @@ from aftershocks import (
     DataError,
     EventSequence,
     OmoriFit,
-    OmoriGenSpec,
     bootstrap_ci,
     build_histogram,
     build_report,
@@ -23,10 +22,8 @@ from aftershocks.diagnostics import to_jsonable
 
 
 def _minute_catalog(amplitude, horizon, seed):
-    spec = OmoriGenSpec(
-        p=0.6, amplitude=amplitude, c=0.0, horizon=horizon, seed=seed, round_to_minutes=True
-    )
-    return gen_omori(spec), horizon
+    ev = gen_omori(p=0.6, amplitude=amplitude, c=0.0, horizon=horizon, seed=seed, round_to_minutes=True)
+    return ev, horizon
 
 
 def _pipeline_options(horizon):
@@ -170,7 +167,7 @@ class TestBootstrapCi:
         # non-integer waits use geometric bin midpoints; one of the 100 LSQ mu
         # fits fails. Recorded when every resample rebuilt its event sequence
         # and binned the waits of that sequence
-        ev = gen_omori(OmoriGenSpec(p=0.6, amplitude=8.0, c=0.0, horizon=3000.0, seed=1))
+        ev = gen_omori(p=0.6, amplitude=8.0, c=0.0, horizon=3000.0, seed=1)
         ci = bootstrap_ci(ev, 100, 1, **_pipeline_options(3000.0))
         assert ci == (0.6573148632321131, 0.9052929662740109)
 

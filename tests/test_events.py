@@ -8,7 +8,6 @@ from aftershocks import (
     EventSequence,
     detect_events,
     gen_pareto_waits,
-    ParetoGenSpec,
     read_events_csv,
     waiting_times,
     write_events_csv,
@@ -98,7 +97,7 @@ class TestWaitingTimes:
 
     def test_generator_round_trip(self):
         # events built by accumulating seeded Pareto gaps give those gaps back
-        gaps = gen_pareto_waits(ParetoGenSpec(mu=1.1, tau_min=1.0, count=200, seed=13))
+        gaps = gen_pareto_waits(mu=1.1, tau_min=1.0, count=200, seed=13)
         times = np.concatenate([[0.0], np.cumsum(gaps.taus)])
         taus = waiting_times(EventSequence(times=times))
         assert np.allclose(taus.taus, gaps.taus, rtol=1e-12, atol=1e-9)

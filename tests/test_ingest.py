@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from aftershocks import DataError, align_origin, compact_gaps, load_records, window_length_for_days
 from aftershocks import ingest
-from aftershocks.ingest import ColumnMap, MinuteBars, PriceSeries
+from aftershocks.ingest import MinuteBars, PriceSeries
 
 
 def _bars(walls: list[datetime], price: float = 1.0) -> MinuteBars:
@@ -171,7 +171,9 @@ class TestLoadRecords:
         src = io.StringIO("when|at|px\n2014.12.15|10:00|58.17\n")
         records = load_records(
             src,
-            ColumnMap(date="when", time="at", price="px"),
+            date_column="when",
+            time_column="at",
+            price_column="px",
             delimiter="|",
             date_format="%Y.%m.%d",
             time_format="%H:%M",

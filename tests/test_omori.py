@@ -16,7 +16,6 @@ from aftershocks import (
     DataError,
     EventSequence,
     OmoriFit,
-    OmoriGenSpec,
     cumulative_count,
     fit_omori,
     fit_omori_mle,
@@ -110,11 +109,11 @@ class TestCumulativeCount:
         assert np.array_equal(counted, oracle)
 
 
-_SEED3 = OmoriGenSpec(p=0.6, amplitude=5.0, c=0.0, horizon=20_000.0, seed=3)
-_SEED3_MINUTES = OmoriGenSpec(
+_SEED3 = dict(p=0.6, amplitude=5.0, c=0.0, horizon=20_000.0, seed=3)
+_SEED3_MINUTES = dict(
     p=0.6, amplitude=5.0, c=0.0, horizon=20_000.0, seed=3, round_to_minutes=True
 )
-_SEED9 = OmoriGenSpec(p=1.1, amplitude=30.0, c=5.0, horizon=5000.0, seed=9)
+_SEED9 = dict(p=1.1, amplitude=30.0, c=5.0, horizon=5000.0, seed=9)
 
 # (spec, c pinned, c searched, rate MLE), each (p, c, amplitude, rss)
 _RECORDED = [
@@ -166,8 +165,8 @@ class TestFitOmori:
     def test_bits_do_not_depend_on_blas_threads(self):
         # a 20,000-point grid: OpenBLAS would split each full-grid dot over threads
         code = (
-            "from aftershocks import OmoriGenSpec, fit_omori, gen_omori\n"
-            "ev = gen_omori(OmoriGenSpec(p=0.6, amplitude=5.0, c=0.0, horizon=20_000.0, seed=5))\n"
+            "from aftershocks import fit_omori, gen_omori\n"
+            "ev = gen_omori(p=0.6, amplitude=5.0, c=0.0, horizon=20_000.0, seed=5)\n"
             "f = fit_omori(ev, c_search=True)\n"
             "print(*(x.hex() for x in (f.p, f.c, f.amplitude, f.rss)))\n"
         )
@@ -184,7 +183,7 @@ class TestFitOmori:
         assert outputs[0] == outputs[1]
 
     def test_closed_form_amplitude_is_optimal(self):
-        ev = gen_omori(OmoriGenSpec(p=0.6, amplitude=4.0, c=0.0, horizon=5000.0, seed=3))
+        ev = gen_omori(p=0.6, amplitude=4.0, c=0.0, horizon=5000.0, seed=3)
         fit = fit_omori(ev, grid_step=5.0, horizon=5000.0, c_search=False)
         grid = np.arange(5.0, 5000.0 + 2.5, 5.0)
         y = cumulative_count(ev, grid)
@@ -210,7 +209,7 @@ class TestFitOmori:
 
     def test_seeded_catalog_recovery(self):
         # >= 2000 events: A=5, p=0.5, horizon 4e4 gives ~2000
-        ev = gen_omori(OmoriGenSpec(p=0.5, amplitude=5.0, c=0.0, horizon=40_000.0, seed=123))
+        ev = gen_omori(p=0.5, amplitude=5.0, c=0.0, horizon=40_000.0, seed=123)
         assert len(ev) >= 2000
         start = time.perf_counter()
         fit = fit_omori(ev, grid_step=10.0, horizon=40_000.0, c_search=True)
@@ -225,17 +224,17 @@ class TestFitOmori:
     def test_non_finite_horizon_is_value_error(self, horizon):
         # before the check, inf gave p = 2.5 (the search bound) and nan a
         # misleading "got 0" DataError
-        ev = gen_omori(OmoriGenSpec(p=0.6, amplitude=5.0, c=0.0, horizon=2000.0, seed=1))
+        ev = gen_omori(p=0.6, amplitude=5.0, c=0.0, horizon=2000.0, seed=1)
         with pytest.raises(ValueError, match="horizon must be finite and positive"):
             fit_omori_mle(ev, horizon=horizon)
 
     def test_c_pinned_when_search_disabled(self):
-        ev = gen_omori(OmoriGenSpec(p=0.8, amplitude=5.0, c=0.0, horizon=2000.0, seed=4))
+        ev = gen_omori(p=0.8, amplitude=5.0, c=0.0, horizon=2000.0, seed=4)
         fit = fit_omori(ev, grid_step=2.0, horizon=2000.0, c_search=False)
         assert fit.c == 0.0
 
     def test_rate_mle_cross_check(self):
-        ev = gen_omori(OmoriGenSpec(p=0.5, amplitude=5.0, c=0.0, horizon=40_000.0, seed=123))
+        ev = gen_omori(p=0.5, amplitude=5.0, c=0.0, horizon=40_000.0, seed=123)
         fit = fit_omori_mle(ev, horizon=40_000.0, c_search=False)
         assert fit.method == "rate-mle"
         assert fit.p == pytest.approx(0.5, abs=0.05)
@@ -245,7 +244,7 @@ class TestFitOmori:
     def test_fits_equal_recorded_values(self, spec, lsq_c0, lsq_c, mle):
         # (p, c, amplitude, rss) recorded when the refinement became Brent's
         # method; the searches are deterministic, so equality is exact
-        ev = gen_omori(spec)
+        ev = gen_omori(**spec)
         fits = (fit_omori(ev, c_search=False), fit_omori(ev, c_search=True), fit_omori_mle(ev))
         for fit, expected in zip(fits, (lsq_c0, lsq_c, mle)):
             assert (fit.p, fit.c, fit.amplitude, fit.rss) == expected
@@ -257,14 +256,14 @@ class TestFitOmori:
         # the (p, rss) the nested golden-section refinement gave: the Brent
         # refinement finds the same minimum, never worse than it by more
         # than 1e-9 relative (rss is the negative log-likelihood for the MLE)
-        ev = gen_omori(spec)
+        ev = gen_omori(**spec)
         fits = (fit_omori(ev, c_search=False), fit_omori(ev, c_search=True), fit_omori_mle(ev))
         for fit, (p_old, rss_old) in zip(fits, (lsq_c0, lsq_c, mle)):
             assert abs(fit.p - p_old) <= 1e-5
             assert fit.rss <= rss_old + 1e-9 * abs(rss_old)
 
     def test_evaluations_count_full_grid_cells(self, monkeypatch):
-        ev = gen_omori(_RECORDED[1][0])
+        ev = gen_omori(**_RECORDED[1][0])
         calls = []
         scored = omori._lsq_cell
 
@@ -346,9 +345,9 @@ def _coarse_scan_ref(y, grid, p_values, c_values):
 
 
 _KERNEL_SPECS = [
-    OmoriGenSpec(p=0.6, amplitude=5.0, c=0.0, horizon=6000.0, seed=3),
-    OmoriGenSpec(p=0.6, amplitude=5.0, c=0.0, horizon=6000.0, seed=3, round_to_minutes=True),
-    OmoriGenSpec(p=1.1, amplitude=30.0, c=5.0, horizon=5000.0, seed=9),
+    dict(p=0.6, amplitude=5.0, c=0.0, horizon=6000.0, seed=3),
+    dict(p=0.6, amplitude=5.0, c=0.0, horizon=6000.0, seed=3, round_to_minutes=True),
+    dict(p=1.1, amplitude=30.0, c=5.0, horizon=5000.0, seed=9),
 ]
 # c = 0, c on C_SEARCH_GRID and c off it; p = 0.5 is q = 0.5 exactly, and
 # 1 and 1 + 5e-7 take the log branch
@@ -359,8 +358,8 @@ _KERNEL_P = (0.05, 0.5, 0.5843123403911193, 1.0, 1.0 + 5e-7, 1.311098917170174, 
 class TestKernelsMatchReference:
     @pytest.mark.parametrize("spec", _KERNEL_SPECS)
     def test_lsq_cell_bits(self, spec):
-        ev = gen_omori(spec)
-        grid = np.arange(1.0, spec.horizon + 0.5)
+        ev = gen_omori(**spec)
+        grid = np.arange(1.0, spec["horizon"] + 0.5)
         y = cumulative_count(ev, grid)
         # one set of buffers for every cell, as within a fit
         lt = np.empty_like(grid)
@@ -381,8 +380,8 @@ class TestKernelsMatchReference:
     @pytest.mark.parametrize("spec", _KERNEL_SPECS)
     @pytest.mark.parametrize("stride", [1, 3])
     def test_coarse_scan_bits(self, spec, stride):
-        ev = gen_omori(spec)
-        grid = np.arange(1.0, spec.horizon + 0.5)[::stride]
+        ev = gen_omori(**spec)
+        grid = np.arange(1.0, spec["horizon"] + 0.5)[::stride]
         y = cumulative_count(ev, grid)
         default_p = np.arange(P_SEARCH_RANGE[0], P_SEARCH_RANGE[1] + P_SEARCH_STEP / 2.0, P_SEARCH_STEP)
         for p_values in (default_p, np.array(_KERNEL_P)):
@@ -396,7 +395,7 @@ class TestKernelsMatchReference:
     def test_stacked_coarse_scan_bits(self, stride, monkeypatch):
         # rows as fit_omori passes them: counts on a decimated grid
         grid = np.arange(1.0, 6000.5)[::stride]
-        ys = [cumulative_count(gen_omori(spec), grid) for spec in _KERNEL_SPECS]
+        ys = [cumulative_count(gen_omori(**spec), grid) for spec in _KERNEL_SPECS]
         ys.append(np.zeros_like(grid))  # no cell admits an empty count
         stack = np.stack(ys)
         default_p = np.arange(P_SEARCH_RANGE[0], P_SEARCH_RANGE[1] + P_SEARCH_STEP / 2.0, P_SEARCH_STEP)
@@ -418,8 +417,7 @@ class TestKernelsMatchReference:
     def test_coarse_scan_memory_is_bounded(self):
         # one block of model rows at a time, whatever the grid's length
         grid = np.arange(1.0, 40_000.5)
-        spec = OmoriGenSpec(p=0.6, amplitude=5.0, c=0.0, horizon=40_000.0, seed=3)
-        y = cumulative_count(gen_omori(spec), grid)
+        y = cumulative_count(gen_omori(p=0.6, amplitude=5.0, c=0.0, horizon=40_000.0, seed=3), grid)
         ys = np.stack([y, y[::-1]])
         tracemalloc.start()
         try:
@@ -432,7 +430,7 @@ class TestKernelsMatchReference:
     @pytest.mark.parametrize("spec", _KERNEL_SPECS)
     @pytest.mark.parametrize("c_search", [False, True])
     def test_refinement_scores_each_cell_once(self, spec, c_search, monkeypatch):
-        ev = gen_omori(spec)
+        ev = gen_omori(**spec)
         calls = []
         scored = omori._lsq_cell
 
@@ -457,7 +455,7 @@ class TestFitOmoriList:
     @pytest.mark.parametrize("c_search", [False, True])
     @pytest.mark.parametrize("horizon", [4000.0], ids=["one-grid"])
     def test_list_equals_single_calls(self, c_search, horizon):
-        catalogs = [gen_omori(spec) for spec in _KERNEL_SPECS]
+        catalogs = [gen_omori(**spec) for spec in _KERNEL_SPECS]
         catalogs[2:2] = [
             EventSequence(times=np.arange(5.0) + 1.0),  # too few events
             EventSequence(times=np.arange(5000.0, 5012.0)),  # none on a 4000-minute grid
@@ -479,7 +477,7 @@ class TestFitOmoriList:
         assert errors[1].startswith("no admissible (p, c) cell")
 
     def test_value_errors_are_raised(self):
-        ev = gen_omori(_KERNEL_SPECS[0])
+        ev = gen_omori(**_KERNEL_SPECS[0])
         message = "horizon and grid_step must be finite and positive"
         with pytest.raises(ValueError, match=message):
             fit_omori(ev, horizon=-1.0)
@@ -497,7 +495,7 @@ class TestFitOmoriList:
     )
     def test_non_finite_grid_is_value_error(self, kwargs):
         # numpy's arange raised unrelated errors for these before the check
-        ev = gen_omori(_KERNEL_SPECS[0])
+        ev = gen_omori(**_KERNEL_SPECS[0])
         message = "horizon and grid_step must be finite and positive"
         with pytest.raises(ValueError, match=message):
             fit_omori(ev, **kwargs)
@@ -506,7 +504,7 @@ class TestFitOmoriList:
 
     def test_grid_over_the_cap_is_value_error(self):
         # a 1e9-point grid was allocated whole and ran the machine out of memory
-        ev = gen_omori(_KERNEL_SPECS[0])
+        ev = gen_omori(**_KERNEL_SPECS[0])
         message = f"a fitting grid of 1e\\+15 points exceeds the cap of {omori.MAX_GRID_POINTS}"
         with pytest.raises(ValueError, match=message):
             fit_omori([ev], horizon=1e15)

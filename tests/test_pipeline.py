@@ -12,7 +12,7 @@ from datetime import datetime, timedelta
 import numpy as np
 import pytest
 
-from aftershocks import OmoriGenSpec, gen_omori
+from aftershocks import gen_omori
 from aftershocks.cli import EXIT_OK, main
 
 P_TRUE = 0.6
@@ -26,10 +26,8 @@ NOISE = 1e-4
 @pytest.fixture(scope="module")
 def planted(tmp_path_factory):
     catalog = gen_omori(
-        OmoriGenSpec(
-            p=P_TRUE, amplitude=AMPLITUDE, c=0.0, horizon=float(HORIZON),
-            seed=5, round_to_minutes=True,
-        )
+        p=P_TRUE, amplitude=AMPLITUDE, c=0.0, horizon=float(HORIZON),
+        seed=5, round_to_minutes=True,
     )
     planted_minutes = set(catalog.times.astype(int).tolist())
 

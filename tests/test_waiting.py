@@ -3,7 +3,6 @@ import pytest
 
 from aftershocks import (
     DataError,
-    ParetoGenSpec,
     build_histogram,
     fit_mu,
     gen_pareto_waits,
@@ -111,7 +110,7 @@ class TestFitMuLsq:
             fit_mu(WaitingTimes(taus=np.ones(10) + np.arange(10)), method="lsq")
 
     def test_seeded_pareto_within_tolerance(self):
-        waits = gen_pareto_waits(ParetoGenSpec(mu=0.95, tau_min=1.0, count=10_000, seed=0))
+        waits = gen_pareto_waits(mu=0.95, tau_min=1.0, count=10_000, seed=0)
         hist = build_histogram(waits, 1.0)
         fit = fit_mu(hist, fit_range=(1.0, 24.0), method="lsq")
         assert fit.mu == pytest.approx(0.95, abs=0.1)
@@ -120,20 +119,20 @@ class TestFitMuLsq:
 
 class TestFitMuMle:
     def test_seeded_pareto_recovery(self):
-        waits = gen_pareto_waits(ParetoGenSpec(mu=0.95, tau_min=1.0, count=10_000, seed=1))
+        waits = gen_pareto_waits(mu=0.95, tau_min=1.0, count=10_000, seed=1)
         fit = fit_mu(waits, fit_range=(1.0, None), method="mle")
         assert fit.mu == pytest.approx(0.95, abs=0.05)
         assert fit.stderr == pytest.approx(fit.mu / np.sqrt(fit.n_used))
 
     def test_rescaling_invariance(self):
-        waits = gen_pareto_waits(ParetoGenSpec(mu=1.3, tau_min=1.0, count=500, seed=9))
+        waits = gen_pareto_waits(mu=1.3, tau_min=1.0, count=500, seed=9)
         scaled = WaitingTimes(taus=waits.taus * 60.0)
         f1 = fit_mu(waits, fit_range=(1.0, None), method="mle")
         f2 = fit_mu(scaled, fit_range=(60.0, None), method="mle")
         assert f1.mu == pytest.approx(f2.mu, rel=1e-12)
 
     def test_histogram_input_rejected(self):
-        waits = gen_pareto_waits(ParetoGenSpec(mu=1.1, tau_min=1.0, count=500, seed=2))
+        waits = gen_pareto_waits(mu=1.1, tau_min=1.0, count=500, seed=2)
         with pytest.raises(TypeError):
             fit_mu(build_histogram(waits, 1.0), method="mle")
 
