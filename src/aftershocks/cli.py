@@ -29,19 +29,27 @@ from dataclasses import dataclass, field, fields
 from datetime import datetime
 from pathlib import Path
 
-import numpy as np
-
 from .errors import DataError
-from .ingest import PriceSeries, align_origin, compact_gaps, load_records, window_length_for_days
+from .ingest import (
+    PriceSeries,
+    align_origin,
+    compact_gaps,
+    load_records,
+    window_length_for_days,
+    write_series_csv,
+)
 
 
 def _import_analysis() -> None:
     """Bind the analysis layers' names into this module's globals.
 
-    ``ingest`` fits nothing, so these imports wait for the sub-commands that
-    do. A name that is already bound is left as it is: a caller may have
-    replaced it (a wrapper set from outside before :func:`main` runs).
+    ``ingest`` fits nothing and runs on the standard library, so these
+    imports, numpy among them, wait for the sub-commands that do. A name
+    that is already bound is left as it is: a caller may have replaced it
+    (a wrapper set from outside before :func:`main` runs).
     """
+    import numpy as np
+
     from . import correlation as corr
     from .diagnostics import bootstrap_ci, build_report, markov_relation, serialize_report
     from .events import EventSequence, detect_events, read_events_csv, waiting_times, write_csv, write_events_csv
@@ -74,10 +82,6 @@ EXIT_DATA = 2
 EXIT_INTERNAL = 3
 
 ENV_OUTDIR = "AFTERSHOCKS_OUTDIR"
-
-# series.csv is written this many rows per write, so the file is never held
-# whole in memory
-_SERIES_CHUNK_ROWS = 8192
 
 _METHOD_NOTES = [
     "window statistics divide by the sample count (population form), not the nominal window length",
@@ -126,9 +130,15 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 
 def _parse_crash(text: str) -> datetime:
     try:
-        return datetime.fromisoformat(text)
+        crash = datetime.fromisoformat(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad crash instant {text!r}: {exc}") from None
+    # input timestamps carry no zone, so an instant with one matches none of them
+    if crash.tzinfo is not None:
+        raise argparse.ArgumentTypeError(
+            f"bad crash instant {text!r}: give naive wall-clock time, without a UTC offset"
+        )
+    return crash
 
 
 def _parse_fit_range(text: str) -> tuple[float | None, float | None]:
@@ -803,37 +813,14 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     outdir = Path(config.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     series_csv = outdir / "series.csv"
-    with open(series_csv, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,wall_clock,x\n")
-        for lo in range(0, len(series), _SERIES_CHUNK_ROWS):
-            hi = min(lo + _SERIES_CHUNK_ROWS, len(series))
-            cells = [None] * (4 * (hi - lo))
-            cells[0::4] = range(series.t_start + lo, series.t_start + hi)
-            cells[1::4], cells[2::4] = _iso_date_and_time(series.wall_clock[lo:hi])
-            cells[3::4] = series.x[lo:hi].tolist()
-            # %.10g prints a finite float as format(x, ".10g") does
-            fh.write("%d,%s %s,%.10g\n" * (hi - lo) % tuple(cells))
+    write_series_csv(series, series_csv)
     origin = series.origin_wall_clock
     print(f"{len(series)} records -> {series_csv}")
     print(
-        f"t range [{int(series.t[0])}, {int(series.t[-1])}]"
+        f"t range [{series.t[0]}, {series.t[-1]}]"
         + (f", origin {origin.isoformat(sep=' ')}" if origin else "")
     )
     return EXIT_OK
-
-
-def _iso_date_and_time(stamps: np.ndarray) -> tuple[list[str], list[str]]:
-    """The ISO date and time of day of each ``datetime64[s]`` stamp, as
-    ``datetime.isoformat(sep=" ")`` splits them. Minute bars repeat a few
-    hundred dates and times of day, so each distinct one is formatted once."""
-    days, seconds = np.divmod(stamps.astype(np.int64), 86400)
-    day_values, day_of = np.unique(days, return_inverse=True)
-    second_values, second_of = np.unique(seconds, return_inverse=True)
-    dates = np.datetime_as_string(day_values.astype("datetime64[D]")).tolist()
-    # a second of 1970-01-01 as numpy writes it: 1970-01-01Thh:mm:ss
-    clocks = [text[11:] for text in np.datetime_as_string(second_values.astype("datetime64[s]")).tolist()]
-    # rows share the distinct strings, not copies of them
-    return [dates[i] for i in day_of.tolist()], [clocks[i] for i in second_of.tolist()]
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:

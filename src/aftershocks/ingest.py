@@ -4,24 +4,27 @@ Reads delimiter-separated exports (finam-style by default: DATE, TIME and
 CLOSE columns), compacts no-trading gaps onto a contiguous exchange-minute
 axis, and aligns the time origin to a configured crash instant.
 
-Timestamps are held as ``datetime64[s]`` columns: naive wall-clock time to
-the second.
+The layer runs on the standard library alone. Timestamps are held as an
+``array('q')`` of naive wall-clock seconds since 1970-01-01 (what numpy
+calls ``datetime64[s]``) and prices as an ``array('d')``; numpy enters
+where the analysis wraps these columns (:func:`aftershocks.stats.compute_returns`),
+so ``aftershocks ingest`` never imports it.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import io
 import itertools
 import logging
 import math
+import operator
 from array import array
 from dataclasses import dataclass, replace
-from datetime import date, datetime
+from datetime import date, datetime, timedelta
 from pathlib import Path
 from typing import IO
-
-import numpy as np
 
 from .errors import DataError, not_utf8
 
@@ -30,19 +33,33 @@ log = logging.getLogger(__name__)
 DEFAULT_DATE_FORMAT = "%Y%m%d"
 DEFAULT_TIME_FORMAT = "%H%M%S"
 
-_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
+_EPOCH = datetime(1970, 1, 1)
+_EPOCH_ORDINAL = _EPOCH.toordinal()
+_DAY = 86400
 
 # Rows are parsed in chunks of about this many characters, whole lines each.
 _CHUNK_CHARS = 1 << 16
 
 
+def _epoch_seconds(instant: datetime) -> int:
+    """Whole seconds from 1970-01-01 to the naive ``instant``; a fraction
+    of a second is dropped."""
+    return (instant.toordinal() - _EPOCH_ORDINAL) * _DAY + instant.hour * 3600 + instant.minute * 60 + instant.second
+
+
+def _wall_datetime(seconds: int) -> datetime:
+    """The naive wall-clock instant ``seconds`` after 1970-01-01."""
+    return _EPOCH + timedelta(seconds=seconds)
+
+
 @dataclass(frozen=True)
 class MinuteBars:
-    """Parsed minute bars in file order, as columns: the ``datetime64[s]``
-    wall-clock timestamp and the positive price of every row."""
+    """Parsed minute bars in file order, as columns: the wall-clock
+    timestamp (``array('q')`` of seconds since 1970-01-01) and the positive
+    price (``array('d')``) of every row."""
 
-    wall_clock: np.ndarray
-    price: np.ndarray
+    wall_clock: array
+    price: array
 
     def __len__(self) -> int:
         return len(self.price)
@@ -53,35 +70,45 @@ class PriceSeries:
     """Positive prices indexed on the compacted exchange-time axis.
 
     The index runs contiguously (step 1) from ``t_start``; minutes in which
-    no exchange took place carry no index at all.  ``wall_clock`` keeps the
-    original timestamp of every index as ``datetime64[s]``, so gap removal
-    is reversible. ``origin_wall_clock`` is the instant mapped to ``t = 0``
-    once :func:`align_origin` has been applied; records before it carry
-    negative indices.
+    no exchange took place carry no index at all. ``x`` is an ``array('d')``
+    of prices and ``wall_clock`` an ``array('q')`` holding the original
+    timestamp of every index as seconds since 1970-01-01, so gap removal is
+    reversible; other sequences are copied into those types.
+    ``origin_wall_clock`` is the instant mapped to ``t = 0`` once
+    :func:`align_origin` has been applied; records before it carry negative
+    indices.
     """
 
-    x: np.ndarray
-    wall_clock: np.ndarray
+    x: array
+    wall_clock: array
     t_start: int = 0
     origin_wall_clock: datetime | None = None
 
     def __post_init__(self) -> None:
-        x = np.asarray(self.x, dtype=float)
-        wall = np.asarray(self.wall_clock, dtype="datetime64[s]")
+        x, wall = _column(self.x, "d"), _column(self.wall_clock, "q")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "wall_clock", wall)
-        if x.ndim != 1 or x.shape != wall.shape:
-            raise ValueError("x and wall_clock must be 1-d and equally long")
-        if len(x) and not np.all(x > 0):
+        if len(x) != len(wall):
+            raise ValueError("x and wall_clock must be equally long")
+        # every price > 0: the minimum rules out the rest, and a NaN, which
+        # min() may pass over, makes the sum NaN
+        if len(x) and not (min(x) > 0 and not math.isnan(sum(x))):
             raise DataError("prices must be positive")
 
     @property
-    def t(self) -> np.ndarray:
+    def t(self) -> range:
         """Exchange-minute index of every record."""
-        return self.t_start + np.arange(len(self.x))
+        return range(self.t_start, self.t_start + len(self.x))
 
     def __len__(self) -> int:
         return len(self.x)
+
+
+def _column(values, typecode: str) -> array:
+    """``values`` as an ``array(typecode)``, not copied when it already is one."""
+    if isinstance(values, array) and values.typecode == typecode:
+        return values
+    return array(typecode, values)
 
 
 def load_records(
@@ -106,14 +133,18 @@ def load_records(
     second of each timestamp; any other field either format parses is
     ignored.
 
+    A UTF-8 byte order mark before the header (Excel's "CSV UTF-8") is
+    dropped.
+
     The stream is read in chunks of about ``_CHUNK_CHARS`` characters, each
     ending at a line end, and never whole. A chunk with no quote, NUL or
     lone CR, whose nonblank lines all have one field count, is split into
     columns with one ``str.split`` and converted a column at a time. The
     first chunk that is not so plain, or that holds a cell that fails to
-    convert, goes with the rest of the stream to a ``csv.reader`` row
-    loop, which alone words the errors; so values, messages and row
-    numbers are those of a row-by-row parse.
+    convert or a price that may not be finite and positive, goes with the
+    rest of the stream to a ``csv.reader`` row loop, which alone words the
+    errors; so values, messages and row numbers are those of a row-by-row
+    parse. Both extend the same two columns.
 
     Raises:
         DataError: on a file that cannot be opened or is not UTF-8, a
@@ -136,16 +167,16 @@ def load_records(
             raise not_utf8(source, fh, exc) from None
 
 
-class _ParsedCells(dict):
-    """Cell text to its value: a cell not seen yet is parsed by ``parse``
-    and stored; one that fails to parse raises and is not stored."""
+class _Memo(dict):
+    """Key to ``compute(key)``: a key not seen yet is computed and stored;
+    one whose computation raises is not stored."""
 
-    def __init__(self, parse):
+    def __init__(self, compute):
         super().__init__()
-        self.parse = parse
+        self.compute = compute
 
-    def __missing__(self, cell: str) -> int:
-        value = self[cell] = self.parse(cell)
+    def __missing__(self, key):
+        value = self[key] = self.compute(key)
         return value
 
 
@@ -167,6 +198,8 @@ def _parse_stream(
         raise DataError("empty input: header row required") from None
     except csv.Error as exc:
         raise DataError(f"malformed header row: {exc}") from None
+    if header:
+        header[0] = header[0].removeprefix("\ufeff")
     names = [_normalize_header_cell(cell) for cell in header]
     indices = {}
     for role, wanted in columns.items():
@@ -180,17 +213,17 @@ def _parse_stream(
     # time on every day, so each distinct cell is parsed once.
     def parse_day(cell: str) -> int:
         day = datetime.strptime(cell.strip(), date_format)
-        return (day.toordinal() - _EPOCH_ORDINAL) * 86400
+        return (day.toordinal() - _EPOCH_ORDINAL) * _DAY
 
     def parse_clock(cell: str) -> int:
         clock = datetime.strptime(cell.strip(), time_format)
         return clock.hour * 3600 + clock.minute * 60 + clock.second
 
-    day_seconds = _ParsedCells(parse_day).__getitem__
-    clock_seconds = _ParsedCells(parse_clock).__getitem__
+    day_seconds = _Memo(parse_day).__getitem__
+    clock_seconds = _Memo(parse_clock).__getitem__
 
-    parts = []
-    rows = 0
+    stamps = array("q")
+    prices = array("d")
     rest = stream
     while chunk := stream.read(_CHUNK_CHARS):
         chunk += stream.readline()
@@ -199,13 +232,12 @@ def _parse_stream(
             # a lone CR ends a line here, as in a file opened with newline=""
             rest = itertools.chain(io.StringIO(chunk, newline=""), stream)
             break
-        parts.append(part)
-        rows += len(part[1])
+        stamps += part[0]
+        prices += part[1]
 
     # The row loop parses what the column path left, and is the one place
     # that names a bad row.
-    stamps = array("q")
-    prices = array("d")
+    rows = len(prices)
     reader = csv.reader(rest, delimiter=delimiter)
     row_no = rows
     try:
@@ -229,11 +261,7 @@ def _parse_stream(
     except csv.Error as exc:
         # raised while reading the row after the last one numbered
         raise DataError(f"malformed row {row_no + 1}: {exc}") from None
-    parts.append((np.array(stamps, dtype=np.int64), np.array(prices, dtype=float)))
-    return MinuteBars(
-        wall_clock=np.concatenate([s for s, _ in parts]).view("datetime64[s]"),
-        price=np.concatenate([p for _, p in parts]),
-    )
+    return MinuteBars(wall_clock=stamps, price=prices)
 
 
 def _plain_chunk(chunk, delimiter, needed, i_date, i_time, i_price, day_seconds, clock_seconds):
@@ -261,7 +289,7 @@ def _plain_chunk(chunk, delimiter, needed, i_date, i_time, i_price, day_seconds,
     chunk = chunk.removeprefix("\n")
     n = chunk.count("\n")
     if not n:
-        return np.empty(0, np.int64), np.empty(0)
+        return array("q"), array("d")
     # Each line break moves to the head of the cell after it: the first cell
     # of every row, and a last cell of its own. After the empty cell that
     # leads, every row has width w exactly when those n + 1 breaks fall w
@@ -272,15 +300,19 @@ def _plain_chunk(chunk, delimiter, needed, i_date, i_time, i_price, day_seconds,
     if extra or width < needed or "".join(cells[1::width]).count("\n") != n + 1:
         return None
     end = 1 + n * width
+    # lists first: an array built from a list is sized once
     try:
-        stamps = np.fromiter(map(day_seconds, cells[1 + i_date:end:width]), np.int64, n)
-        stamps += np.fromiter(map(clock_seconds, cells[1 + i_time:end:width]), np.int64, n)
-        prices = np.fromiter(map(float, cells[1 + i_price:end:width]), float, n)
+        days = map(day_seconds, cells[1 + i_date:end:width])
+        clocks = map(clock_seconds, cells[1 + i_time:end:width])
+        stamps = list(map(operator.add, days, clocks))
+        prices = list(map(float, cells[1 + i_price:end:width]))
     except ValueError:
         return None
-    if not np.all((prices > 0) & (prices < np.inf)):
+    # every price finite and positive, or possibly not: a finite sum can
+    # overflow, and such a chunk goes to the row loop like a bad one
+    if not (min(prices) > 0 and math.isfinite(sum(prices))):
         return None
-    return stamps, prices
+    return array("q", stamps), array("d", prices)
 
 
 def compact_gaps(records: MinuteBars) -> PriceSeries:
@@ -290,13 +322,13 @@ def compact_gaps(records: MinuteBars) -> PriceSeries:
     because silently dropping one would shift the event clock downstream.
     """
     wall = records.wall_clock
-    bad = np.flatnonzero(np.diff(wall) <= np.timedelta64(0, "s"))
-    if bad.size:
-        i = int(bad[0]) + 1
-        current, previous = wall[i].item(), wall[i - 1].item()
+    # the first index whose stamp is not above the one before it
+    bad = next(itertools.compress(itertools.count(1), map(operator.ge, wall, wall[1:])), None)
+    if bad is not None:
+        current, previous = _wall_datetime(wall[bad]), _wall_datetime(wall[bad - 1])
         if current == previous:
-            raise DataError(f"duplicate timestamp {current} at record {i + 1}")
-        raise DataError(f"timestamps not sorted: record {i + 1} ({current}) precedes {previous}")
+            raise DataError(f"duplicate timestamp {current} at record {bad + 1}")
+        raise DataError(f"timestamps not sorted: record {bad + 1} ({current}) precedes {previous}")
     return PriceSeries(x=records.price, wall_clock=wall)
 
 
@@ -312,20 +344,30 @@ def align_origin(series: PriceSeries, crash: datetime) -> PriceSeries:
     if not len(series):
         raise DataError("cannot align an empty series")
     wall = series.wall_clock
-    first, last = wall[0].item(), wall[-1].item()
+    first, last = _wall_datetime(wall[0]), _wall_datetime(wall[-1])
     if crash < first:
         raise DataError(f"crash instant {crash} precedes the first record at {first}")
     if crash > last:
         raise DataError(f"crash instant {crash} is after the last record at {last}")
-    # The search runs on whole seconds; an instant with a fractional second
-    # lies after the record at its whole second.
-    idx = int(np.searchsorted(wall, np.datetime64(crash.replace(microsecond=0), "s")))
-    if wall[idx].item() < crash:
-        idx += 1
-    origin = wall[idx].item()
+    # Stamps are whole seconds; an instant with a fractional second lies
+    # after the record at its whole second.
+    idx = bisect.bisect_left(wall, _epoch_seconds(crash) + (crash.microsecond > 0))
+    origin = _wall_datetime(wall[idx])
     if origin != crash:
         log.info("crash instant %s snapped forward to recorded minute %s", crash, origin)
     return replace(series, t_start=-idx, origin_wall_clock=origin)
+
+
+def _day_runs(wall: array, start: int = 0):
+    """(day, lo, hi) for each date of the increasing stamps ``wall`` from
+    index ``start`` on: ``wall[lo:hi]`` are the stamps on day ``day``,
+    counted from 1970-01-01."""
+    lo = start
+    while lo < len(wall):
+        day = wall[lo] // _DAY
+        hi = bisect.bisect_left(wall, (day + 1) * _DAY, lo)
+        yield day, lo, hi
+        lo = hi
 
 
 def window_length_for_days(series: PriceSeries, days: int) -> int:
@@ -341,7 +383,34 @@ def window_length_for_days(series: PriceSeries, days: int) -> int:
     i0 = -series.t_start
     if i0 < 0 or i0 >= len(series):
         raise DataError("window start t=0 outside the series")
-    dates = series.wall_clock[i0:].astype("datetime64[D]")
-    # offset of the last record of each date but the final one
-    day_ends = np.flatnonzero(dates[1:] != dates[:-1])
-    return int(day_ends[days - 1]) if len(day_ends) >= days else len(dates) - 1
+    end = max(hi for _, _, hi in itertools.islice(_day_runs(series.wall_clock, i0), days))
+    return end - 1 - i0
+
+
+def write_series_csv(series: PriceSeries, path: Path) -> None:
+    """Write ``series`` to ``path`` as ``t,wall_clock,x`` rows: the index,
+    the timestamp as ``YYYY-MM-DD hh:mm:ss`` and the price as
+    ``format(x, ".10g")``.
+
+    One write per date, with the date's text in the row format: the file
+    is never held whole, and each date and each second of the day is
+    formatted once.
+    """
+    wall, x, t_start = series.wall_clock, series.x, series.t_start
+    clocks = _Memo(_clock_text).__getitem__
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("t,wall_clock,x\n")
+        for day, lo, hi in _day_runs(wall):
+            cells = [None] * (3 * (hi - lo))
+            cells[0::3] = range(t_start + lo, t_start + hi)
+            # by second of the day
+            cells[1::3] = map(clocks, map(_DAY.__rmod__, wall[lo:hi]))
+            cells[2::3] = x[lo:hi].tolist()
+            # %.10g prints a finite float as format(x, ".10g") does
+            row = f"%d,{date.fromordinal(_EPOCH_ORDINAL + day).isoformat()} %s,%.10g\n"
+            fh.write(row * (hi - lo) % tuple(cells))
+
+
+def _clock_text(second: int) -> str:
+    """``hh:mm:ss`` of the ``second``-th second of a day."""
+    return f"{second // 3600:02d}:{second // 60 % 60:02d}:{second % 60:02d}"

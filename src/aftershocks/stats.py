@@ -49,8 +49,9 @@ def compute_returns(series: PriceSeries) -> ReturnSeries:
     """r(t) = (x(t+1) - x(t)) / x(t) for every adjacent pair of prices."""
     if len(series) < 2:
         raise DataError("need at least two prices to form returns")
-    x = series.x
-    return ReturnSeries(t=series.t[:-1], r=np.diff(x) / x[:-1])
+    x = np.frombuffer(series.x)  # the price column's memory, not a copy
+    t = np.arange(series.t_start, series.t_start + len(x) - 1)
+    return ReturnSeries(t=t, r=np.diff(x) / x[:-1])
 
 
 def window_stats(returns: ReturnSeries, t0: int, length: int) -> WindowStats:

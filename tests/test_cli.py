@@ -15,6 +15,7 @@ import pytest
 
 from aftershocks import cli
 from aftershocks.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, RunConfig, main
+from aftershocks.ingest import PriceSeries, write_series_csv
 
 CRASH = "2014-12-15 13:00"
 
@@ -338,13 +339,27 @@ class TestIngest:
         ) == EXIT_OK
         assert (tmp_path / "series.csv").read_bytes() == golden_series_path.read_bytes()
 
-    def test_stamp_text_is_numpy_iso_text(self):
-        # years 1 to 9999, stamps either side of 1970 and a day's first and last second
+    def test_stamp_text_is_numpy_iso_text(self, tmp_path):
+        # years 1 to 9999, stamps either side of 1970, a day's first and last
+        # second, and days of many rows around 1970-01-01
         first, last = np.array(["0001-01-01T00:00:00", "9999-12-31T23:59:59"], "datetime64[s]").astype(np.int64)
         seconds = np.random.default_rng(5).integers(first, last, 2000)
-        stamps = np.concatenate([seconds, [first, last, -1, 0, 86399, 86400]]).astype("datetime64[s]")
-        dates, clocks = cli._iso_date_and_time(stamps)
-        assert [f"{d}T{c}" for d, c in zip(dates, clocks)] == np.datetime_as_string(stamps, unit="s").tolist()
+        edges = [first, last, -86401, -86400, -1, 0, 86399, 86400]
+        stamps = np.unique(np.concatenate([seconds, edges, np.arange(-86400, 2 * 86400, 37)]))
+        series = PriceSeries(x=[1.0] * len(stamps), wall_clock=stamps.tolist())
+        write_series_csv(series, tmp_path / "series.csv")
+        rows = (tmp_path / "series.csv").read_text().splitlines()[1:]
+        iso = np.datetime_as_string(stamps.astype("datetime64[s]"), unit="s").tolist()
+        assert [row.split(",")[1] for row in rows] == [text.replace("T", " ") for text in iso]
+
+    def test_byte_order_mark_gives_same_series_csv(self, minute_bars_path, tmp_path, golden_series_path):
+        # Excel's "CSV UTF-8" starts the file with U+FEFF, before the header
+        bom = tmp_path / "bars_bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + minute_bars_path.read_bytes())
+        assert _run(
+            "ingest", "--input", str(bom), "--delimiter", ";", "--crash", CRASH, "--outdir", str(tmp_path / "out"),
+        ) == EXIT_OK
+        assert (tmp_path / "out" / "series.csv").read_bytes() == golden_series_path.read_bytes()
 
     def test_crlf_input_gives_same_series_csv(self, minute_bars_path, tmp_path):
         crlf = tmp_path / "bars_crlf.csv"
@@ -427,10 +442,10 @@ def test_analyze_does_not_import_numpy_ma(minute_bars_path, tmp_path):
 
 def test_ingest_imports_no_fitting_code(minute_bars_path, tmp_path):
     # start-up is a large share of an ingest run; the package and the CLI
-    # import the fitting layers only when a name from them is used
+    # import the fitting layers, and numpy, only when a name from them is used
     code = (
         "import json, sys\n"
-        "fitting = ['aftershocks.' + m for m in\n"
+        "fitting = ['numpy'] + ['aftershocks.' + m for m in\n"
         "           ('omori', 'correlation', 'diagnostics', 'synth', 'waiting', 'svgplot')]\n"
         "def loaded(): return [m for m in fitting if m in sys.modules]\n"
         "import aftershocks\n"
@@ -445,6 +460,19 @@ def test_ingest_imports_no_fitting_code(minute_bars_path, tmp_path):
     run = _fresh_python(code, *argv)
     assert json.loads(run.stdout.splitlines()[-1]) == {"package": [], "dir": [], "cli": [], "ingest": []}
     assert (tmp_path / "series.csv").is_file()
+
+
+def test_ingest_runs_without_numpy(minute_bars_path, tmp_path, golden_series_path):
+    # the ingest layer runs on the standard library alone
+    code = (
+        "import sys\n"
+        "sys.modules['numpy'] = None  # any import of numpy raises ImportError\n"
+        "from aftershocks.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    _fresh_python(code, "ingest", "--input", str(minute_bars_path), "--delimiter", ";", "--crash", CRASH,
+                  "--outdir", str(tmp_path))
+    assert (tmp_path / "series.csv").read_bytes() == golden_series_path.read_bytes()
 
 
 def test_package_exports_are_the_defining_modules_objects():
@@ -582,6 +610,23 @@ def test_repeated_list_value_is_usage_error(minute_bars_path, tmp_path, capsys, 
         argv += ["--config", str(tmp_path / "run.cfg")]
     assert _run(*argv) == EXIT_USAGE
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "file"])
+@pytest.mark.parametrize("command", ["ingest", "analyze"])
+def test_crash_with_utc_offset_is_usage_error(minute_bars_path, tmp_path, capsys, command, source):
+    # input timestamps are naive wall-clock time; an aware instant used to
+    # fail comparing with them (exit 3)
+    crash = "2014-12-15T13:00:00+03:00"
+    argv = [command, "--input", str(minute_bars_path), "--delimiter", ";", "--outdir", str(tmp_path / "out")]
+    if source == "flag":
+        argv += ["--crash", crash]
+    else:
+        (tmp_path / "run.cfg").write_text(f"crash = {crash}\n")
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    assert _run(*argv) == EXIT_USAGE
+    assert f"bad crash instant {crash!r}: give naive wall-clock time, without a UTC offset" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

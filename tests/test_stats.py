@@ -1,4 +1,4 @@
-from datetime import datetime, timedelta
+from datetime import datetime
 
 import numpy as np
 import pytest
@@ -11,9 +11,8 @@ from aftershocks.stats import ReturnSeries
 
 
 def _series(prices) -> PriceSeries:
-    start = datetime(2014, 12, 15, 10, 0)
-    wall = tuple(start + timedelta(minutes=i) for i in range(len(prices)))
-    return PriceSeries(x=np.asarray(prices, dtype=float), wall_clock=wall)
+    start = int((datetime(2014, 12, 15, 10, 0) - datetime(1970, 1, 1)).total_seconds())
+    return PriceSeries(x=prices, wall_clock=range(start, start + 60 * len(prices), 60))
 
 
 class TestComputeReturns:
