@@ -394,7 +394,9 @@ def write_series_csv(series: PriceSeries, path: Path) -> None:
 
     One write per date, with the date's text in the row format: the file
     is never held whole, and each date and each second of the day is
-    formatted once.
+    formatted once. The stamps must be strictly increasing, as
+    :func:`compact_gaps` ensures: the dates are found by bisection, and
+    the order is not checked again here.
     """
     wall, x, t_start = series.wall_clock, series.x, series.t_start
     clocks = _Memo(_clock_text).__getitem__

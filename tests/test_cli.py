@@ -15,7 +15,8 @@ import pytest
 
 from aftershocks import cli
 from aftershocks.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, RunConfig, main
-from aftershocks.ingest import PriceSeries, write_series_csv
+from aftershocks.errors import DataError
+from aftershocks.ingest import MinuteBars, PriceSeries, compact_gaps, write_series_csv
 
 CRASH = "2014-12-15 13:00"
 
@@ -351,6 +352,18 @@ class TestIngest:
         rows = (tmp_path / "series.csv").read_text().splitlines()[1:]
         iso = np.datetime_as_string(stamps.astype("datetime64[s]"), unit="s").tolist()
         assert [row.split(",")[1] for row in rows] == [text.replace("T", " ") for text in iso]
+
+    def test_series_csv_stamps_come_in_order(self, tmp_path):
+        # write_series_csv finds each date by bisection, so it relies on the
+        # strictly increasing stamps that compact_gaps checks
+        stamps, prices = [200000, 100], [1.0, 1.0]
+        with pytest.raises(DataError, match="timestamps not sorted"):
+            compact_gaps(MinuteBars(wall_clock=stamps, price=prices))
+        series = compact_gaps(MinuteBars(wall_clock=sorted(stamps), price=prices))
+        write_series_csv(series, tmp_path / "series.csv")
+        assert (tmp_path / "series.csv").read_text().splitlines()[1:] == [
+            "0,1970-01-01 00:01:40,1", "1,1970-01-03 07:33:20,1",
+        ]
 
     def test_byte_order_mark_gives_same_series_csv(self, minute_bars_path, tmp_path, golden_series_path):
         # Excel's "CSV UTF-8" starts the file with U+FEFF, before the header
