@@ -17,7 +17,8 @@ EVENTS_CSV_HEADER = "t_minutes"
 
 @dataclass(frozen=True)
 class EventSequence:
-    """Ordered aftershock occurrence times, in minutes since the crash.
+    """Ordered aftershock occurrence times, in minutes since the crash:
+    finite, nonnegative and strictly increasing.
 
     Times are floats so that synthetic catalogs with continuous times share
     the type; detector output is integer-valued.
@@ -30,6 +31,8 @@ class EventSequence:
         object.__setattr__(self, "times", times)
         if times.ndim != 1:
             raise ValueError("times must be 1-d")
+        if not np.isfinite(times).all():
+            raise DataError("event times must be finite")
         if len(times):
             if times[0] < 0:
                 raise DataError("event times must be >= 0")
@@ -42,7 +45,7 @@ class EventSequence:
 
 @dataclass(frozen=True)
 class WaitingTimes:
-    """Intervals between successive events; strictly positive."""
+    """Intervals between successive events; finite and strictly positive."""
 
     taus: np.ndarray
 
@@ -51,6 +54,8 @@ class WaitingTimes:
         object.__setattr__(self, "taus", taus)
         if taus.ndim != 1:
             raise ValueError("taus must be 1-d")
+        if not np.isfinite(taus).all():
+            raise DataError("waiting times must be finite")
         if len(taus) and not np.all(taus > 0):
             raise DataError("waiting times must be positive")
 

@@ -234,8 +234,6 @@ def _check_catalog(events: EventSequence) -> None:
     fit, whatever the grid."""
     if len(events) < MIN_EVENTS:
         raise DataError(f"need at least {MIN_EVENTS} events to fit, got {len(events)}")
-    if float(np.ptp(events.times)) == 0.0:
-        raise DataError("degenerate event sequence: all events at one time")
 
 
 def fit_omori(

@@ -37,8 +37,7 @@ def _std_exponentials(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def _require_finite(**params: float) -> None:
     """Raise ``ValueError`` naming the first parameter that is NaN or
-    infinite: the generators append chunks until the horizon is passed, so
-    such a value would never stop them or would slip past their range
+    infinite: such a value would slip past the generators' range and size
     checks."""
     for name, value in params.items():
         if not math.isfinite(value):
@@ -72,14 +71,18 @@ def gen_omori(
     expected size, ``amplitude`` times the unit cumulative law at the
     horizon, is above ``MAX_EVENTS`` is refused.
 
-    Unit-rate Poisson arrivals s_k are mapped through the inverse of the
-    cumulative law: for p != 1, t = (s(1-p)/A + c**(1-p))**(1/(1-p)) - c;
-    for p = 1, t = c(exp(s/A) - 1); truncated at the horizon. For p > 1
-    the total intensity is finite and the stream simply runs dry.
+    Unit-rate Poisson arrivals s_k, drawn until one passes the expected
+    count (which the cap bounds), are mapped through the inverse of the
+    cumulative law: for p != 1, t = (s(1-p)/A + c**(1-p))**(1/(1-p)) - c; for
+    p = 1, t = c(exp(s/A) - 1). The catalog ends at the first t not within
+    the horizon, an overflow or a rounding NaN included; a c so large that
+    the expected count rounds to 0 gives an empty catalog.
 
     ``round_to_minutes`` floors times to the minute grid and collapses the
     resulting duplicates (collapsed count is logged); estimator tests keep
-    it off so that discretization error stays out of the picture.
+    it off so that discretization error stays out of the picture. Without
+    it, times that coincide in float64 (p near 1 with c = 0) raise
+    ``ValueError``.
     """
     _require_finite(p=p, amplitude=amplitude, c=c, horizon=horizon)
     if p < 0 or amplitude <= 0 or c < 0:
@@ -97,28 +100,19 @@ def gen_omori(
             unit = np.log(horizon + c) - np.log(c)
         else:
             unit = (np.float64(horizon + c) ** q - np.float64(c) ** q) / q
-    _require_within_cap(amplitude * float(unit), "an expected event count")
+    expected = amplitude * float(unit)
+    _require_within_cap(expected, "an expected event count")
 
     rng = _rng(seed)
-    pieces: list[np.ndarray] = []
-    s_last = 0.0
-    while True:
-        s = s_last + np.cumsum(_std_exponentials(rng, _CHUNK))
-        s_last = float(s[-1])
-        with np.errstate(over="ignore", invalid="ignore"):
-            if log_branch:
-                t = c * np.expm1(s / amplitude)
-            elif p < 1:
-                t = (s * q / amplitude + c**q) ** (1.0 / q) - c
-            else:
-                base = c**q - s * (p - 1.0) / amplitude
-                t = np.where(base > 0, np.maximum(base, 1e-300) ** (1.0 / q) - c, np.inf)
-        done = t > horizon
-        if done.any():
-            pieces.append(t[: int(np.argmax(done))])
-            break
-        pieces.append(t)
-    times = np.concatenate(pieces)
+    chunks = [np.cumsum(_std_exponentials(rng, _CHUNK))]
+    while chunks[-1][-1] <= expected:
+        chunks.append(chunks[-1][-1] + np.cumsum(_std_exponentials(rng, _CHUNK)))
+    s = np.concatenate(chunks)
+    s = s[s <= expected]
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = c * np.expm1(s / amplitude) if log_branch else (s * q / amplitude + c**q) ** (1.0 / q) - c
+    past = ~(t <= horizon)  # a rounding NaN counts as past the horizon
+    times = t[: int(np.argmax(past))] if past.any() else t
 
     if round_to_minutes:
         # times are sorted, so equal minutes are adjacent
@@ -128,21 +122,26 @@ def gen_omori(
         if collapsed:
             log.info("minute rounding collapsed %d coincident events", collapsed)
         times = floored
+    elif np.any(np.diff(times) <= 0):
+        raise ValueError("drawn event times coincide in float64; use c > 0 or minute rounding (--round-minutes)")
     return EventSequence(times=times)
 
 
 def gen_pareto_waits(*, mu: float, tau_min: float, count: int, seed: int) -> WaitingTimes:
     """``count`` seeded Pareto waiting times with survival (tau/tau_min)**-mu:
-    tau = tau_min * (1 - U)**(-1/mu). A ``count`` above ``MAX_EVENTS`` is
-    refused."""
+    tau = tau_min * (1 - U)**(-1/mu). A ``count`` above ``MAX_EVENTS``, or a
+    draw that overflows float64, is refused."""
     _require_finite(mu=mu, tau_min=tau_min)
     if mu <= 0 or tau_min <= 0:
         raise ValueError("require mu > 0 and tau_min > 0")
     if count < 0:
         raise ValueError("count must be nonnegative")
     _require_within_cap(count, "a count")
-    u = _rng(seed).random(count)
-    return WaitingTimes(taus=tau_min * (1.0 - u) ** (-1.0 / mu))
+    with np.errstate(over="ignore"):
+        taus = tau_min * (1.0 - _rng(seed).random(count)) ** (-1.0 / mu)
+    if np.isinf(taus).any():
+        raise ValueError(f"a wait overflows float64: mu = {mu:g} is too small for {count} draws")
+    return WaitingTimes(taus=taus)
 
 
 def gen_stationary(*, rate: float, horizon: float, seed: int) -> EventSequence:

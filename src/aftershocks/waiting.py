@@ -49,9 +49,10 @@ class WaitingHistogram:
         if len(self.edges) != len(self.counts):
             raise ValueError("edges and counts must have the same length")
 
+    @np.errstate(over="ignore")
     def bins(self) -> tuple[np.ndarray, np.ndarray]:
         """The representative tau and the count of every bin, by increasing
-        edge."""
+        edge; a geometric midpoint past about 1e154 overflows to inf."""
         edges = self.edges
         if self.integer_data and self.bin_size == int(self.bin_size):
             return edges + (self.bin_size - 1.0) / 2.0, self.counts
@@ -147,6 +148,7 @@ def _resolve_range(
     return (lo, hi)
 
 
+@np.errstate(invalid="ignore")  # an infinite bin midpoint makes the slope NaN
 def _fit_lsq(hist: WaitingHistogram, fit_range) -> WaitingFit:
     if not len(hist.counts):
         raise DataError("empty histogram")
@@ -166,8 +168,8 @@ def _fit_lsq(hist: WaitingHistogram, fit_range) -> WaitingFit:
     slope = float(np.sum(dx * (y - y_mean)) / sxx)
     intercept = float(y_mean - slope * x_mean)
     mu = -slope - 1.0
-    if mu <= 0:
-        raise DataError(f"histogram slope {slope:.4f} gives nonpositive mu")
+    if not 0 < mu < math.inf:
+        raise DataError(f"histogram slope {slope:.4f} gives {'nonpositive' if mu <= 0 else 'no finite'} mu")
     resid = y - (intercept + slope * x)
     dof = len(taus) - 2
     stderr = math.sqrt(float(resid @ resid) / dof / sxx) if dof > 0 else 0.0

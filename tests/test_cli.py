@@ -712,6 +712,34 @@ def test_degenerate_sigma_window_is_data_error(minute_bars_path, tmp_path, capsy
     assert message in capsys.readouterr().err
 
 
+_BARS = ["--input", "{bars}", "--delimiter", ";"]
+
+
+@pytest.mark.parametrize(
+    "argv,config,message",
+    [
+        (["analyze", "--config", "{tmp}/absent.cfg"], None, "usage error: cannot read config file"),
+        (["analyze", "--config", "{tmp}/run.cfg"], "resamples\n", "run.cfg:1: expected 'key = value'"),
+        (["analyze", *_BARS, "--crash", CRASH, "--config", "{tmp}/run.cfg"], "c_search = maybe\n",
+         "run.cfg:1: bad boolean 'maybe'"),
+        (["analyze", *_BARS, "--crash", CRASH, "--fit-range", "1,2,3"], None,
+         "argument --fit-range: fit range must be 'lo,hi'"),
+        (["analyze", *_BARS, "--crash", "notadate"], None, "argument --crash: bad crash instant 'notadate'"),
+        (["analyze", *_BARS], None, "usage error: analyze requires a crash instant"),
+        (["ingest", "--delimiter", ";"], None, "usage error: ingest requires an input file"),
+    ],
+    ids=["unreadable-config", "config-line-without-equals", "bad-boolean", "three-part-fit-range",
+         "bad-crash", "analyze-without-crash", "ingest-without-input"],
+)
+def test_refused_setting_writes_nothing(minute_bars_path, tmp_path, capsys, argv, config, message):
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config)
+    argv = [arg.format(tmp=tmp_path, bars=minute_bars_path) for arg in argv]
+    assert _run(*argv, "--outdir", str(tmp_path / "out")) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("flag", ["--horizon", "--grid-step", "--bin-size"])
 def test_infinite_setting_is_usage_error(minute_bars_path, tmp_path, capsys, flag):
     argv = ["analyze", "--input", str(minute_bars_path), "--delimiter", ";", "--crash", CRASH,
@@ -728,8 +756,12 @@ def test_infinite_setting_is_usage_error(minute_bars_path, tmp_path, capsys, fla
         (["--kind", "stationary", "--rate", "0"], "simulate stationary: rate must be positive"),
         (["--kind", "pareto", "--mu", "0"], "simulate pareto: require mu > 0 and tau_min > 0"),
         (["--kind", "pareto", "--count", "-5"], "simulate pareto: count must be nonnegative"),
+        (["--kind", "omori", "--p", "0.995"], "simulate omori: drawn event times coincide in float64; "
+                                              "use c > 0 or minute rounding (--round-minutes)"),
+        (["--kind", "pareto", "--mu", "0.001", "--count", "100"],
+         "simulate pareto: a wait overflows float64: mu = 0.001 is too small for 100 draws"),
     ],
-    ids=["omori-p1.5-c0", "stationary-rate0", "pareto-mu0", "pareto-count-5"],
+    ids=["omori-p1.5-c0", "stationary-rate0", "pareto-mu0", "pareto-count-5", "omori-p0.995-c0", "pareto-mu0.001"],
 )
 def test_bad_generator_parameter_is_usage_error(tmp_path, capsys, argv, message):
     assert _run("simulate", *argv, "--resamples", "0", "--outdir", str(tmp_path / "out")) == EXIT_USAGE
@@ -747,22 +779,36 @@ def test_bad_generator_parameter_is_usage_error(tmp_path, capsys, argv, message)
     ids=["pareto-count", "omori-amplitude", "stationary-horizon"],
 )
 def test_catalog_over_the_cap_is_usage_error(tmp_path, argv, message):
-    # these ended in an internal MemoryError or took the machine's memory; a
-    # new interpreter with a 2 GB address space keeps a regression from doing so
+    # these ended in an internal MemoryError or took the machine's memory
+    run = _simulate_in_2gb(*argv, "--outdir", str(tmp_path / "out"))
+    assert run.returncode == EXIT_USAGE, run.stderr
+    assert f"usage error: {message} exceeds the cap of 4194304" in run.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_draw_that_float64_absorbs_ends_empty(tmp_path):
+    # horizon + c rounds to c: this draw used to run until memory ran out
+    run = _simulate_in_2gb("--kind", "omori", "--c", "1e308", "--outdir", str(tmp_path / "out"))
+    assert run.returncode == EXIT_OK, run.stderr
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["synthetic"]["event_count"] == 0
+    assert "catalog: too few events (0) for an Omori fit" in report["notes"]
+
+
+def _simulate_in_2gb(*argv: str) -> subprocess.CompletedProcess:
+    """``simulate *argv --resamples 0`` in a new interpreter with a 2 GB
+    address space and a minute to run, so that a runaway draw fails fast."""
     resource = pytest.importorskip("resource")
     limit = 2 << 30
     env = dict(os.environ)
     src = str(Path(cli.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     code = "import sys\nfrom aftershocks.cli import main\nsys.exit(main(sys.argv[1:]))\n"
-    run = subprocess.run(
-        [sys.executable, "-c", code, "simulate", *argv, "--resamples", "0", "--outdir", str(tmp_path / "out")],
+    return subprocess.run(
+        [sys.executable, "-c", code, "simulate", *argv, "--resamples", "0"],
         env=env, capture_output=True, text=True, timeout=60,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
     )
-    assert run.returncode == EXIT_USAGE, run.stderr
-    assert f"usage error: {message} exceeds the cap of 4194304" in run.stderr
-    assert not (tmp_path / "out").exists()
 
 
 class TestSimulate:
@@ -844,6 +890,31 @@ class TestSimulate:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["synthetic"]["tau_count"] == 5000
         assert report["thresholds"][0]["waiting"]["mle"]["mu"] == pytest.approx(0.95, abs=0.05)
+
+    def test_pareto_lsq_failure_is_reported(self, tmp_path, capsys):
+        # the bin midpoints overflow, so the LSQ slope is NaN: it used to reach
+        # the report as "mu": null and fail the summary with a TypeError
+        code = _run(
+            "simulate", "--kind", "pareto", "--mu", "0.01", "--count", "100", "--outdir", str(tmp_path),
+        )
+        assert code == EXIT_OK
+        assert capsys.readouterr().out.startswith("catalog: 100 waits  mu_mle=0.008264\n")
+        waiting = json.loads((tmp_path / "report.json").read_text())["thresholds"][0]["waiting"]
+        assert waiting["lsq_error"] == "histogram slope nan gives no finite mu"
+        assert "lsq" not in waiting
+
+    def test_draw_that_float64_absorbs_is_an_empty_catalog(self, tmp_path):
+        code = _run("simulate", "--kind", "omori", "--c", "1e40", "--resamples", "0", "--outdir", str(tmp_path))
+        assert code == EXIT_OK
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["synthetic"]["event_count"] == 0
+        assert "catalog: too few events (0) for an Omori fit" in report["notes"]
+        assert (tmp_path / "events_catalog.csv").read_text() == "t_minutes\n"
+
+    def test_too_few_resamples_skip_the_bootstrap(self, tmp_path):
+        assert _run("simulate", "--kind", "omori", "--resamples", "50", "--outdir", str(tmp_path)) == EXIT_OK
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert "catalog: fewer than 100 resamples requested; bootstrap skipped" in report["notes"]
 
     def test_negative_gamma_scale_factor_chart(self, tmp_path):
         # the collapse law fitted here has gamma < 0, infinite at n_w = 0
@@ -983,6 +1054,18 @@ class TestCollapseCommand:
         produced = (tmp_path / "col" / "report.json").read_bytes()
         assert produced == golden_collapse_report_path.read_bytes()
         assert _csv_digests(tmp_path / "col") == GOLDEN_COLLAPSE_CSV
+
+    @pytest.mark.parametrize("row,cell", [(100, "nan"), (199, "inf")])
+    def test_non_finite_event_time_is_data_error(self, tmp_path, capsys, row, cell):
+        # such a row used to pass the catalog type and end in an unrelated
+        # "no overlap with the reference" error
+        cells = [str(t) for t in range(200)]
+        cells[row] = cell
+        events_csv = tmp_path / "events.csv"
+        events_csv.write_text("t_minutes\n" + "".join(f"{c}\n" for c in cells))
+        assert _run("collapse", "--events", str(events_csv), "--outdir", str(tmp_path / "col")) == EXIT_DATA
+        assert capsys.readouterr().err == "data error: event times must be finite\n"
+        assert not (tmp_path / "col").exists()
 
     def test_too_few_events_is_data_error(self, tmp_path, capsys):
         events_csv = tmp_path / "tiny.csv"

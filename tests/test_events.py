@@ -12,6 +12,7 @@ from aftershocks import (
     waiting_times,
     write_events_csv,
 )
+from aftershocks.events import WaitingTimes
 from aftershocks.stats import ReturnSeries
 
 
@@ -107,6 +108,14 @@ class TestWaitingTimes:
             EventSequence(times=np.array([5.0, 3.0]))
         with pytest.raises(DataError):
             EventSequence(times=np.array([-1.0, 3.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_values_rejected_by_type(self, bad):
+        # NaN compares false in both order checks, and a trailing inf is in order
+        with pytest.raises(DataError, match="event times must be finite"):
+            EventSequence(times=np.array([1.0, 2.0, bad]))
+        with pytest.raises(DataError, match="waiting times must be finite"):
+            WaitingTimes(taus=np.array([1.0, bad]))
 
 
 class TestEventsCsv:

@@ -135,6 +135,17 @@ _stamps = st.lists(
 )
 
 
+class TestPriceSeries:
+    def test_columns_of_unequal_length_rejected(self):
+        with pytest.raises(ValueError, match="x and wall_clock must be equally long"):
+            PriceSeries(x=[1.0, 2.0], wall_clock=[0])
+
+    @pytest.mark.parametrize("prices", [[1.0, 0.0], [math.nan, 1.0], [1.0, math.nan]])
+    def test_zero_or_nan_price_is_data_error(self, prices):
+        with pytest.raises(DataError, match="prices must be positive"):
+            PriceSeries(x=prices, wall_clock=[0, 60])
+
+
 class TestLoadRecords:
     def test_header_and_two_rows(self):
         src = io.StringIO("DATE,TIME,CLOSE\n20141215,100000,58.17\n20141215,100100,58.30\n")

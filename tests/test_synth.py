@@ -63,6 +63,22 @@ class TestGenOmori:
         ev = gen_omori(p=p, amplitude=1.0, c=1e-310, horizon=100.0, seed=0)
         assert 0 < len(ev) < 1000
 
+    def test_draw_that_float64_absorbs_is_empty(self):
+        # horizon + c rounds to c, so the expected count is 0; the inverted
+        # times used to collide at once, and at c = 1e308 never pass the horizon
+        ev = gen_omori(p=0.5, amplitude=5.0, c=1e40, horizon=10_000.0, seed=0)
+        assert len(ev) == 0
+
+    def test_coinciding_times_need_c_or_rounding(self):
+        # at c = 0 the inversion raises s / 1000 to the power 200, so the
+        # earliest times underflow to the same double
+        spec = dict(p=0.995, amplitude=5.0, c=0.0, horizon=10_000.0, seed=0)
+        with pytest.raises(ValueError, match="coincide in float64; use c > 0 or minute rounding"):
+            gen_omori(**spec)
+        ev = gen_omori(**spec, round_to_minutes=True)
+        assert len(ev) > 0
+        assert np.all(np.diff(ev.times) > 0)
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -104,6 +120,11 @@ class TestGenParetoWaits:
             gen_pareto_waits(mu=1.0, tau_min=0.0, count=10, seed=0)
         with pytest.raises(ValueError):
             gen_pareto_waits(mu=1.0, tau_min=1.0, count=-1, seed=0)
+
+    def test_overflowing_draw_is_refused(self):
+        # (1 - U)**-1000 overflows float64 for U above about 0.51
+        with pytest.raises(ValueError, match="a wait overflows float64: mu = 0.001 is too small for 100 draws"):
+            gen_pareto_waits(mu=0.001, tau_min=1.0, count=100, seed=0)
 
 
 class TestGenStationary:

@@ -105,6 +105,14 @@ class TestFitMuLsq:
         with pytest.raises(DataError, match="nonpositive mu"):
             fit_mu(hist, method="lsq", fit_range=(1.0, 8.0))
 
+    def test_overflowing_bin_midpoints_rejected(self):
+        # sqrt(edge * (edge + bin_size)) overflows past edge = 1e154, so the
+        # slope is NaN; it used to come back as mu = NaN
+        edges = np.array([1.0, 2.0, 3.0, 4.0, 1e200])
+        hist = WaitingHistogram(bin_size=1.0, edges=edges, counts=np.array([9, 5, 3, 2, 1]), integer_data=False)
+        with pytest.raises(DataError, match="histogram slope nan gives no finite mu"):
+            fit_mu(hist, method="lsq", fit_range=(1.0, np.inf))
+
     def test_needs_histogram(self):
         with pytest.raises(TypeError):
             fit_mu(WaitingTimes(taus=np.ones(10) + np.arange(10)), method="lsq")
