@@ -175,12 +175,15 @@ def _bounded(parse, strict: bool):
     return checked
 
 
-def _positive(parse):
-    return _bounded(parse, strict=True)
+_positive = functools.partial(_bounded, strict=True)
+_nonnegative = functools.partial(_bounded, strict=False)
 
 
-def _nonnegative(parse):
-    return _bounded(parse, strict=False)
+def _parse_resamples(text: str) -> int:
+    count = _nonnegative(int)(text)
+    if 0 < count < 100:
+        raise argparse.ArgumentTypeError(f"{text!r}: must be 0 (no bootstrap) or at least 100")
+    return count
 
 
 def _parse_char(text: str) -> str:
@@ -198,7 +201,7 @@ def _parse_bool(text: str) -> bool:
     raise argparse.ArgumentTypeError(f"bad boolean {text!r}")
 
 
-# the sub-commands that take a setting as a flag
+# the sub-commands whose code reads a setting, and so take it as a flag
 _INPUT = ("ingest", "analyze")
 _ANALYSIS = ("analyze", "simulate")
 _CORRELATION = ("analyze", "simulate", "collapse")
@@ -208,7 +211,7 @@ _EVERY = ("ingest", "analyze", "simulate", "collapse")
 def _setting(default, parse, commands: tuple[str, ...], help: str):
     """A :class:`RunConfig` field: ``parse`` reads its config-file value and
     its flag, which ``commands`` take with the help text ``help``."""
-    return field(default=default, metadata={"parse": parse, "commands": commands, "help": help})
+    return field(default=default, metadata={"parse": parse, "commands": commands, "help": help, "omit_none": True})
 
 
 @dataclass(frozen=True)
@@ -231,10 +234,10 @@ class RunConfig:
     crash: datetime | None = _setting(
         None, _parse_crash, _INPUT, "crash instant, ISO format (e.g. '2014-12-15 20:17')"
     )
-    window_days: int = _setting(100, _positive(int), _ANALYSIS, "exchange days after the crash (default 100)")
-    window_minutes: int | None = _setting(None, _positive(int), _ANALYSIS, "window length override, exchange minutes")
+    window_days: int = _setting(100, _positive(int), ("analyze",), "exchange days after the crash (default 100)")
+    window_minutes: int | None = _setting(None, _positive(int), ("analyze",), "window length override, exchange minutes")
     thresholds: tuple[float, ...] = _setting(
-        (2.0, 3.0), _positive(_parse_floats), _ANALYSIS, "sigma multiples, comma separated (default 2,3)"
+        (2.0, 3.0), _positive(_parse_floats), ("analyze",), "sigma multiples, comma separated (default 2,3)"
     )
     grid_step: float = _setting(1.0, _positive(float), _ANALYSIS, "Omori fitting grid step, minutes (default 1)")
     horizon: float | None = _setting(
@@ -252,13 +255,13 @@ class RunConfig:
     )
     n_max: int = _setting(60, _positive(int), _CORRELATION, "event-time extent of correlation curves (default 60)")
     reference: int = _setting(0, _nonnegative(int), _CORRELATION, "reference n_w for the collapse (default 0)")
-    resamples: int = _setting(200, _nonnegative(int), _ANALYSIS, "bootstrap resamples, 0 disables (default 200)")
+    resamples: int = _setting(200, _parse_resamples, _ANALYSIS, "bootstrap resamples, 0 disables (default 200)")
     outdir: Path = _setting(
         Path("aftershocks-out"), Path, _EVERY, f"output directory (default ${ENV_OUTDIR} or ./aftershocks-out)"
     )
-    seed: int = _setting(0, _nonnegative(int), _EVERY, "master seed for generators and bootstrap")
-    svg: bool = _setting(False, _parse_bool, _EVERY, "also render SVG charts")
-    simulate: SimulateSpec | None = None
+    seed: int = _setting(0, _nonnegative(int), _ANALYSIS, "master seed for generators and bootstrap")
+    svg: bool = _setting(False, _parse_bool, _CORRELATION, "also render SVG charts")
+    simulate: SimulateSpec | None = field(default=None, metadata={"omit_none": True})
 
 
 @contextmanager
@@ -268,16 +271,6 @@ def _stage(name: str):
         yield
     except DataError as exc:
         raise DataError(f"stage '{name}': {exc}") from exc
-
-
-def _config_echo(config: RunConfig) -> dict:
-    out = {}
-    for f in fields(config):
-        value = getattr(config, f.name)
-        if value is None:
-            continue
-        out[f.name] = value
-    return out
 
 
 def _load_series(config: RunConfig) -> PriceSeries:
@@ -313,7 +306,7 @@ def run_pipeline(config: RunConfig) -> dict:
     run = _run_analysis if config.simulate is None else _run_synthetic
     sections = run(config, tables, notes)
     report = build_report(
-        config=_config_echo(config),
+        config=config,
         rng={"algorithm": RNG_ALGORITHM, "seed": config.seed},
         notes=notes,
         **sections,
@@ -468,7 +461,7 @@ def _analyze_catalog(
     lsq_fit = wsec.get("lsq") if wsec else None
     if omori_fit is not None and lsq_fit is not None:
         ci = None
-        if config.resamples >= 100:
+        if config.resamples:
             try:
                 with _stage(f"bootstrap {label}"):
                     ci = bootstrap_ci(
@@ -483,8 +476,6 @@ def _analyze_catalog(
                     )
             except DataError as exc:
                 note(f"bootstrap failed ({exc}); Markov verdict uses the point estimate")
-        elif config.resamples:
-            note("fewer than 100 resamples requested; bootstrap skipped")
         else:
             note("bootstrap disabled; Markov verdict uses the point estimate")
         section["markov"] = markov_relation(omori_fit.p, lsq_fit.mu, ci)
@@ -690,7 +681,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_config_file(path: Path) -> dict:
-    parsers = {f.name: f.metadata["parse"] for f in fields(RunConfig) if f.metadata}
+    parsers = {f.name: f.metadata["parse"] for f in fields(RunConfig) if "parse" in f.metadata}
     values = {}
     try:
         text = path.read_text(encoding="utf-8")
@@ -718,7 +709,7 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     defaults = RunConfig()
     merged = {}
     for f in fields(RunConfig):
-        if not f.metadata:
+        if "parse" not in f.metadata:
             continue
         flag_value = getattr(args, f.name, None)
         if flag_value is not None:
@@ -740,8 +731,13 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     if merged["reference"] not in merged["n_w"]:
         raise _UsageError(f"reference {merged['reference']} is not one of n_w {n_w}")
     if getattr(args, "command", None) == "simulate":
-        flags = {f.name: getattr(args, f.metadata["flag"][2:].replace("-", "_")) for f in fields(SimulateSpec)[1:]}
-        merged["simulate"] = SimulateSpec(kind=args.kind, **{name: v for name, v in flags.items() if v is not None})
+        flags = {f: getattr(args, f.metadata["flag"][2:].replace("-", "_")) for f in fields(SimulateSpec)[1:]}
+        given = {f.name: v for f, v in flags.items() if v is not None}
+        takes = [f.metadata["flag"] for f in flags if args.kind in f.metadata["kinds"]]
+        stray = [f.metadata["flag"] for f in flags if f.name in given and f.metadata["flag"] not in takes]
+        if stray:
+            raise _UsageError(f"--kind {args.kind} takes {' '.join(takes)}, not {' '.join(stray)}")
+        merged["simulate"] = SimulateSpec(kind=args.kind, **given)
     return RunConfig(**merged)
 
 

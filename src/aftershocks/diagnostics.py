@@ -134,7 +134,7 @@ def bootstrap_ci(
         failures += len(survivors) - len(estimates)
     if failures > 0.1 * resamples:
         raise DataError(f"estimator failed on {failures}/{resamples} resamples")
-    lo, hi = np.percentile(np.sort(np.asarray(estimates)), [2.5, 97.5])
+    lo, hi = np.percentile(estimates, [2.5, 97.5])
     return (float(lo), float(hi))
 
 

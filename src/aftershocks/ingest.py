@@ -90,10 +90,12 @@ class PriceSeries:
         object.__setattr__(self, "wall_clock", wall)
         if len(x) != len(wall):
             raise ValueError("x and wall_clock must be equally long")
-        # every price > 0: the minimum rules out the rest, and a NaN, which
-        # min() may pass over, makes the sum NaN
-        if len(x) and not (min(x) > 0 and not math.isnan(sum(x))):
-            raise DataError("prices must be positive")
+        # every price > 0 and finite: the minimum rules out the rest, and a
+        # NaN, which min() may pass over, or an inf makes the sum non-finite;
+        # so does a finite series whose sum overflows, hence the exact check
+        if len(x) and not (min(x) > 0 and math.isfinite(sum(x))):
+            if not all(0 < v < math.inf for v in x):
+                raise DataError("prices must be positive and finite")
 
     @property
     def t(self) -> range:

@@ -727,9 +727,24 @@ _BARS = ["--input", "{bars}", "--delimiter", ";"]
         (["analyze", *_BARS, "--crash", "notadate"], None, "argument --crash: bad crash instant 'notadate'"),
         (["analyze", *_BARS], None, "usage error: analyze requires a crash instant"),
         (["ingest", "--delimiter", ";"], None, "usage error: ingest requires an input file"),
+        # a flag that the sub-command would not read
+        (["ingest", *_BARS, "--seed", "1"], None, "unrecognized arguments: --seed 1"),
+        (["ingest", *_BARS, "--svg"], None, "unrecognized arguments: --svg"),
+        (["collapse", "--events", "{tmp}/events.csv", "--seed", "1"], None, "unrecognized arguments: --seed 1"),
+        (["simulate", "--kind", "omori", "--thresholds", "2.5"], None, "unrecognized arguments: --thresholds 2.5"),
+        (["simulate", "--kind", "omori", "--window-days", "7"], None, "unrecognized arguments: --window-days 7"),
+        (["simulate", "--kind", "omori", "--window-minutes", "7"], None, "unrecognized arguments: --window-minutes 7"),
+        (["simulate", "--kind", "pareto", "--p", "0.7"], None,
+         "usage error: --kind pareto takes --mu --tau-min --count, not --p\n"),
+        (["simulate", "--kind", "stationary", "--c", "1", "--round-minutes"], None,
+         "usage error: --kind stationary takes --sim-horizon --rate, not --c --round-minutes\n"),
+        (["simulate", "--kind", "omori", "--mu", "0.5", "--count", "5", "--rate", "2"], None,
+         "usage error: --kind omori takes --p --amplitude --c --sim-horizon --round-minutes, not --mu --count --rate\n"),
     ],
     ids=["unreadable-config", "config-line-without-equals", "bad-boolean", "three-part-fit-range",
-         "bad-crash", "analyze-without-crash", "ingest-without-input"],
+         "bad-crash", "analyze-without-crash", "ingest-without-input", "ingest-seed", "ingest-svg",
+         "collapse-seed", "simulate-thresholds", "simulate-window-days", "simulate-window-minutes",
+         "pareto-p", "stationary-c-round-minutes", "omori-mu-count-rate"],
 )
 def test_refused_setting_writes_nothing(minute_bars_path, tmp_path, capsys, argv, config, message):
     if config is not None:
@@ -911,10 +926,36 @@ class TestSimulate:
         assert "catalog: too few events (0) for an Omori fit" in report["notes"]
         assert (tmp_path / "events_catalog.csv").read_text() == "t_minutes\n"
 
-    def test_too_few_resamples_skip_the_bootstrap(self, tmp_path):
-        assert _run("simulate", "--kind", "omori", "--resamples", "50", "--outdir", str(tmp_path)) == EXIT_OK
+    def test_too_few_resamples_are_refused(self, tmp_path, capsys):
+        # 1-99 resamples used to skip the bootstrap with a note and report a
+        # verdict from a zero-width point interval
+        outdir = str(tmp_path / "out")
+        assert _run("simulate", "--kind", "omori", "--resamples", "50", "--outdir", outdir) == EXIT_USAGE
+        assert "argument --resamples: '50': must be 0 (no bootstrap) or at least 100" in capsys.readouterr().err
+        (tmp_path / "run.cfg").write_text("resamples = 99\n")
+        assert _run("simulate", "--kind", "omori", "--config", str(tmp_path / "run.cfg"), "--outdir", outdir) == EXIT_USAGE
+        assert "run.cfg:1: '99': must be 0 (no bootstrap) or at least 100" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_too_few_events_for_the_rate_mle_are_noted(self, tmp_path):
+        # the LSQ fit reads the whole catalog, the rate MLE only (0, --horizon]
+        assert _run(
+            "simulate", "--kind", "omori", "--p", "0.5", "--amplitude", "1", "--sim-horizon", "10000",
+            "--horizon", "5", "--resamples", "0", "--outdir", str(tmp_path),
+        ) == EXIT_OK
         report = json.loads((tmp_path / "report.json").read_text())
-        assert "catalog: fewer than 100 resamples requested; bootstrap skipped" in report["notes"]
+        assert "omori" in report["thresholds"][0] and "omori_mle" not in report["thresholds"][0]
+        assert ("catalog: rate-MLE cross-check unavailable "
+                "(need at least 10 events in (0, horizon], got 5)") in report["notes"]
+
+    def test_one_event_catalog_has_no_waiting_section(self, tmp_path):
+        assert _run(
+            "simulate", "--kind", "omori", "--p", "0.5", "--amplitude", "0.002", "--sim-horizon", "10000",
+            "--resamples", "0", "--seed", "2", "--outdir", str(tmp_path),
+        ) == EXIT_OK
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["thresholds"][0] == {"event_count": 1, "events_csv": "events_catalog.csv", "label": "catalog"}
+        assert "catalog: no waiting times to histogram" in report["notes"]
 
     def test_negative_gamma_scale_factor_chart(self, tmp_path):
         # the collapse law fitted here has gamma < 0, infinite at n_w = 0
@@ -1067,6 +1108,15 @@ class TestCollapseCommand:
         assert capsys.readouterr().err == "data error: event times must be finite\n"
         assert not (tmp_path / "col").exists()
 
+    def test_malformed_event_row_is_data_error(self, tmp_path, capsys):
+        events_csv = tmp_path / "events.csv"
+        events_csv.write_text("t_minutes\n1\nabc\n3\n")
+        assert _run("collapse", "--events", str(events_csv), "--outdir", str(tmp_path / "col")) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"data error: {events_csv}: malformed event row (could not convert string to float: 'abc')\n"
+        )
+        assert not (tmp_path / "col").exists()
+
     def test_too_few_events_is_data_error(self, tmp_path, capsys):
         events_csv = tmp_path / "tiny.csv"
         events_csv.write_text("t_minutes\n" + "".join(f"{t}\n" for t in range(40)))
@@ -1079,10 +1129,11 @@ _INPUT_FLAGS = [
     "--input", "--delimiter", "--date-column", "--time-column", "--price-column",
     "--date-format", "--time-format", "--crash",
 ]
-_ANALYSIS_FLAGS = [
-    "--window-days", "--window-minutes", "--thresholds", "--grid-step", "--horizon",
-    "--c-search", "--no-c-search", "--bin-size", "--fit-range", "--n-w", "--n-max",
-    "--reference", "--resamples",
+# analyze only: simulate draws its catalog, with no price window or thresholds
+_WINDOW_FLAGS = ["--window-days", "--window-minutes", "--thresholds"]
+_FIT_FLAGS = [
+    "--grid-step", "--horizon", "--c-search", "--no-c-search", "--bin-size", "--fit-range", "--n-w",
+    "--n-max", "--reference", "--resamples",
 ]
 _COMMON_FLAGS = ["--config", "--outdir", "--seed", "--svg", "--no-svg", "-v", "--verbose"]
 _SIMULATE_FLAGS = [
@@ -1095,10 +1146,12 @@ class TestHelp:
     @pytest.mark.parametrize(
         "command,flags",
         [
-            ("ingest", _INPUT_FLAGS + _COMMON_FLAGS),
-            ("analyze", _INPUT_FLAGS + _ANALYSIS_FLAGS + _COMMON_FLAGS),
-            ("simulate", _SIMULATE_FLAGS + _ANALYSIS_FLAGS + _COMMON_FLAGS),
-            ("collapse", ["--events", "--n-w", "--n-max", "--reference"] + _COMMON_FLAGS),
+            # ingest renders no chart and draws nothing; collapse draws nothing
+            ("ingest", _INPUT_FLAGS + ["--config", "--outdir", "-v", "--verbose"]),
+            ("analyze", _INPUT_FLAGS + _WINDOW_FLAGS + _FIT_FLAGS + _COMMON_FLAGS),
+            ("simulate", _SIMULATE_FLAGS + _FIT_FLAGS + _COMMON_FLAGS),
+            ("collapse", ["--events", "--n-w", "--n-max", "--reference", "--config", "--outdir", "--svg",
+                          "--no-svg", "-v", "--verbose"]),
             ("report", ["--outdir"]),
         ],
     )

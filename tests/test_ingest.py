@@ -145,6 +145,17 @@ class TestPriceSeries:
         with pytest.raises(DataError, match="prices must be positive"):
             PriceSeries(x=prices, wall_clock=[0, 60])
 
+    @pytest.mark.parametrize("prices", [[1.0, math.inf, 2.0], [math.inf, 1.0, 2.0], [1.0, 2.0, math.nan]])
+    def test_non_finite_price_is_data_error(self, prices):
+        # an inf price used to pass and give the returns [inf, nan]
+        with pytest.raises(DataError, match="prices must be positive and finite"):
+            PriceSeries(x=prices, wall_clock=[0, 60, 120])
+
+    def test_finite_prices_whose_sum_overflows_are_accepted(self):
+        series = PriceSeries(x=[1e308, 1e308, 1.0], wall_clock=[0, 60, 120])
+        assert math.isinf(sum(series.x))
+        assert series.x.tolist() == [1e308, 1e308, 1.0]
+
 
 class TestLoadRecords:
     def test_header_and_two_rows(self):
