@@ -94,32 +94,6 @@ class _UsageError(Exception):
     """Bad or missing configuration detected after flag parsing."""
 
 
-def _sim_param(default, parse, flag: str, kinds: tuple[str, ...], help: str):
-    """A :class:`SimulateSpec` parameter, set by the ``simulate`` flag ``flag``
-    (read by ``parse``; ``bool``: a switch) and taken by the generators of ``kinds``."""
-    return field(default=default, metadata={"parse": parse, "flag": flag, "kinds": kinds, "help": help})
-
-
-@dataclass(frozen=True)
-class SimulateSpec:
-    """Generator selection for simulate-mode runs: ``kind`` names the
-    generator (``--kind``), and every other field is a keyword parameter of
-    the generators its ``kinds`` metadata lists."""
-
-    kind: str
-    p: float = _sim_param(0.5, float, "--p", ("omori",), "decay exponent (omori)")
-    amplitude: float = _sim_param(5.0, float, "--amplitude", ("omori",), "rate amplitude (omori)")
-    c: float = _sim_param(0.0, float, "--c", ("omori",), "time offset, minutes (omori)")
-    horizon: float = _sim_param(
-        10000.0, float, "--sim-horizon", ("omori", "stationary"), "generation horizon, minutes (default 10000)"
-    )
-    mu: float = _sim_param(0.95, float, "--mu", ("pareto",), "waiting exponent (pareto)")
-    tau_min: float = _sim_param(1.0, float, "--tau-min", ("pareto",), "smallest waiting time (pareto)")
-    count: int = _sim_param(10000, int, "--count", ("pareto",), "number of waits (pareto)")
-    rate: float = _sim_param(1.0, float, "--rate", ("stationary",), "events per minute (stationary)")
-    round_to_minutes: bool = _sim_param(False, bool, "--round-minutes", ("omori",), "floor event times to the minute grid")
-
-
 def _parse_floats(text: str) -> tuple[float, ...]:
     return tuple(float(v) for v in text.split(",") if v.strip())
 
@@ -186,6 +160,14 @@ def _parse_resamples(text: str) -> int:
     return count
 
 
+def _parse_n_max(text: str) -> int:
+    # the collapse needs a reference curve of 3 points, n = 0..n_max
+    n_max = _positive(int)(text)
+    if n_max < 2:
+        raise argparse.ArgumentTypeError(f"{text!r}: must be at least 2")
+    return n_max
+
+
 def _parse_char(text: str) -> str:
     if len(text) != 1:
         raise argparse.ArgumentTypeError(f"{text!r}: must be one character")
@@ -201,17 +183,46 @@ def _parse_bool(text: str) -> bool:
     raise argparse.ArgumentTypeError(f"bad boolean {text!r}")
 
 
-# the sub-commands whose code reads a setting, and so take it as a flag
+# The runs that read a setting, and so take its flag: each sub-command but
+# simulate, and each simulate --kind. A pareto run only fits the waiting times.
+_KINDS = ("omori", "pareto", "stationary")
 _INPUT = ("ingest", "analyze")
-_ANALYSIS = ("analyze", "simulate")
-_CORRELATION = ("analyze", "simulate", "collapse")
-_EVERY = ("ingest", "analyze", "simulate", "collapse")
+_FIT = ("analyze", "omori", "stationary")
+_CORRELATION = (*_FIT, "collapse")
+_SAMPLE = ("analyze", *_KINDS)
+_CHART = (*_SAMPLE, "collapse")
+_EVERY = ("ingest", *_CHART)
 
 
-def _setting(default, parse, commands: tuple[str, ...], help: str):
-    """A :class:`RunConfig` field: ``parse`` reads its config-file value and
-    its flag, which ``commands`` take with the help text ``help``."""
-    return field(default=default, metadata={"parse": parse, "commands": commands, "help": help, "omit_none": True})
+def _setting(default, parse, commands: tuple[str, ...], help: str, flag: str | None = None):
+    """A settable field: ``parse`` reads its flag, ``flag`` or by default
+    ``--field-name`` (``bool``: a switch), and a :class:`RunConfig` field's
+    config-file value. The runs in ``commands`` take the flag, with ``help``."""
+    return field(default=default, metadata=dict(parse=parse, commands=commands, help=help, flag=flag, omit_none=True))
+
+
+def _flag(f) -> str:
+    return f.metadata["flag"] or "--" + f.name.replace("_", "-")
+
+
+@dataclass(frozen=True)
+class SimulateSpec:
+    """Generator selection for simulate-mode runs: ``kind`` names the
+    generator (``--kind``), and every other field is a keyword parameter of
+    the generators of the kinds its ``commands`` lists."""
+
+    kind: str
+    p: float = _setting(0.5, float, ("omori",), "decay exponent (omori)")
+    amplitude: float = _setting(5.0, float, ("omori",), "rate amplitude (omori)")
+    c: float = _setting(0.0, float, ("omori",), "time offset, minutes (omori)")
+    horizon: float = _setting(
+        10000.0, float, ("omori", "stationary"), "generation horizon, minutes (default 10000)", "--sim-horizon"
+    )
+    mu: float = _setting(0.95, float, ("pareto",), "waiting exponent (pareto)")
+    tau_min: float = _setting(1.0, float, ("pareto",), "smallest waiting time (pareto)")
+    count: int = _setting(10000, int, ("pareto",), "number of waits (pareto)")
+    rate: float = _setting(1.0, float, ("stationary",), "events per minute (stationary)")
+    round_to_minutes: bool = _setting(False, bool, ("omori",), "floor event times to the minute grid", "--round-minutes")
 
 
 @dataclass(frozen=True)
@@ -239,28 +250,24 @@ class RunConfig:
     thresholds: tuple[float, ...] = _setting(
         (2.0, 3.0), _positive(_parse_floats), ("analyze",), "sigma multiples, comma separated (default 2,3)"
     )
-    grid_step: float = _setting(1.0, _positive(float), _ANALYSIS, "Omori fitting grid step, minutes (default 1)")
-    horizon: float | None = _setting(
-        None, _positive(float), _ANALYSIS, "Omori fitting horizon, minutes (default: window end)"
-    )
-    c_search: bool = _setting(
-        False, _parse_bool, _ANALYSIS, "search the Omori time offset c (default: pinned to 0)"
-    )
-    bin_size: float = _setting(1.0, _positive(float), _ANALYSIS, "waiting histogram bin, minutes (default 1)")
+    grid_step: float = _setting(1.0, _positive(float), _FIT, "Omori fitting grid step, minutes (default 1)")
+    horizon: float | None = _setting(None, _positive(float), _FIT, "Omori fitting horizon, minutes (default: window end)")
+    c_search: bool = _setting(False, _parse_bool, _FIT, "search the Omori time offset c (default: pinned to 0)")
+    bin_size: float = _setting(1.0, _positive(float), _SAMPLE, "waiting histogram bin, minutes (default 1)")
     fit_range: tuple[float | None, float | None] = _setting(
-        (None, None), _parse_fit_range, _ANALYSIS, "waiting fit range 'lo,hi'"
+        (None, None), _parse_fit_range, _SAMPLE, "waiting fit range 'lo,hi'"
     )
     n_w: tuple[int, ...] = _setting(
         (0, 10, 20, 30, 40, 50), _nonnegative(_parse_ints), _CORRELATION, "waiting event times (default 0,10,20,30,40,50)"
     )
-    n_max: int = _setting(60, _positive(int), _CORRELATION, "event-time extent of correlation curves (default 60)")
+    n_max: int = _setting(60, _parse_n_max, _CORRELATION, "event-time extent of correlation curves (default 60)")
     reference: int = _setting(0, _nonnegative(int), _CORRELATION, "reference n_w for the collapse (default 0)")
-    resamples: int = _setting(200, _parse_resamples, _ANALYSIS, "bootstrap resamples, 0 disables (default 200)")
+    resamples: int = _setting(200, _parse_resamples, _FIT, "bootstrap resamples, 0 disables (default 200)")
     outdir: Path = _setting(
         Path("aftershocks-out"), Path, _EVERY, f"output directory (default ${ENV_OUTDIR} or ./aftershocks-out)"
     )
-    seed: int = _setting(0, _nonnegative(int), _ANALYSIS, "master seed for generators and bootstrap")
-    svg: bool = _setting(False, _parse_bool, _CORRELATION, "also render SVG charts")
+    seed: int = _setting(0, _nonnegative(int), _SAMPLE, "master seed for generators and bootstrap")
+    svg: bool = _setting(False, _parse_bool, _CHART, "also render SVG charts")
     simulate: SimulateSpec | None = field(default=None, metadata={"omit_none": True})
 
 
@@ -382,10 +389,8 @@ def _threshold_label(multiple: float) -> str:
 def _run_synthetic(config: RunConfig, tables: dict, notes: list[str]) -> dict:
     spec = config.simulate
     assert spec is not None
-    generate = {"omori": gen_omori, "pareto": gen_pareto_waits, "stationary": gen_stationary}.get(spec.kind)
-    if generate is None:
-        raise _UsageError(f"unknown simulate kind {spec.kind!r}")
-    params = {f.name: getattr(spec, f.name) for f in fields(spec)[1:] if spec.kind in f.metadata["kinds"]}
+    generate = dict(zip(_KINDS, (gen_omori, gen_pareto_waits, gen_stationary)))[spec.kind]
+    params = {f.name: getattr(spec, f.name) for f in fields(spec)[1:] if spec.kind in f.metadata["commands"]}
     try:
         with _stage("simulate"):
             sample = generate(**params, seed=config.seed)
@@ -705,52 +710,53 @@ def _read_config_file(path: Path) -> dict:
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
-    file_values = _read_config_file(Path(args.config)) if getattr(args, "config", None) else {}
-    defaults = RunConfig()
-    merged = {}
-    for f in fields(RunConfig):
-        if "parse" not in f.metadata:
-            continue
-        flag_value = getattr(args, f.name, None)
-        if flag_value is not None:
-            merged[f.name] = flag_value
-        elif f.name in file_values:
-            merged[f.name] = file_values[f.name]
-        elif f.name == "outdir" and os.environ.get(ENV_OUTDIR):
-            merged[f.name] = Path(os.environ[ENV_OUTDIR])
-        else:
-            merged[f.name] = getattr(defaults, f.name)
-    n_w = ",".join(map(str, merged["n_w"]))
-    if len(set(merged["n_w"])) < len(merged["n_w"]):
+    """The run's settings in precedence order: the defaults, then
+    $AFTERSHOCKS_OUTDIR, the config file and the flags. A flag is refused
+    unless the run (the sub-command, or simulate's ``--kind``) reads it."""
+    run = getattr(args, "kind", None) or getattr(args, "command", None)
+    given: dict = {SimulateSpec: {}, RunConfig: {}}  # the flag values by field name
+    stray = []
+    for cls, values in given.items():
+        for f in fields(cls):
+            value = getattr(args, _flag(f)[2:].replace("-", "_"), None) if "commands" in f.metadata else None
+            if value is not None:
+                values[f.name] = value
+                if run not in f.metadata["commands"]:
+                    stray.append(_flag(f))
+    if stray:
+        raise _UsageError(f"--kind {run} does not read {' '.join(stray)}")
+    merged = {"outdir": Path(os.environ[ENV_OUTDIR])} if os.environ.get(ENV_OUTDIR) else {}
+    merged.update(_read_config_file(Path(args.config)) if getattr(args, "config", None) else {})
+    merged.update(given[RunConfig])
+    if run in _KINDS:
+        merged["simulate"] = SimulateSpec(kind=run, **given[SimulateSpec])
+    config = RunConfig(**merged)
+    n_w = ",".join(map(str, config.n_w))
+    if len(set(config.n_w)) < len(config.n_w):
         raise _UsageError(f"n_w {n_w} repeats a value")
-    labels = [_threshold_label(m) for m in merged["thresholds"]]
+    labels = [_threshold_label(m) for m in config.thresholds]
     repeated = next((label for i, label in enumerate(labels) if label in labels[:i]), None)
     if repeated:
-        listed = ",".join(map(str, merged["thresholds"]))
+        listed = ",".join(map(str, config.thresholds))
         raise _UsageError(f"thresholds {listed} give the label {repeated} twice")
-    if merged["reference"] not in merged["n_w"]:
-        raise _UsageError(f"reference {merged['reference']} is not one of n_w {n_w}")
-    if getattr(args, "command", None) == "simulate":
-        flags = {f: getattr(args, f.metadata["flag"][2:].replace("-", "_")) for f in fields(SimulateSpec)[1:]}
-        given = {f.name: v for f, v in flags.items() if v is not None}
-        takes = [f.metadata["flag"] for f in flags if args.kind in f.metadata["kinds"]]
-        stray = [f.metadata["flag"] for f in flags if f.name in given and f.metadata["flag"] not in takes]
-        if stray:
-            raise _UsageError(f"--kind {args.kind} takes {' '.join(takes)}, not {' '.join(stray)}")
-        merged["simulate"] = SimulateSpec(kind=args.kind, **given)
-    return RunConfig(**merged)
+    if config.reference not in config.n_w:
+        raise _UsageError(f"reference {config.reference} is not one of n_w {n_w}")
+    return config
 
 
-def _add_setting_flags(sub: argparse.ArgumentParser, command: str) -> None:
-    """A flag for each :class:`RunConfig` setting that ``command`` takes, in
-    field order; ``--config`` heads the settings every command shares."""
-    for f in fields(RunConfig):
-        if command not in f.metadata.get("commands", ()):
+def _add_setting_flags(sub: argparse.ArgumentParser, *runs: str) -> None:
+    """A flag for each setting that one of ``runs`` reads: the generator
+    parameters, then the :class:`RunConfig` settings, each in field order;
+    ``--config`` heads the settings every command shares."""
+    for f in fields(SimulateSpec) + fields(RunConfig):
+        if not set(runs) & set(f.metadata.get("commands", ())):
             continue
         if f.name == "outdir":
             sub.add_argument("--config", help="key = value config file; flags override it")
-        flag, parse, help = "--" + f.name.replace("_", "-"), f.metadata["parse"], f.metadata["help"]
-        if parse is _parse_bool:
+        flag, parse, help = _flag(f), f.metadata["parse"], f.metadata["help"]
+        if parse is bool:  # a switch: None when absent, so the field default holds
+            sub.add_argument(flag, action="store_true", default=None, help=help)
+        elif parse is _parse_bool:
             sub.add_argument(flag, action=argparse.BooleanOptionalAction, help=help)
         else:
             sub.add_argument(flag, type=parse, help=help)
@@ -772,15 +778,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.set_defaults(func=cmd_analyze)
 
     p_sim = subs.add_parser("simulate", help="seeded synthetic catalog plus fits")
-    p_sim.add_argument("--kind", choices=("omori", "pareto", "stationary"), required=True)
-    # argparse names each dest after its flag (sim_horizon), apart from the settings'
-    for f in fields(SimulateSpec)[1:]:
-        flag, parse, help = f.metadata["flag"], f.metadata["parse"], f.metadata["help"]
-        if parse is bool:  # a switch: None when absent, so the field default holds
-            p_sim.add_argument(flag, action="store_true", default=None, help=help)
-        else:
-            p_sim.add_argument(flag, type=parse, help=help)
-    _add_setting_flags(p_sim, "simulate")
+    p_sim.add_argument("--kind", choices=_KINDS, required=True)
+    _add_setting_flags(p_sim, *_KINDS)
     p_sim.set_defaults(func=cmd_analyze)
 
     p_collapse = subs.add_parser("collapse", help="correlation study on an event CSV")

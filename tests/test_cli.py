@@ -242,7 +242,7 @@ _REFUSED = {
     "horizon": "-3",
     "bin_size": "0",
     "n_w": "0,-10",
-    "n_max": "0",
+    "n_max": "1",
     "reference": "-1",
     "resamples": "-1",
     "seed": "-1",
@@ -275,6 +275,15 @@ class TestConfigFile:
         run, by_flags = settings_run
         assert run(name) == by_flags
 
+    @pytest.mark.parametrize("text", ["off", "no", "0", "false"])
+    def test_false_spellings(self, minute_bars_path, tmp_path, text):
+        (tmp_path / "run.cfg").write_text(f"c_search = {text}\nsvg = {text}\n")
+        outdir = tmp_path / "out"
+        assert _analyze(minute_bars_path, outdir, "--resamples", "0", "--config", str(tmp_path / "run.cfg")) == EXIT_OK
+        config = json.loads((outdir / "report.json").read_text())["config"]
+        assert config["c_search"] is False and config["svg"] is False
+        assert not list(outdir.glob("*.svg"))
+
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("wibble = 3\n")
@@ -293,7 +302,7 @@ class TestConfigFile:
             (tmp_path / "run.cfg").write_text(f"{name} = {text}\n")
             argv += ["--config", str(tmp_path / "run.cfg")]
         assert _run(*argv) == EXIT_USAGE
-        assert re.search(r"must be (positive|nonnegative)", capsys.readouterr().err)
+        assert re.search(r"must be (positive|nonnegative|at least 2)", capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
     def test_every_numeric_setting_has_a_refused_value(self):
@@ -735,16 +744,26 @@ _BARS = ["--input", "{bars}", "--delimiter", ";"]
         (["simulate", "--kind", "omori", "--window-days", "7"], None, "unrecognized arguments: --window-days 7"),
         (["simulate", "--kind", "omori", "--window-minutes", "7"], None, "unrecognized arguments: --window-minutes 7"),
         (["simulate", "--kind", "pareto", "--p", "0.7"], None,
-         "usage error: --kind pareto takes --mu --tau-min --count, not --p\n"),
+         "usage error: --kind pareto does not read --p\n"),
         (["simulate", "--kind", "stationary", "--c", "1", "--round-minutes"], None,
-         "usage error: --kind stationary takes --sim-horizon --rate, not --c --round-minutes\n"),
+         "usage error: --kind stationary does not read --c --round-minutes\n"),
         (["simulate", "--kind", "omori", "--mu", "0.5", "--count", "5", "--rate", "2"], None,
-         "usage error: --kind omori takes --p --amplitude --c --sim-horizon --round-minutes, not --mu --count --rate\n"),
+         "usage error: --kind omori does not read --mu --count --rate\n"),
+        # a pareto run fits only the waiting times: no Omori fit, bootstrap or correlation
+        (["simulate", "--kind", "pareto", "--grid-step", "7"], None, "usage error: --kind pareto does not read --grid-step\n"),
+        (["simulate", "--kind", "pareto", "--horizon", "50"], None, "usage error: --kind pareto does not read --horizon\n"),
+        (["simulate", "--kind", "pareto", "--no-c-search"], None, "usage error: --kind pareto does not read --c-search\n"),
+        (["simulate", "--kind", "pareto", "--resamples", "0"], None, "usage error: --kind pareto does not read --resamples\n"),
+        (["simulate", "--kind", "pareto", "--n-w", "0,5"], None, "usage error: --kind pareto does not read --n-w\n"),
+        (["simulate", "--kind", "pareto", "--n-max", "10"], None, "usage error: --kind pareto does not read --n-max\n"),
+        (["simulate", "--kind", "pareto", "--reference", "0"], None, "usage error: --kind pareto does not read --reference\n"),
     ],
     ids=["unreadable-config", "config-line-without-equals", "bad-boolean", "three-part-fit-range",
          "bad-crash", "analyze-without-crash", "ingest-without-input", "ingest-seed", "ingest-svg",
          "collapse-seed", "simulate-thresholds", "simulate-window-days", "simulate-window-minutes",
-         "pareto-p", "stationary-c-round-minutes", "omori-mu-count-rate"],
+         "pareto-p", "stationary-c-round-minutes", "omori-mu-count-rate", "pareto-grid-step",
+         "pareto-horizon", "pareto-no-c-search", "pareto-resamples", "pareto-n-w", "pareto-n-max",
+         "pareto-reference"],
 )
 def test_refused_setting_writes_nothing(minute_bars_path, tmp_path, capsys, argv, config, message):
     if config is not None:
@@ -752,6 +771,17 @@ def test_refused_setting_writes_nothing(minute_bars_path, tmp_path, capsys, argv
     argv = [arg.format(tmp=tmp_path, bars=minute_bars_path) for arg in argv]
     assert _run(*argv, "--outdir", str(tmp_path / "out")) == EXIT_USAGE
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_internal_error_exits_3_and_writes_nothing(minute_bars_path, tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise RuntimeError("planted failure")
+
+    # the analysis names are bound once; a binding set beforehand is kept
+    monkeypatch.setattr(cli, "detect_events", fail)
+    assert _analyze(minute_bars_path, tmp_path / "out") == cli.EXIT_INTERNAL
+    assert capsys.readouterr().err == "internal error: RuntimeError: planted failure\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -779,7 +809,9 @@ def test_infinite_setting_is_usage_error(minute_bars_path, tmp_path, capsys, fla
     ids=["omori-p1.5-c0", "stationary-rate0", "pareto-mu0", "pareto-count-5", "omori-p0.995-c0", "pareto-mu0.001"],
 )
 def test_bad_generator_parameter_is_usage_error(tmp_path, capsys, argv, message):
-    assert _run("simulate", *argv, "--resamples", "0", "--outdir", str(tmp_path / "out")) == EXIT_USAGE
+    # a pareto run has no bootstrap, and so no --resamples
+    resamples = [] if "pareto" in argv else ["--resamples", "0"]
+    assert _run("simulate", *argv, *resamples, "--outdir", str(tmp_path / "out")) == EXIT_USAGE
     assert f"usage error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
@@ -788,8 +820,10 @@ def test_bad_generator_parameter_is_usage_error(tmp_path, capsys, argv, message)
     "argv,message",
     [
         (["--kind", "pareto", "--count", "1000000000000"], "simulate pareto: a count of 1e+12"),
-        (["--kind", "omori", "--amplitude", "1e300"], "simulate omori: an expected event count of 2e+302"),
-        (["--kind", "stationary", "--sim-horizon", "1e15"], "simulate stationary: an expected event count of 1e+15"),
+        (["--kind", "omori", "--amplitude", "1e300", "--resamples", "0"],
+         "simulate omori: an expected event count of 2e+302"),
+        (["--kind", "stationary", "--sim-horizon", "1e15", "--resamples", "0"],
+         "simulate stationary: an expected event count of 1e+15"),
     ],
     ids=["pareto-count", "omori-amplitude", "stationary-horizon"],
 )
@@ -803,7 +837,7 @@ def test_catalog_over_the_cap_is_usage_error(tmp_path, argv, message):
 
 def test_draw_that_float64_absorbs_ends_empty(tmp_path):
     # horizon + c rounds to c: this draw used to run until memory ran out
-    run = _simulate_in_2gb("--kind", "omori", "--c", "1e308", "--outdir", str(tmp_path / "out"))
+    run = _simulate_in_2gb("--kind", "omori", "--c", "1e308", "--resamples", "0", "--outdir", str(tmp_path / "out"))
     assert run.returncode == EXIT_OK, run.stderr
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["synthetic"]["event_count"] == 0
@@ -811,8 +845,8 @@ def test_draw_that_float64_absorbs_ends_empty(tmp_path):
 
 
 def _simulate_in_2gb(*argv: str) -> subprocess.CompletedProcess:
-    """``simulate *argv --resamples 0`` in a new interpreter with a 2 GB
-    address space and a minute to run, so that a runaway draw fails fast."""
+    """``simulate *argv`` in a new interpreter with a 2 GB address space and
+    a minute to run, so that a runaway draw fails fast."""
     resource = pytest.importorskip("resource")
     limit = 2 << 30
     env = dict(os.environ)
@@ -820,7 +854,7 @@ def _simulate_in_2gb(*argv: str) -> subprocess.CompletedProcess:
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     code = "import sys\nfrom aftershocks.cli import main\nsys.exit(main(sys.argv[1:]))\n"
     return subprocess.run(
-        [sys.executable, "-c", code, "simulate", *argv, "--resamples", "0"],
+        [sys.executable, "-c", code, "simulate", *argv],
         env=env, capture_output=True, text=True, timeout=60,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
     )
@@ -973,9 +1007,9 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "kind,argv,params",
         [
-            ("omori", ["--p", "0.6", "--sim-horizon", "3000", "--round-minutes"],
+            ("omori", ["--p", "0.6", "--sim-horizon", "3000", "--round-minutes", "--resamples", "0"],
              {"amplitude": 5.0, "c": 0.0, "horizon": 3000.0, "p": 0.6, "round_to_minutes": True}),
-            ("stationary", ["--sim-horizon", "2000"], {"horizon": 2000.0, "rate": 1.0}),
+            ("stationary", ["--sim-horizon", "2000", "--resamples", "0"], {"horizon": 2000.0, "rate": 1.0}),
             ("pareto", ["--mu", "0.8", "--count", "2000"], {"count": 2000, "mu": 0.8, "tau_min": 1.0}),
         ],
         ids=["omori", "stationary", "pareto"],
@@ -983,7 +1017,7 @@ class TestSimulate:
     def test_echo_of_every_kind(self, tmp_path, kind, argv, params):
         # synthetic.params holds exactly the kind's parameters, given or
         # defaulted; config.simulate echoes the kind and all nine
-        assert _run("simulate", "--kind", kind, *argv, "--resamples", "0", "--outdir", str(tmp_path)) == EXIT_OK
+        assert _run("simulate", "--kind", kind, *argv, "--outdir", str(tmp_path)) == EXIT_OK
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["synthetic"]["params"] == params
         defaults = {
