@@ -924,5 +924,38 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
 
 
+def _watched() -> bool:
+    """Whether a tracer or profiler watches this process: a trace or profile
+    function, or a ``sys.monitoring`` tool (cProfile's since Python 3.12)."""
+    monitoring = getattr(sys, "monitoring", None)
+    return (
+        sys.gettrace() is not None
+        or sys.getprofile() is not None
+        or (monitoring is not None and any(monitoring.get_tool(i) is not None for i in range(6)))
+    )
+
+
+def entry() -> int:
+    """Run :func:`main` as a process of its own and end it with main's code.
+
+    Every file a run writes is closed before :func:`main` returns, so once
+    stdout and stderr are flushed the process ends at once with ``os._exit``:
+    interpreter teardown would only unload modules. When a tracer or
+    profiler watches (coverage, pdb, ``-m trace``, ``-m cProfile``), or a
+    flush fails, the code is returned for ``sys.exit`` and the interpreter
+    tears down as usual, writing its profile or reporting the failed flush.
+    """
+    code = main()
+    if _watched():
+        return code
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # closed at start-up (``>&-``)
+                stream.flush()
+    except (OSError, ValueError):
+        return code
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

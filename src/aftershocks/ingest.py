@@ -14,6 +14,7 @@ so ``aftershocks ingest`` never imports it.
 from __future__ import annotations
 
 import bisect
+import copy
 import csv
 import io
 import itertools
@@ -21,7 +22,7 @@ import logging
 import math
 import operator
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import date, datetime, timedelta
 from pathlib import Path
 from typing import IO
@@ -133,7 +134,10 @@ def load_records(
     dropped here (that is :func:`compact_gaps`'s job, and it is strict).
     The date cell gives the day and the time cell the hour, minute and
     second of each timestamp; any other field either format parses is
-    ignored.
+    ignored. Each distinct cell is parsed once. Under the default formats a
+    stripped cell of eight (date) or six (time) ASCII digits that makes a
+    valid date or time of day is read by slicing, with the value
+    ``strptime`` would give; every other cell goes to ``strptime``.
 
     A UTF-8 byte order mark before the header (Excel's "CSV UTF-8") is
     dropped.
@@ -214,12 +218,10 @@ def _parse_stream(
     # A minute-bar file repeats each date on every row of its day and each
     # time on every day, so each distinct cell is parsed once.
     def parse_day(cell: str) -> int:
-        day = datetime.strptime(cell.strip(), date_format)
-        return (day.toordinal() - _EPOCH_ORDINAL) * _DAY
+        return (_parse_date(cell.strip(), date_format).toordinal() - _EPOCH_ORDINAL) * _DAY
 
     def parse_clock(cell: str) -> int:
-        clock = datetime.strptime(cell.strip(), time_format)
-        return clock.hour * 3600 + clock.minute * 60 + clock.second
+        return _parse_clock(cell.strip(), time_format)
 
     day_seconds = _Memo(parse_day).__getitem__
     clock_seconds = _Memo(parse_clock).__getitem__
@@ -264,6 +266,30 @@ def _parse_stream(
         # raised while reading the row after the last one numbered
         raise DataError(f"malformed row {row_no + 1}: {exc}") from None
     return MinuteBars(wall_clock=stamps, price=prices)
+
+
+def _parse_date(text: str, date_format: str) -> date:
+    """The date ``text`` gives under ``date_format``. Under the default
+    format, eight ASCII digits that make a valid date are read by slicing;
+    every other text goes to ``strptime``, which words the errors."""
+    if date_format == DEFAULT_DATE_FORMAT and len(text) == 8 and text.isascii() and text.isdigit():
+        try:
+            return date(int(text[:4]), int(text[4:6]), int(text[6:]))
+        except ValueError:
+            pass
+    return datetime.strptime(text, date_format).date()
+
+
+def _parse_clock(text: str, time_format: str) -> int:
+    """The second of the day that ``text`` gives under ``time_format``. Under
+    the default format, six ASCII digits with hour < 24, minute < 60 and
+    second < 60 are read by slicing; every other text goes to ``strptime``."""
+    if time_format == DEFAULT_TIME_FORMAT and len(text) == 6 and text.isascii() and text.isdigit():
+        hour, minute, second = int(text[:2]), int(text[2:4]), int(text[4:])
+        if hour < 24 and minute < 60 and second < 60:
+            return hour * 3600 + minute * 60 + second
+    clock = datetime.strptime(text, time_format)
+    return clock.hour * 3600 + clock.minute * 60 + clock.second
 
 
 def _plain_chunk(chunk, delimiter, needed, i_date, i_time, i_price, day_seconds, clock_seconds):
@@ -357,7 +383,12 @@ def align_origin(series: PriceSeries, crash: datetime) -> PriceSeries:
     origin = _wall_datetime(wall[idx])
     if origin != crash:
         log.info("crash instant %s snapped forward to recorded minute %s", crash, origin)
-    return replace(series, t_start=-idx, origin_wall_clock=origin)
+    # a copy sharing the columns, whose prices were checked when ``series``
+    # was built; replace() would check them again
+    aligned = copy.copy(series)
+    object.__setattr__(aligned, "t_start", -idx)
+    object.__setattr__(aligned, "origin_wall_clock", origin)
+    return aligned
 
 
 def _day_runs(wall: array, start: int = 0):

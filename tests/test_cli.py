@@ -430,16 +430,111 @@ def test_benchmark_tracer_bindings_resolve():
     assert "resamples" in inspect.signature(cli.bootstrap_ci).parameters
 
 
-def _fresh_python(code: str, *argv: str) -> subprocess.CompletedProcess:
-    """Run ``code`` in a new interpreter that imports this checkout's package."""
+def _python(*args: str, **kwargs) -> subprocess.CompletedProcess:
+    """Run a new interpreter with ``args`` that imports this checkout's
+    package; ``kwargs`` go to ``subprocess.run``, capturing both streams
+    as text unless they say otherwise. Its stdout is block-buffered, as on
+    a pipe or file by default, unless ``args`` start with ``-u``."""
     env = dict(os.environ)
     src = str(Path(cli.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    run = subprocess.run(
-        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=120
-    )
+    env.pop("PYTHONUNBUFFERED", None)
+    kwargs = {"capture_output": True, "text": True, "timeout": 120, **kwargs}
+    return subprocess.run([sys.executable, *args], env=env, **kwargs)
+
+
+def _fresh_python(code: str, *argv: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter that imports this checkout's package."""
+    run = _python("-c", code, *argv)
     assert run.returncode == 0, run.stderr
     return run
+
+
+# in-process main(), as the console entry ran before it ended the process itself
+_MAIN = ("-c", "import sys; from aftershocks.cli import main; sys.exit(main())")
+_ENTRY = ("-m", "aftershocks.cli")
+
+
+class TestEntry:
+    # entry() ends the process with os._exit once stdio is flushed; what a
+    # run writes, prints and returns must be what main() gives in process
+
+    def test_every_sub_command_matches_main(self, minute_bars_path, tmp_path):
+        bars = ["--input", str(minute_bars_path), "--delimiter", ";"]
+        steps = [
+            ["ingest", *bars, "--crash", CRASH, "--outdir", "ingest"],
+            # a crash instant in a gap snaps forward to CRASH, and -v logs that on stderr
+            ["analyze", *bars, "--crash", "2014-12-15 12:59:30", "--resamples", "0", "--svg", "-v",
+             "--outdir", "analyze"],
+            ["simulate", "--kind", "omori", "--sim-horizon", "2000", "--resamples", "0", "--outdir", "sim"],
+            ["collapse", "--events", "sim/events_catalog.csv", "--outdir", "collapse"],
+            ["report", "--outdir", "analyze"],
+            # a refused flag (exit 1) and a missing input (exit 2) write nothing
+            ["ingest", *bars, "--seed", "1", "--outdir", "refused"],
+            ["ingest", "--input", "absent.csv", "--outdir", "missing"],
+        ]
+        seen = {}
+        for name, how in (("main", _MAIN), ("entry", _ENTRY)):
+            cwd = tmp_path / name
+            cwd.mkdir()
+            outcomes = [_python(*how, *argv, cwd=cwd) for argv in steps]
+            seen[name] = [(run.returncode, run.stdout, run.stderr) for run in outcomes]
+            tree = {str(p.relative_to(cwd)): p.read_bytes() for p in sorted(cwd.rglob("*")) if p.is_file()}
+            seen[name + " tree"] = tree
+        assert [code for code, _, _ in seen["main"]] == [EXIT_OK] * 5 + [EXIT_USAGE, EXIT_DATA]
+        assert "snapped forward to recorded minute" in seen["main"][1][2]
+        assert seen["entry"] == seen["main"]
+        assert seen["entry tree"] == seen["main tree"]
+        assert "report.json" in {Path(p).name for p in seen["main tree"]}
+
+    @pytest.mark.parametrize("trace", [False, True])
+    def test_teardown_runs_only_when_traced(self, minute_bars_path, tmp_path, trace):
+        code = (
+            "import atexit, sys\n"
+            "atexit.register(print, 'teardown ran')\n"
+            + ("sys.settrace(lambda *args: None)\n" if trace else "")
+            + "from aftershocks.cli import entry\n"
+            "sys.exit(entry())\n"
+        )
+        run = _fresh_python(code, "ingest", "--input", str(minute_bars_path), "--delimiter", ";",
+                            "--outdir", str(tmp_path))
+        assert run.stdout.startswith("2520 records")
+        assert ("teardown ran" in run.stdout) is trace
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize(
+        "flags,code,message",
+        [
+            # the failed flush falls back to teardown, which reports it
+            ((), 120, "Exception ignored in: <_io.TextIOWrapper name='<stdout>'"),
+            # unbuffered, print() itself fails inside main()
+            (("-u",), cli.EXIT_INTERNAL, "internal error: OSError: [Errno 28]"),
+        ],
+    )
+    def test_failed_stdout_matches_main(self, minute_bars_path, tmp_path, flags, code, message):
+        argv = ["ingest", "--input", str(minute_bars_path), "--delimiter", ";", "--outdir", str(tmp_path)]
+        seen = []
+        for how in (_MAIN, _ENTRY):
+            with open("/dev/full", "w") as full:
+                run = _python(*flags, *how, *argv, stdout=full, stderr=subprocess.PIPE, capture_output=False)
+            seen.append((run.returncode, run.stderr))
+        assert seen[1] == seen[0]
+        assert seen[0][0] == code
+        assert seen[0][1].startswith(message)
+        assert "OSError: [Errno 28]" in seen[0][1]
+
+    def test_closed_stdout_matches_main(self, minute_bars_path, tmp_path):
+        # with fd 1 closed at start-up, sys.stdout is None and print() a no-op
+        argv = ["ingest", "--input", str(minute_bars_path), "--delimiter", ";", "--outdir", "out"]
+        seen = []
+        for name, how in (("main", _MAIN), ("entry", _ENTRY)):
+            cwd = tmp_path / name
+            cwd.mkdir()
+            close = "import os, sys; os.close(1); os.execv(sys.executable, sys.argv[1:])"
+            run = _python("-c", close, sys.executable, *how, *argv, cwd=cwd)
+            seen.append((run.returncode, run.stderr, (cwd / "out" / "series.csv").read_bytes()))
+        assert seen[1] == seen[0]
+        assert seen[0][:2] == (EXIT_OK, "")
 
 
 def test_analyze_does_not_import_numpy_ma(minute_bars_path, tmp_path):

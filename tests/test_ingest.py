@@ -3,11 +3,11 @@ import io
 import math
 import re
 from array import array
-from datetime import datetime, timedelta
+from datetime import date, datetime, timedelta
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aftershocks import DataError, align_origin, compact_gaps, load_records, window_length_for_days
@@ -309,6 +309,65 @@ class TestLoadRecords:
         assert min(records.price) > 0
 
 
+def _cells(width: int):
+    """Cells of ``width`` characters around the default stamp formats:
+    valid stamps, digits in any field range, and digits mixed with spaces,
+    signs and non-ASCII digits, with or without surrounding blanks."""
+    if width == 8:
+        valid = st.dates().map(lambda d: f"{d.year:04d}{d.month:02d}{d.day:02d}")
+    else:
+        valid = st.times().map(lambda t: f"{t.hour:02d}{t.minute:02d}{t.second:02d}")
+    digits = st.text("0123456789", min_size=width, max_size=width)
+    mixed = st.text("0123456789 +-_\u0662\uff10\uff11\uff14\u00b2", min_size=width, max_size=width)
+    blanks = st.text(" \t", max_size=2)
+    return st.tuples(blanks, st.one_of(valid, digits, mixed), blanks).map("".join)
+
+
+def _outcome(parse, *args):
+    try:
+        return parse(*args)
+    except ValueError:
+        return ValueError
+
+
+class TestStampFastPath:
+    # the default formats read fixed-width digits by slicing, and must give
+    # strptime's value, or fail, on the same cells
+
+    @given(cell=_cells(8))
+    @example(cell="\uff12\uff10\uff11\uff14\uff11\uff12\uff10\uff14")
+    @example(cell="20150229")
+    @example(cell="00000101")
+    @settings(max_examples=500, deadline=None)
+    def test_date_matches_strptime(self, cell):
+        text = cell.strip()
+        expected = _outcome(lambda: datetime.strptime(text, ingest.DEFAULT_DATE_FORMAT).date())
+        assert _outcome(ingest._parse_date, text, ingest.DEFAULT_DATE_FORMAT) == expected
+
+    @given(cell=_cells(6))
+    @example(cell="\uff11\uff10\uff10\uff10\uff10\uff10")
+    @example(cell="235960")
+    @example(cell="240000")
+    @settings(max_examples=500, deadline=None)
+    def test_time_matches_strptime(self, cell):
+        text = cell.strip()
+
+        def reference():
+            clock = datetime.strptime(text, ingest.DEFAULT_TIME_FORMAT)
+            return clock.hour * 3600 + clock.minute * 60 + clock.second
+
+        assert _outcome(ingest._parse_clock, text, ingest.DEFAULT_TIME_FORMAT) == _outcome(reference)
+
+    def test_other_formats_go_to_strptime(self):
+        assert ingest._parse_date("20141204", "%Y%d%m") == date(2014, 4, 12)
+        assert ingest._parse_clock("100000", "%M%S%H") == 600
+
+    def test_default_stamps_need_no_strptime(self, minute_bars_path):
+        with mock.patch.object(ingest, "datetime", wraps=datetime) as spy:
+            records = load_records(minute_bars_path, delimiter=";")
+        assert len(records) and not spy.strptime.called
+
+
 class TestCompactGaps:
     def test_gap_removed(self):
         series = compact_gaps(
@@ -415,6 +474,14 @@ class TestAlignOrigin:
         series = compact_gaps(_records("2014-12-15 09:00", "2014-12-15 09:01", price=3.5))
         aligned = align_origin(series, datetime(2014, 12, 15, 9, 1))
         assert aligned.x == series.x
+
+    def test_shares_the_checked_columns_without_checking_again(self):
+        series = compact_gaps(_records("2014-12-15 09:00", "2014-12-15 09:01"))
+        with mock.patch.object(PriceSeries, "__post_init__", side_effect=AssertionError("checked again")):
+            aligned = align_origin(series, datetime(2014, 12, 15, 9, 1))
+        assert type(aligned) is PriceSeries
+        assert aligned.x is series.x and aligned.wall_clock is series.wall_clock
+        assert (series.t_start, series.origin_wall_clock) == (0, None)
 
 
 class TestWindowLengthForDays:
