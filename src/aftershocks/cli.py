@@ -17,19 +17,18 @@ files the run wrote and a failed run writes nothing.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import logging
 import math
 import os
 import sys
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass, field, fields
 from datetime import datetime
 from pathlib import Path
 
-from .errors import DataError
+from .errors import DataError, open_text
 from .ingest import (
     PriceSeries,
     align_origin,
@@ -52,7 +51,7 @@ def _import_analysis() -> None:
 
     from . import correlation as corr
     from .diagnostics import bootstrap_ci, build_report, markov_relation, serialize_report
-    from .events import EventSequence, detect_events, read_events_csv, waiting_times, write_csv, write_events_csv
+    from .events import EventSequence, detect_events, read_csv, read_events_csv, waiting_times, write_csv, write_events_csv
     from .omori import MIN_EVENTS, P_SEARCH_RANGE, OmoriFit, cumulative_count, fit_omori, fit_omori_mle, omori_model
     from .stats import compute_returns, window_stats
     from .svgplot import line_chart
@@ -174,6 +173,13 @@ def _parse_char(text: str) -> str:
     return text
 
 
+def _parse_path(text: str) -> Path:
+    # open() and mkdir() raise ValueError on one; only a config file can carry it
+    if "\0" in text:
+        raise argparse.ArgumentTypeError(f"{text!r}: a path cannot hold a NUL byte")
+    return Path(text)
+
+
 def _parse_bool(text: str) -> bool:
     lowered = text.strip().lower()
     if lowered in ("1", "true", "yes", "on"):
@@ -235,7 +241,7 @@ class RunConfig:
     are ``--x``/``--no-x`` flags.
     """
 
-    input: Path | None = _setting(None, Path, _INPUT, "delimiter-separated minute-bar file")
+    input: Path | None = _setting(None, _parse_path, _INPUT, "delimiter-separated minute-bar file")
     delimiter: str = _setting(",", _parse_char, _INPUT, "field delimiter, one character (default ',')")
     date_column: str = _setting("DATE", str, _INPUT, "date column name (default DATE)")
     time_column: str = _setting("TIME", str, _INPUT, "time column name (default TIME)")
@@ -264,7 +270,7 @@ class RunConfig:
     reference: int = _setting(0, _nonnegative(int), _CORRELATION, "reference n_w for the collapse (default 0)")
     resamples: int = _setting(200, _parse_resamples, _FIT, "bootstrap resamples, 0 disables (default 200)")
     outdir: Path = _setting(
-        Path("aftershocks-out"), Path, _EVERY, f"output directory (default ${ENV_OUTDIR} or ./aftershocks-out)"
+        Path("aftershocks-out"), _parse_path, _EVERY, f"output directory (default ${ENV_OUTDIR} or ./aftershocks-out)"
     )
     seed: int = _setting(0, _nonnegative(int), _SAMPLE, "master seed for generators and bootstrap")
     svg: bool = _setting(False, _parse_bool, _CHART, "also render SVG charts")
@@ -555,29 +561,20 @@ def _plain_name(name: str) -> str:
     return name
 
 
-def _read_csv(outdir: Path, name: str) -> list[list[float]]:
-    path = outdir / _plain_name(name)
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            next(reader, None)
-            return [[float(v) for v in row] for row in reader if row]
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc.strerror}") from None
-    except (ValueError, csv.Error) as exc:
-        raise DataError(f"{path}: malformed table ({exc})") from None
-
-
 def render_svgs(sections: list[dict], outdir: Path) -> list[str]:
     """Render the standard charts of report threshold sections from a run's
     CSV artifacts; returns the SVG file names written. Every label and table
     name must be a plain file name, and is checked before anything is written."""
     _import_analysis()
+
+    def table(name: str) -> list[list[float]]:
+        return read_csv(outdir / _plain_name(name))[1]
+
     charts: dict[str, str] = {}
     for section in sections:
         label = _plain_name(section["label"])
         if "omori_csv" in section:
-            rows = _read_csv(outdir, section["omori_csv"])
+            rows = table(section["omori_csv"])
             t = [r[0] for r in rows]
             chart = line_chart(
                 [("empirical", t, [r[1] for r in rows]), ("model", t, [r[2] for r in rows])],
@@ -588,7 +585,7 @@ def render_svgs(sections: list[dict], outdir: Path) -> list[str]:
             charts[f"omori_{label}.svg"] = chart
         waiting = section.get("waiting")
         if waiting and "histogram_csv" in waiting:
-            rows = _read_csv(outdir, waiting["histogram_csv"])
+            rows = table(waiting["histogram_csv"])
             taus = [r[0] for r in rows]
             series = [("counts", taus, [r[1] for r in rows])]
             lsq = waiting.get("lsq")
@@ -610,20 +607,20 @@ def render_svgs(sections: list[dict], outdir: Path) -> list[str]:
         csection = section.get("correlation")
         if csection:
             chart = line_chart(
-                _group_curves(_read_csv(outdir, csection["curves_csv"])),
+                _group_curves(table(csection["curves_csv"])),
                 title=f"aging curves ({label})",
                 xlabel="n",
                 ylabel="C(n+n_w, n_w)",
             )
             charts[f"aging_{label}.svg"] = chart
             chart = line_chart(
-                _group_curves(_read_csv(outdir, csection["collapsed_csv"])),
+                _group_curves(table(csection["collapsed_csv"])),
                 title=f"collapsed curves ({label})",
                 xlabel="n / f(n_w)",
                 ylabel="C",
             )
             charts[f"collapse_{label}.svg"] = chart
-            rows = _read_csv(outdir, csection["scale_factors_csv"])
+            rows = table(csection["scale_factors_csv"])
             n_ws = [r[0] for r in rows]
             series = [("f", n_ws, [r[1] for r in rows])]
             if csection.get("a") is not None:
@@ -653,6 +650,13 @@ def _group_curves(rows: list[list[float]]) -> list[tuple[str, list[float], list[
     return [(f"n_w={int(k)}", xs, ys) for k, (xs, ys) in sorted(grouped.items())]
 
 
+def _make_outdir(outdir: Path) -> None:
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _UsageError(f"--outdir {outdir}: cannot create the directory: {exc.strerror}") from None
+
+
 def _write_report(report: dict, outdir: Path, svg: bool, tables: dict) -> list[str]:
     """Write a run's output tree, the one place that does: make ``outdir``,
     write ``tables``, with ``svg`` render the charts of the report's
@@ -660,7 +664,7 @@ def _write_report(report: dict, outdir: Path, svg: bool, tables: dict) -> list[s
     then write ``report.json``. Its artifacts list the files listed there
     already, the tables and the SVGs in name order, then ``report.json``.
     Returns the SVG names written."""
-    outdir.mkdir(parents=True, exist_ok=True)
+    _make_outdir(outdir)
     for name, write in tables.items():
         write(outdir / name)
     svgs = []
@@ -689,9 +693,10 @@ def _read_config_file(path: Path) -> dict:
     parsers = {f.name: f.metadata["parse"] for f in fields(RunConfig) if "parse" in f.metadata}
     values = {}
     try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise _UsageError(f"cannot read config file: {exc}") from None
+        with open_text(path) as fh:
+            text = fh.read()
+    except DataError as exc:
+        raise _UsageError(str(exc)) from None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -806,7 +811,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     if not len(series):
         raise DataError(f"{config.input}: no data rows")
     outdir = Path(config.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    _make_outdir(outdir)
     series_csv = outdir / "series.csv"
     write_series_csv(series, series_csv)
     origin = series.origin_wall_clock
@@ -847,17 +852,17 @@ def cmd_report(args: argparse.Namespace) -> int:
     _import_analysis()
     outdir = Path(args.outdir)
     report_path = outdir / "report.json"
-    if not report_path.exists():
-        raise DataError(f"{report_path} not found")
+    with open_text(report_path) as fh:
+        text = fh.read()
     try:
-        report = json.loads(report_path.read_text(encoding="utf-8"))
+        report = json.loads(text)
     except ValueError as exc:
         raise DataError(f"{report_path}: not a JSON report ({exc})") from None
     if not isinstance(report, dict):
         raise DataError(f"{report_path}: not a JSON object")
     try:
         svgs = _write_report(report, outdir, svg=True, tables={})
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
         # a section or value of the wrong shape: the file is at fault, not the program
         raise DataError(f"{report_path}: malformed report ({type(exc).__name__}: {exc})") from None
     print(f"rendered {len(svgs)} charts in {outdir}")
@@ -940,10 +945,12 @@ def entry() -> int:
 
     Every file a run writes is closed before :func:`main` returns, so once
     stdout and stderr are flushed the process ends at once with ``os._exit``:
-    interpreter teardown would only unload modules. When a tracer or
-    profiler watches (coverage, pdb, ``-m trace``, ``-m cProfile``), or a
-    flush fails, the code is returned for ``sys.exit`` and the interpreter
-    tears down as usual, writing its profile or reporting the failed flush.
+    interpreter teardown would only unload modules. A flush that fails is an
+    internal error (exit 3): its bytes stay buffered, and teardown would
+    only fail on them again outside the documented codes. When a tracer or
+    profiler watches (coverage, pdb, ``-m trace``, ``-m cProfile``), the
+    code is returned for ``sys.exit`` and the interpreter tears down as
+    usual, writing its profile.
     """
     code = main()
     if _watched():
@@ -952,8 +959,10 @@ def entry() -> int:
         for stream in (sys.stdout, sys.stderr):
             if stream is not None:  # closed at start-up (``>&-``)
                 stream.flush()
-    except (OSError, ValueError):
-        return code
+    except (OSError, ValueError) as exc:
+        code = EXIT_INTERNAL
+        with suppress(OSError):  # stderr may be the stream that failed
+            os.write(2, f"internal error: {type(exc).__name__}: {exc}\n".encode())
     os._exit(code)
 
 

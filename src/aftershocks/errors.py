@@ -1,4 +1,6 @@
-"""Shared exception types."""
+"""Shared exception types, and the one way an input file is opened."""
+
+from contextlib import contextmanager
 
 
 class DataError(Exception):
@@ -10,10 +12,19 @@ class DataError(Exception):
     """
 
 
-def not_utf8(path, stream, exc: UnicodeDecodeError) -> DataError:
-    """The error for a text file ``path`` that is not UTF-8, naming the
-    byte offset of the first undecodable byte. ``stream`` is the text file
-    that raised ``exc``; its decoder raised on the bytes that end where the
-    underlying binary buffer now stands."""
-    offset = stream.buffer.tell() - len(exc.object) + exc.start
-    return DataError(f"{path}: not UTF-8 text ({exc.reason} at byte offset {offset})")
+@contextmanager
+def open_text(path):
+    """``path`` as UTF-8 text with ``newline=""``, closed when the block
+    ends. A failure to open it raises :class:`DataError` with the reason, and
+    undecodable bytes read anywhere in the block one with their byte offset."""
+    try:
+        fh = open(path, "r", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror}") from None
+    with fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            # the decoder raised on bytes that end where the binary buffer now stands
+            offset = fh.buffer.tell() - len(exc.object) + exc.start
+            raise DataError(f"{path}: not UTF-8 text ({exc.reason} at byte offset {offset})") from None

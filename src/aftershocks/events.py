@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, not_utf8
+from .errors import DataError, open_text
 from .stats import ReturnSeries
 
 EVENTS_CSV_HEADER = "t_minutes"
@@ -102,6 +102,27 @@ def write_csv(path: str | Path, header: list[str], rows: Iterable[Sequence]) -> 
         writer.writerows([format(v, ".10g") if isinstance(v, float) else v for v in row] for row in rows)
 
 
+def read_csv(path: str | Path, columns: Sequence[str] = ()) -> tuple[list[str], list[list[float]]]:
+    """One artifact table: its header, which must begin with ``columns``, and
+    its nonblank rows as floats, each as wide as the header; else DataError."""
+    with open_text(path) as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, [])
+            if header[: len(columns)] != list(columns):
+                raise DataError(f"{path}: expected header {','.join(columns)!r}")
+            rows = []
+            for row in filter(None, reader):
+                if len(row) != len(header):
+                    raise ValueError(f"{len(row)} cells under a header of {len(header)}")
+                rows.append([float(v) for v in row])
+        except UnicodeDecodeError:
+            raise  # open_text words it
+        except (ValueError, csv.Error) as exc:
+            raise DataError(f"{path}: malformed table at line {reader.line_num} ({exc})") from None
+    return header, rows
+
+
 def write_events_csv(events: EventSequence, path: str | Path) -> None:
     """Single-column CSV of occurrence times (minutes since crash)."""
     write_csv(path, [EVENTS_CSV_HEADER], ([t] for t in events.times))
@@ -109,21 +130,5 @@ def write_events_csv(events: EventSequence, path: str | Path) -> None:
 
 def read_events_csv(path: str | Path) -> EventSequence:
     """Inverse of :func:`write_events_csv`."""
-    try:
-        fh = open(path, "r", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc.strerror}") from None
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            if not header or header[0] != EVENTS_CSV_HEADER:
-                raise DataError(f"{path}: expected header {EVENTS_CSV_HEADER!r}")
-            times = [float(row[0]) for row in reader if row]
-        except UnicodeDecodeError as exc:
-            raise not_utf8(path, fh, exc) from None
-        except (ValueError, IndexError) as exc:
-            raise DataError(f"{path}: malformed event row ({exc})") from None
-        except csv.Error as exc:
-            raise DataError(f"{path}: malformed event row at line {reader.line_num} ({exc})") from None
-    return EventSequence(times=np.asarray(times))
+    _, rows = read_csv(path, [EVENTS_CSV_HEADER])
+    return EventSequence(times=np.asarray([row[0] for row in rows]))

@@ -27,7 +27,7 @@ from datetime import date, datetime, timedelta
 from pathlib import Path
 from typing import IO
 
-from .errors import DataError, not_utf8
+from .errors import DataError, open_text
 
 log = logging.getLogger(__name__)
 
@@ -162,15 +162,8 @@ def load_records(
     columns = {"date": date_column, "time": time_column, "price": price_column}
     if not isinstance(source, (str, Path)):
         return _parse_stream(source, columns, delimiter, date_format, time_format)
-    try:
-        fh = open(source, "r", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise DataError(f"cannot read {source}: {exc.strerror}") from None
-    with fh:
-        try:
-            return _parse_stream(fh, columns, delimiter, date_format, time_format)
-        except UnicodeDecodeError as exc:
-            raise not_utf8(source, fh, exc) from None
+    with open_text(source) as fh:
+        return _parse_stream(fh, columns, delimiter, date_format, time_format)
 
 
 class _Memo(dict):

@@ -505,23 +505,26 @@ class TestEntry:
     @pytest.mark.parametrize(
         "flags,code,message",
         [
-            # the failed flush falls back to teardown, which reports it
+            # in process, the flush at teardown fails and Python reports it with its own 120
             ((), 120, "Exception ignored in: <_io.TextIOWrapper name='<stdout>'"),
             # unbuffered, print() itself fails inside main()
             (("-u",), cli.EXIT_INTERNAL, "internal error: OSError: [Errno 28]"),
         ],
     )
     def test_failed_stdout_matches_main(self, minute_bars_path, tmp_path, flags, code, message):
+        # main() in process gives ``code``; entry() turns every failed write
+        # or flush of stdout into one internal-error line and exit 3
         argv = ["ingest", "--input", str(minute_bars_path), "--delimiter", ";", "--outdir", str(tmp_path)]
         seen = []
         for how in (_MAIN, _ENTRY):
             with open("/dev/full", "w") as full:
                 run = _python(*flags, *how, *argv, stdout=full, stderr=subprocess.PIPE, capture_output=False)
             seen.append((run.returncode, run.stderr))
-        assert seen[1] == seen[0]
         assert seen[0][0] == code
         assert seen[0][1].startswith(message)
         assert "OSError: [Errno 28]" in seen[0][1]
+        assert seen[1][0] == cli.EXIT_INTERNAL
+        assert seen[1][1] == "internal error: OSError: [Errno 28] No space left on device\n"
 
     def test_closed_stdout_matches_main(self, minute_bars_path, tmp_path):
         # with fd 1 closed at start-up, sys.stdout is None and print() a no-op
@@ -764,6 +767,29 @@ def test_missing_input_file_is_data_error(tmp_path, capsys, argv):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["ingest", "analyze", "collapse"])
+def test_outdir_that_cannot_be_made_is_usage_error(minute_bars_path, tmp_path, capsys, command):
+    assert _run(
+        "simulate", "--kind", "stationary", "--sim-horizon", "3000", "--seed", "4", "--resamples", "0",
+        "--outdir", str(tmp_path / "sim"),
+    ) == EXIT_OK
+    argv = {
+        "ingest": ["ingest", "--input", str(minute_bars_path), "--delimiter", ";"],
+        "analyze": ["analyze", "--input", str(minute_bars_path), "--delimiter", ";", "--crash", CRASH,
+                    "--resamples", "0"],
+        "collapse": ["collapse", "--events", str(tmp_path / "sim" / "events_catalog.csv"), "--n-w", "0,10,20",
+                     "--n-max", "30"],
+    }[command]
+    (tmp_path / "file").write_text("")
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert _run(*argv, "--outdir", str(tmp_path / "file" / "sub")) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"usage error: --outdir {tmp_path / 'file' / 'sub'}: cannot create the directory: Not a directory\n"
+    )
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 @pytest.mark.parametrize(
     "argv,name,body,message",
     [
@@ -782,7 +808,7 @@ def test_missing_input_file_is_data_error(tmp_path, capsys, argv):
         (["ingest", "--input"], "bars.csv", b"DATE,TIME,CLOSE" + b"x" * 140_000 + b"\n20141215,100000,61.5\n",
          "malformed header row: field larger than field limit (131072)"),
         (["collapse", "--events"], "events.csv", b"t_minutes\n1\n2\n" + b"3" * 140_000 + b"\n",
-         "events.csv: malformed event row at line 4 (field larger than field limit (131072))"),
+         "events.csv: malformed table at line 4 (field larger than field limit (131072))"),
     ],
     ids=["ingest-not-utf8", "analyze-not-utf8", "collapse-not-utf8", "collapse-blank-header",
          "ingest-oversized-cell", "ingest-oversized-header", "collapse-oversized-cell"],
@@ -822,8 +848,14 @@ _BARS = ["--input", "{bars}", "--delimiter", ";"]
 @pytest.mark.parametrize(
     "argv,config,message",
     [
-        (["analyze", "--config", "{tmp}/absent.cfg"], None, "usage error: cannot read config file"),
+        (["analyze", "--config", "{tmp}/absent.cfg"], None, "usage error: cannot read {tmp}/absent.cfg: No such file"),
         (["analyze", "--config", "{tmp}/run.cfg"], "resamples\n", "run.cfg:1: expected 'key = value'"),
+        (["analyze", "--config", "{tmp}/run.cfg"], "seed = 1\n# caf\xe9\n",
+         "usage error: {tmp}/run.cfg: not UTF-8 text (invalid continuation byte at byte offset 14)"),
+        # argv cannot carry a NUL byte, but a config file can
+        (["ingest", "--config", "{tmp}/run.cfg"], "input = a\0b\n", "run.cfg:1: 'a\\x00b': a path cannot hold a NUL byte"),
+        (["ingest", *_BARS, "--config", "{tmp}/run.cfg"], "outdir = o\0x\n",
+         "run.cfg:1: 'o\\x00x': a path cannot hold a NUL byte"),
         (["analyze", *_BARS, "--crash", CRASH, "--config", "{tmp}/run.cfg"], "c_search = maybe\n",
          "run.cfg:1: bad boolean 'maybe'"),
         (["analyze", *_BARS, "--crash", CRASH, "--fit-range", "1,2,3"], None,
@@ -853,7 +885,8 @@ _BARS = ["--input", "{bars}", "--delimiter", ";"]
         (["simulate", "--kind", "pareto", "--n-max", "10"], None, "usage error: --kind pareto does not read --n-max\n"),
         (["simulate", "--kind", "pareto", "--reference", "0"], None, "usage error: --kind pareto does not read --reference\n"),
     ],
-    ids=["unreadable-config", "config-line-without-equals", "bad-boolean", "three-part-fit-range",
+    ids=["unreadable-config", "config-line-without-equals", "config-not-utf8", "config-input-nul", "config-outdir-nul",
+         "bad-boolean", "three-part-fit-range",
          "bad-crash", "analyze-without-crash", "ingest-without-input", "ingest-seed", "ingest-svg",
          "collapse-seed", "simulate-thresholds", "simulate-window-days", "simulate-window-minutes",
          "pareto-p", "stationary-c-round-minutes", "omori-mu-count-rate", "pareto-grid-step",
@@ -862,10 +895,10 @@ _BARS = ["--input", "{bars}", "--delimiter", ";"]
 )
 def test_refused_setting_writes_nothing(minute_bars_path, tmp_path, capsys, argv, config, message):
     if config is not None:
-        (tmp_path / "run.cfg").write_text(config)
+        (tmp_path / "run.cfg").write_bytes(config.encode("latin-1"))
     argv = [arg.format(tmp=tmp_path, bars=minute_bars_path) for arg in argv]
     assert _run(*argv, "--outdir", str(tmp_path / "out")) == EXIT_USAGE
-    assert message in capsys.readouterr().err
+    assert message.format(tmp=tmp_path) in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -1242,7 +1275,7 @@ class TestCollapseCommand:
         events_csv.write_text("t_minutes\n1\nabc\n3\n")
         assert _run("collapse", "--events", str(events_csv), "--outdir", str(tmp_path / "col")) == EXIT_DATA
         assert capsys.readouterr().err == (
-            f"data error: {events_csv}: malformed event row (could not convert string to float: 'abc')\n"
+            f"data error: {events_csv}: malformed table at line 3 (could not convert string to float: 'abc')\n"
         )
         assert not (tmp_path / "col").exists()
 
@@ -1317,14 +1350,31 @@ class TestReportCommand:
     def test_missing_report_is_data_error(self, tmp_path):
         assert _run("report", "--outdir", str(tmp_path)) == EXIT_DATA
 
+    def test_table_narrower_than_its_chart_is_data_error(self, tmp_path, capsys):
+        # rows as wide as their header, but the header lacks the model column
+        run = tmp_path / "sim"
+        assert _run("simulate", "--kind", "omori", "--sim-horizon", "2000", "--resamples", "0", "--outdir", str(run)) == EXIT_OK
+        (run / "omori_catalog.csv").write_text("t,n_empirical\n0,0\n")
+        capsys.readouterr()
+        assert _run("report", "--outdir", str(run)) == EXIT_DATA
+        assert "report.json: malformed report (IndexError: list index out of range)" in capsys.readouterr().err
+
+    def test_report_json_directory_is_data_error(self, tmp_path, capsys):
+        (tmp_path / "report.json").mkdir()
+        assert _run("report", "--outdir", str(tmp_path)) == EXIT_DATA
+        assert capsys.readouterr().err == f"data error: cannot read {tmp_path / 'report.json'}: Is a directory\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
     @pytest.mark.parametrize(
         "name,content,message",
         [
             ("report.json", b"{not json", "report.json: not a JSON report"),
-            ("report.json", b"\xff\xfe", "report.json: not a JSON report"),
+            ("report.json", b"\xff\xfe", "report.json: not UTF-8 text (invalid start byte at byte offset 0)"),
             ("report.json", b"[]", "report.json: not a JSON object"),
             ("omori_catalog.csv", None, "cannot read"),
             ("omori_catalog.csv", b"t,n_empirical,n_model\n0,x,0\n", "omori_catalog.csv: malformed table"),
+            ("omori_catalog.csv", b"t,n_empirical,n_model\n0,0,0\n1,2\n",
+             "omori_catalog.csv: malformed table at line 3 (2 cells under a header of 3)"),
             ("report.json", b'{"thresholds": 5}', "report.json: malformed report (TypeError"),
             ("report.json", b'{"thresholds": [{}]}', "report.json: malformed report (KeyError"),
             ("report.json", b'{"thresholds": [{"label": "x", "omori_csv": 3}]}', "report.json: malformed report (TypeError"),
@@ -1347,7 +1397,7 @@ class TestReportCommand:
             ),
         ],
         ids=[
-            "not-json", "not-utf8", "not-object", "missing-csv", "bad-cell",
+            "not-json", "not-utf8", "not-object", "missing-csv", "bad-cell", "short-row",
             "thresholds-not-list", "section-without-label", "csv-name-not-string", "amplitude-not-number",
             "label-escapes", "csv-name-absolute",
         ],

@@ -132,3 +132,9 @@ class TestEventsCsv:
         path.write_text("minutes\n1\n")
         with pytest.raises(DataError):
             read_events_csv(path)
+
+    def test_row_as_wide_as_header(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text("t_minutes\n1\n\n2,3\n")
+        with pytest.raises(DataError, match=r"wide.csv: malformed table at line 4 \(2 cells under a header of 1\)"):
+            read_events_csv(path)
