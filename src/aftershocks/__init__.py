@@ -37,7 +37,7 @@ _EXPORTS = {
     "omori": ("OmoriFit", "cumulative_count", "fit_omori", "fit_omori_mle", "omori_model"),
     "stats": ("ReturnSeries", "WindowStats", "compute_returns", "window_stats"),
     "synth": ("RNG_ALGORITHM", "derive_seeds", "gen_omori", "gen_pareto_waits", "gen_stationary"),
-    "waiting": ("WaitingFit", "WaitingHistogram", "build_histogram", "fit_mu"),
+    "waiting": ("WaitingFit", "WaitingHistogram", "build_histogram", "fit_mu", "fit_mu_mle"),
 }
 
 # public name -> the submodule that defines it

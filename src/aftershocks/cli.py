@@ -56,7 +56,7 @@ def _import_analysis() -> None:
     from .stats import compute_returns, window_stats
     from .svgplot import line_chart
     from .synth import RNG_ALGORITHM, derive_seeds, gen_omori, gen_pareto_waits, gen_stationary
-    from .waiting import build_histogram, fit_mu, write_histogram_csv
+    from .waiting import HISTOGRAM_CSV_COLUMNS, build_histogram, fit_mu, fit_mu_mle, write_histogram_csv
 
     # a copy: a trace function (coverage, pdb) refreshes locals() during the loop
     imported = dict(locals())
@@ -532,21 +532,24 @@ def _waiting_section(waits, config: RunConfig, label: str, tables: dict) -> dict
     tables[hist_csv] = functools.partial(write_histogram_csv, hist)
     wsec: dict = {"bin_size": config.bin_size, "histogram_csv": hist_csv, "n_taus": len(waits)}
     try:
-        wsec["lsq"] = fit_mu(hist, fit_range=config.fit_range, method="lsq")
+        wsec["lsq"] = fit_mu(hist, fit_range=config.fit_range)
     except DataError as exc:
         wsec["lsq_error"] = str(exc)
     try:
-        wsec["mle"] = fit_mu(waits, fit_range=config.fit_range, method="mle")
+        wsec["mle"] = fit_mu_mle(waits, fit_range=config.fit_range)
     except DataError as exc:
         wsec["mle_error"] = str(exc)
     return wsec
+
+
+OMORI_CSV_COLUMNS = ("t", "n_empirical", "n_model")
 
 
 def _write_omori_curve_csv(ev: EventSequence, fit, horizon: float, path: Path) -> None:
     grid = np.linspace(0.0, horizon, 257)
     empirical = cumulative_count(ev, grid)
     model = omori_model(grid, fit.p, fit.amplitude, fit.c)
-    write_csv(path, ["t", "n_empirical", "n_model"], zip(grid, empirical, model))
+    write_csv(path, OMORI_CSV_COLUMNS, zip(grid, empirical, model))
 
 
 # ---------------------------------------------------------------------------
@@ -567,14 +570,14 @@ def render_svgs(sections: list[dict], outdir: Path) -> list[str]:
     name must be a plain file name, and is checked before anything is written."""
     _import_analysis()
 
-    def table(name: str) -> list[list[float]]:
-        return read_csv(outdir / _plain_name(name))[1]
+    def table(name: str, columns: tuple[str, ...]) -> list[list[float]]:
+        return read_csv(outdir / _plain_name(name), columns)
 
     charts: dict[str, str] = {}
     for section in sections:
         label = _plain_name(section["label"])
         if "omori_csv" in section:
-            rows = table(section["omori_csv"])
+            rows = table(section["omori_csv"], OMORI_CSV_COLUMNS)
             t = [r[0] for r in rows]
             chart = line_chart(
                 [("empirical", t, [r[1] for r in rows]), ("model", t, [r[2] for r in rows])],
@@ -585,7 +588,7 @@ def render_svgs(sections: list[dict], outdir: Path) -> list[str]:
             charts[f"omori_{label}.svg"] = chart
         waiting = section.get("waiting")
         if waiting and "histogram_csv" in waiting:
-            rows = table(waiting["histogram_csv"])
+            rows = table(waiting["histogram_csv"], HISTOGRAM_CSV_COLUMNS)
             taus = [r[0] for r in rows]
             series = [("counts", taus, [r[1] for r in rows])]
             lsq = waiting.get("lsq")
@@ -607,20 +610,20 @@ def render_svgs(sections: list[dict], outdir: Path) -> list[str]:
         csection = section.get("correlation")
         if csection:
             chart = line_chart(
-                _group_curves(table(csection["curves_csv"])),
+                _group_curves(table(csection["curves_csv"], corr.CURVES_CSV_COLUMNS)),
                 title=f"aging curves ({label})",
                 xlabel="n",
                 ylabel="C(n+n_w, n_w)",
             )
             charts[f"aging_{label}.svg"] = chart
             chart = line_chart(
-                _group_curves(table(csection["collapsed_csv"])),
+                _group_curves(table(csection["collapsed_csv"], corr.COLLAPSED_CSV_COLUMNS)),
                 title=f"collapsed curves ({label})",
                 xlabel="n / f(n_w)",
                 ylabel="C",
             )
             charts[f"collapse_{label}.svg"] = chart
-            rows = table(csection["scale_factors_csv"])
+            rows = table(csection["scale_factors_csv"], corr.SCALE_FACTORS_CSV_COLUMNS)
             n_ws = [r[0] for r in rows]
             series = [("f", n_ws, [r[1] for r in rows])]
             if csection.get("a") is not None:
@@ -651,9 +654,19 @@ def _group_curves(rows: list[list[float]]) -> list[tuple[str, list[float], list[
 
 
 def _make_outdir(outdir: Path) -> None:
+    """Make ``outdir`` and its missing parents; if that fails, remove the
+    levels it made, so a refused run leaves no empty parent behind."""
+    missing = []
+    for level in (outdir, *outdir.parents):
+        if os.path.lexists(level):
+            break
+        missing.append(level)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
+        for level in missing:  # deepest first; rmdir leaves any level that is not empty
+            with suppress(OSError):
+                level.rmdir()
         raise _UsageError(f"--outdir {outdir}: cannot create the directory: {exc.strerror}") from None
 
 
@@ -862,7 +875,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         raise DataError(f"{report_path}: not a JSON object")
     try:
         svgs = _write_report(report, outdir, svg=True, tables={})
-    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         # a section or value of the wrong shape: the file is at fault, not the program
         raise DataError(f"{report_path}: malformed report ({type(exc).__name__}: {exc})") from None
     print(f"rendered {len(svgs)} charts in {outdir}")

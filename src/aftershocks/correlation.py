@@ -22,6 +22,9 @@ from ._optim import brent
 from .errors import DataError
 from .events import EventSequence, write_csv
 
+CURVES_CSV_COLUMNS = ("n_w", "n", "C")
+COLLAPSED_CSV_COLUMNS = ("n_w", "n_scaled", "C")
+SCALE_FACTORS_CSV_COLUMNS = ("n_w", "f")
 F_SEARCH_BOUNDS = (0.2, 50.0)
 _F_COARSE_POINTS = 57
 
@@ -52,14 +55,13 @@ class CollapseResult:
     collapse_residual: float
 
 
-def event_corr(events: EventSequence | np.ndarray, m: int, n: int) -> float:
+def event_corr(times: np.ndarray, m: int, n: int) -> float:
     """Pearson correlation of the index-shifted windows {t_{m+k}} and
-    {t_{n+k}}, k = 0 .. M-1, with M = len(events) - max(m, n).
+    {t_{n+k}}, k = 0 .. M-1, with M = len(times) - max(m, n).
 
     Both windows share the same k range, the largest admissible one, so
     every index stays in bounds. C(n, n) = 1 exactly.
     """
-    times = events.times if isinstance(events, EventSequence) else np.asarray(events, dtype=float)
     if m < 0 or n < 0:
         raise ValueError("event indices must be nonnegative")
     big = len(times) - max(m, n)
@@ -78,13 +80,13 @@ def event_corr(events: EventSequence | np.ndarray, m: int, n: int) -> float:
 
 
 def aging_curves(
-    events: EventSequence | np.ndarray,
+    events: EventSequence,
     n_w_list: Sequence[int] = (0, 10, 20, 30, 40, 50),
     n_max: int = 60,
 ) -> list[CorrelationCurve]:
     """One correlation curve C(n + n_w, n_w), n = 0..n_max, per waiting
     event time n_w; ordered by n_w."""
-    times = events.times if isinstance(events, EventSequence) else np.asarray(events, dtype=float)
+    times = events.times
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     if any(n_w < 0 for n_w in n_w_list):
@@ -190,7 +192,7 @@ def fit_f(scale_factors: Mapping[int, float]) -> tuple[float, float]:
 def write_curves_csv(curves: Iterable[CorrelationCurve], path: str | Path) -> None:
     """Rows (n_w, n, C), curves ordered by n_w."""
     rows = ([cv.n_w, n, c] for cv in sorted(curves, key=lambda cv: cv.n_w) for n, c in zip(cv.n.tolist(), cv.c))
-    write_csv(path, ["n_w", "n", "C"], rows)
+    write_csv(path, CURVES_CSV_COLUMNS, rows)
 
 
 def write_collapsed_csv(
@@ -204,8 +206,8 @@ def write_collapsed_csv(
         for cv in sorted(curves, key=lambda cv: cv.n_w)
         for n, c in zip(cv.n.tolist(), cv.c)
     )
-    write_csv(path, ["n_w", "n_scaled", "C"], rows)
+    write_csv(path, COLLAPSED_CSV_COLUMNS, rows)
 
 
 def write_scale_factors_csv(scale_factors: Mapping[int, float], path: str | Path) -> None:
-    write_csv(path, ["n_w", "f"], ([n_w, scale_factors[n_w]] for n_w in sorted(scale_factors)))
+    write_csv(path, SCALE_FACTORS_CSV_COLUMNS, ([n_w, scale_factors[n_w]] for n_w in sorted(scale_factors)))

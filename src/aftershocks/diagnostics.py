@@ -77,7 +77,7 @@ def bootstrap_ci(
     grid_step: float,
     c_search: bool,
     bin_size: float,
-    fit_range: tuple[float | None, float | None] | None,
+    fit_range: tuple[float | None, float | None],
 ) -> tuple[float, float]:
     """Percentile (2.5%, 97.5%) bootstrap interval for p + mu, the sum the
     Markov check reads: the least-squares Omori p (:func:`fit_omori` with

@@ -93,7 +93,7 @@ def waiting_times(events: EventSequence) -> WaitingTimes:
     return WaitingTimes(taus=np.diff(events.times))
 
 
-def write_csv(path: str | Path, header: list[str], rows: Iterable[Sequence]) -> None:
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Write one artifact table: UTF-8, LF line ends, one header row, each
     float cell as ``format(v, ".10g")`` and every other cell as given."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -102,9 +102,9 @@ def write_csv(path: str | Path, header: list[str], rows: Iterable[Sequence]) -> 
         writer.writerows([format(v, ".10g") if isinstance(v, float) else v for v in row] for row in rows)
 
 
-def read_csv(path: str | Path, columns: Sequence[str] = ()) -> tuple[list[str], list[list[float]]]:
-    """One artifact table: its header, which must begin with ``columns``, and
-    its nonblank rows as floats, each as wide as the header; else DataError."""
+def read_csv(path: str | Path, columns: Sequence[str]) -> list[list[float]]:
+    """The nonblank rows of one artifact table as floats, each as wide as its
+    header, which must begin with ``columns``; else DataError."""
     with open_text(path) as fh:
         reader = csv.reader(fh)
         try:
@@ -120,7 +120,7 @@ def read_csv(path: str | Path, columns: Sequence[str] = ()) -> tuple[list[str], 
             raise  # open_text words it
         except (ValueError, csv.Error) as exc:
             raise DataError(f"{path}: malformed table at line {reader.line_num} ({exc})") from None
-    return header, rows
+    return rows
 
 
 def write_events_csv(events: EventSequence, path: str | Path) -> None:
@@ -130,5 +130,5 @@ def write_events_csv(events: EventSequence, path: str | Path) -> None:
 
 def read_events_csv(path: str | Path) -> EventSequence:
     """Inverse of :func:`write_events_csv`."""
-    _, rows = read_csv(path, [EVENTS_CSV_HEADER])
+    rows = read_csv(path, [EVENTS_CSV_HEADER])
     return EventSequence(times=np.asarray([row[0] for row in rows]))

@@ -1,9 +1,10 @@
 """Waiting-time histograms and power-law exponent estimation.
 
 Inter-event times are modeled as P(tau) ~ tau**-(1 + mu). Two estimators:
-log-log least squares on the unnormalized histogram (how such
-distributions are usually plotted and fitted), and a continuous
-maximum-likelihood (Hill-type) estimate on the raw waiting times.
+log-log least squares on the unnormalized histogram (:func:`fit_mu`, how
+such distributions are usually plotted and fitted), and a continuous
+maximum-likelihood (Hill-type) estimate on the raw waiting times
+(:func:`fit_mu_mle`).
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import numpy as np
 
 from .errors import DataError
 from .events import WaitingTimes, write_csv
+
+HISTOGRAM_CSV_COLUMNS = ("tau", "count")
 
 
 # eq=False: a generated == would compare the arrays elementwise
@@ -76,13 +79,12 @@ class WaitingFit:
     amplitude: float | None = None
 
 
-def build_histogram(taus: WaitingTimes | np.ndarray, bin_size: float = 1.0) -> WaitingHistogram:
+def build_histogram(waits: WaitingTimes, bin_size: float = 1.0) -> WaitingHistogram:
     """Bin waiting times into [1 + k*bin_size, 1 + (k+1)*bin_size) bins.
 
     Empty bins are not stored at all.
     """
-    values = taus.taus if isinstance(taus, WaitingTimes) else np.asarray(taus, dtype=float)
-    return histogram_sampler(values, bin_size)(np.arange(values.size))
+    return histogram_sampler(waits.taus, bin_size)(np.arange(len(waits)))
 
 
 def histogram_sampler(taus: np.ndarray, bin_size: float) -> Callable[[np.ndarray], WaitingHistogram]:
@@ -110,46 +112,24 @@ def _default_fit_range(taus: np.ndarray, counts: np.ndarray) -> tuple[float, flo
     return (1.0, hi)
 
 
-def fit_mu(
-    data: WaitingHistogram | WaitingTimes,
-    fit_range: tuple[float | None, float | None] | None = None,
-    method: str = "lsq",
-) -> WaitingFit:
-    """Estimate the waiting-time exponent mu.
-
-    method="lsq": slope of log(count) vs log(tau) over the nonempty
-    histogram bins whose representative tau falls in ``fit_range``; the
-    slope equals -(1 + mu). Requires a histogram and at least 5 bins in
-    range. The default range runs from 1 to the largest tau with at least
-    2 counts.
-
-    method="mle": continuous power-law maximum likelihood over tau >=
-    tau_min (the lower end of ``fit_range``, or the smallest tau),
-    mu = n / sum(log(tau_i / tau_min)) over the raw waiting times; needs 50
-    samples.
-    """
-    if method == "lsq":
-        if not isinstance(data, WaitingHistogram):
-            raise TypeError("lsq fitting needs a WaitingHistogram")
-        return _fit_lsq(data, fit_range)
-    if method == "mle":
-        return _fit_mle(data, fit_range)
-    raise ValueError(f"unknown method {method!r}")
-
-
 def _resolve_range(
-    fit_range: tuple[float | None, float | None] | None,
+    fit_range: tuple[float | None, float | None],
     default: tuple[float, float],
 ) -> tuple[float, float]:
-    if fit_range is None:
-        return default
     lo = default[0] if fit_range[0] is None else float(fit_range[0])
     hi = default[1] if fit_range[1] is None else float(fit_range[1])
     return (lo, hi)
 
 
 @np.errstate(invalid="ignore")  # an infinite bin midpoint makes the slope NaN
-def _fit_lsq(hist: WaitingHistogram, fit_range) -> WaitingFit:
+def fit_mu(
+    hist: WaitingHistogram, fit_range: tuple[float | None, float | None] = (None, None)
+) -> WaitingFit:
+    """Least-squares mu: the slope of log(count) vs log(tau) over the
+    nonempty histogram bins whose representative tau falls in ``fit_range``;
+    the slope equals -(1 + mu). Needs at least 5 bins in range. The default
+    range runs from 1 to the largest tau with at least 2 counts.
+    """
     if not len(hist.counts):
         raise DataError("empty histogram")
     taus, counts = hist.bins()
@@ -183,10 +163,14 @@ def _fit_lsq(hist: WaitingHistogram, fit_range) -> WaitingFit:
     )
 
 
-def _fit_mle(data: WaitingTimes, fit_range) -> WaitingFit:
-    if not isinstance(data, WaitingTimes):
-        raise TypeError("mle fitting needs WaitingTimes")
-    samples = data.taus  # all positive: WaitingTimes checks that
+def fit_mu_mle(
+    waits: WaitingTimes, fit_range: tuple[float | None, float | None] = (None, None)
+) -> WaitingFit:
+    """Continuous power-law maximum likelihood (Hill) over the raw waiting
+    times with tau >= tau_min, the lower end of ``fit_range`` or the
+    smallest tau: mu = n / sum(log(tau_i / tau_min)). Needs 50 samples.
+    """
+    samples = waits.taus  # all positive: WaitingTimes checks that
     if samples.size == 0:
         raise DataError("no waiting times to fit")
     lo, hi = _resolve_range(fit_range, (float(samples.min()), math.inf))
@@ -212,4 +196,4 @@ def _fit_mle(data: WaitingTimes, fit_range) -> WaitingFit:
 
 def write_histogram_csv(hist: WaitingHistogram, path: str | Path) -> None:
     """Two-column CSV (tau, count), sorted by tau."""
-    write_csv(path, ["tau", "count"], zip(*hist.bins()))
+    write_csv(path, HISTOGRAM_CSV_COLUMNS, zip(*hist.bins()))

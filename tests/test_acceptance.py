@@ -24,6 +24,7 @@ from aftershocks import (
     event_corr,
     fit_f,
     fit_mu,
+    fit_mu_mle,
     fit_omori,
     gen_omori,
     gen_pareto_waits,
@@ -75,9 +76,9 @@ def test_criterion_2_waiting_recovery(mu_true):
     lsq_hi = (10_000 * mu_true / 20.0) ** (1.0 / (1.0 + mu_true))
     for seed in range(10):
         waits = gen_pareto_waits(mu=mu_true, tau_min=1.0, count=10_000, seed=seed)
-        mle = fit_mu(waits, fit_range=(1.0, None), method="mle")
+        mle = fit_mu_mle(waits, fit_range=(1.0, None))
         mle_hits += abs(mle.mu - mu_true) <= 0.05
-        lsq = fit_mu(build_histogram(waits, 1.0), fit_range=(1.0, lsq_hi), method="lsq")
+        lsq = fit_mu(build_histogram(waits, 1.0), fit_range=(1.0, lsq_hi))
         lsq_hits += abs(lsq.mu - mu_true) <= 0.10
     ok = mle_hits >= 9 and lsq_hits >= 9
     _verdict(f"2 waiting recovery mu={mu_true} (MLE {mle_hits}/10, LSQ {lsq_hits}/10)", ok)
@@ -102,7 +103,7 @@ def test_criterion_4_correlation_normalization():
     worst = 0.0
     for ev in catalogs:
         for n_w in range(0, len(ev) - 2):
-            worst = max(worst, abs(event_corr(ev, n_w, n_w) - 1.0))
+            worst = max(worst, abs(event_corr(ev.times, n_w, n_w) - 1.0))
     _verdict(f"4 correlation normalization (worst |C-1| {worst:.2e})", worst <= 1e-12)
 
 

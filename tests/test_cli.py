@@ -783,11 +783,13 @@ def test_outdir_that_cannot_be_made_is_usage_error(minute_bars_path, tmp_path, c
     (tmp_path / "file").write_text("")
     before = sorted(tmp_path.rglob("*"))
     capsys.readouterr()
-    assert _run(*argv, "--outdir", str(tmp_path / "file" / "sub")) == EXIT_USAGE
-    assert capsys.readouterr().err == (
-        f"usage error: --outdir {tmp_path / 'file' / 'sub'}: cannot create the directory: Not a directory\n"
-    )
-    assert sorted(tmp_path.rglob("*")) == before
+    # the second fails below a level that the run makes, and must remove
+    for outdir, reason in [("file/sub", "Not a directory"), (f"newa/{'x' * 300}", "File name too long")]:
+        assert _run(*argv, "--outdir", str(tmp_path / outdir)) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"usage error: --outdir {tmp_path / outdir}: cannot create the directory: {reason}\n"
+        )
+        assert sorted(tmp_path.rglob("*")) == before
 
 
 @pytest.mark.parametrize(
@@ -1357,7 +1359,7 @@ class TestReportCommand:
         (run / "omori_catalog.csv").write_text("t,n_empirical\n0,0\n")
         capsys.readouterr()
         assert _run("report", "--outdir", str(run)) == EXIT_DATA
-        assert "report.json: malformed report (IndexError: list index out of range)" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"data error: {run / 'omori_catalog.csv'}: expected header 't,n_empirical,n_model'\n"
 
     def test_report_json_directory_is_data_error(self, tmp_path, capsys):
         (tmp_path / "report.json").mkdir()

@@ -39,7 +39,7 @@ class TestEventCorr:
     def test_equal_indices_give_exactly_one(self):
         times = np.cumsum(np.abs(np.sin(np.arange(1, 80))) + 0.1)
         for m in (0, 3, 17):
-            assert event_corr(EventSequence(times=times), m, m) == 1.0
+            assert event_corr(times, m, m) == 1.0
 
     def test_arithmetic_sequence_fully_correlated(self):
         times = np.arange(100, dtype=float)
@@ -66,7 +66,7 @@ class TestEventCorr:
 
     def test_window_too_short(self):
         with pytest.raises(DataError, match="M=1"):
-            event_corr(EventSequence(times=np.array([1.0, 2.0, 3.0])), 2, 1)
+            event_corr(np.array([1.0, 2.0, 3.0]), 2, 1)
 
     def test_zero_variance_window(self):
         with pytest.raises(DataError, match="variance"):
@@ -74,8 +74,8 @@ class TestEventCorr:
 
     def test_stationary_depends_only_on_lag(self):
         ev = gen_stationary(rate=1.0, horizon=5_000.0, seed=21)
-        c1 = event_corr(ev, 20, 10)
-        c2 = event_corr(ev, 30, 20)
+        c1 = event_corr(ev.times, 20, 10)
+        c2 = event_corr(ev.times, 30, 20)
         assert c1 == pytest.approx(c2, abs=0.01)
 
 
@@ -201,3 +201,18 @@ def test_csv_writers(tmp_path):
     lines = factors_csv.read_text().splitlines()
     assert lines[0] == "n_w,f"
     assert lines[1].startswith("0,1")
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: CorrelationCurve(n_w=0, n=np.arange(3), c=np.ones(2)), "1-d and equally long"),
+        (lambda: event_corr(np.arange(10.0), -1, 0), "event indices must be nonnegative"),
+        (lambda: aging_curves(EventSequence(times=np.arange(10.0)), (0,), 0), "n_max must be at least 1"),
+        (lambda: aging_curves(EventSequence(times=np.arange(10.0)), (-1, 0), 2), "must be nonnegative"),
+    ],
+    ids=["curve-shape", "negative-index", "n-max", "negative-n-w"],
+)
+def test_argument_guards(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -106,6 +106,11 @@ class TestBootstrapCi:
         with pytest.raises(ValueError):
             bootstrap_ci(ev, 50, 0, **_pipeline_options(horizon))
 
+    def test_needs_three_events(self):
+        ev = EventSequence(times=np.array([0.0, 4.0]))
+        with pytest.raises(DataError, match="need at least 3 events"):
+            bootstrap_ci(ev, 100, 0, **_pipeline_options(10.0))
+
     def test_persistent_estimator_failure_is_error(self):
         # 6 events -> every resample that survives its mu fit is below the
         # 10-event floor of the Omori refit
@@ -132,7 +137,7 @@ class TestBootstrapCi:
             # the refits are one call on the resamples whose mu fit succeeded
             for resampled in catalogs:
                 hist = build_histogram(waiting_times(resampled), 1.0)
-                assert fit_mu(hist, method="lsq").mu > 0, "Omori refit of a resample whose mu fit failed"
+                assert fit_mu(hist).mu > 0, "Omori refit of a resample whose mu fit failed"
             state["calls"] += 1
             state["refits"] += len(catalogs)
             return fit_omori(catalogs, **kwargs)

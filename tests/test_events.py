@@ -138,3 +138,21 @@ class TestEventsCsv:
         path.write_text("t_minutes\n1\n\n2,3\n")
         with pytest.raises(DataError, match=r"wide.csv: malformed table at line 4 \(2 cells under a header of 1\)"):
             read_events_csv(path)
+
+
+def test_detect_events_on_empty_returns():
+    assert len(detect_events(_returns([]), 0.008)) == 0
+
+
+@pytest.mark.parametrize(
+    "build,error,message",
+    [
+        (lambda: EventSequence(times=np.zeros((2, 2))), ValueError, "times must be 1-d"),
+        (lambda: WaitingTimes(taus=np.ones((2, 2))), ValueError, "taus must be 1-d"),
+        (lambda: WaitingTimes(taus=np.array([1.0, 0.0])), DataError, "waiting times must be positive"),
+    ],
+    ids=["events-2d", "waits-2d", "zero-wait"],
+)
+def test_type_guards(build, error, message):
+    with pytest.raises(error, match=message):
+        build()

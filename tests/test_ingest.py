@@ -515,3 +515,8 @@ class TestWindowLengthForDays:
         series = PriceSeries(x=[1.0], wall_clock=[_seconds(datetime(2014, 12, 15, 9))], t_start=5)
         with pytest.raises(DataError):
             window_length_for_days(series, 1)
+
+    def test_days_must_be_positive(self):
+        series = compact_gaps(_records("2014-12-15 09:00", "2014-12-15 09:01"))
+        with pytest.raises(ValueError, match="days must be positive"):
+            window_length_for_days(series, 0)

@@ -99,6 +99,16 @@ class TestCumulativeCount:
         with pytest.raises(ValueError):
             cumulative_count(ev, [5.0, 1.0])
 
+    @pytest.mark.parametrize(
+        "grid,message",
+        [([[0.0, 1.0]], "grid must be 1-d"), ([-1.0, 2.0], "grid must be nonnegative")],
+        ids=["2d", "negative"],
+    )
+    def test_bad_grid_rejected(self, grid, message):
+        ev = EventSequence(times=np.array([1.0]))
+        with pytest.raises(ValueError, match=message):
+            cumulative_count(ev, grid)
+
     def test_matches_brute_force(self):
         rng = np.random.Generator(np.random.PCG64(31))
         times = np.unique(np.floor(rng.random(200) * 1000.0))

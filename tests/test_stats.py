@@ -103,3 +103,19 @@ def test_sigma_scales_linearly(values, lam):
     s0 = window_stats(base, 0, len(values) - 1).sigma
     s1 = window_stats(scaled, 0, len(values) - 1).sigma
     assert s1 == pytest.approx(lam * s0, rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda: ReturnSeries(t=np.arange(2), r=np.ones(3)), ValueError, "1-d and equally long"),
+        (lambda: window_stats(ReturnSeries(t=np.arange(3), r=np.ones(3)), 0, -1), ValueError, "nonnegative"),
+        (lambda: window_stats(ReturnSeries(t=np.empty(0), r=np.empty(0)), 0, 0), DataError, "empty return series"),
+        # a hand-built series may skip minutes, so a contained window can hold none
+        (lambda: window_stats(ReturnSeries(t=np.array([0, 10]), r=np.ones(2)), 3, 2), DataError, "no samples"),
+    ],
+    ids=["shape", "negative-length", "empty-series", "empty-window"],
+)
+def test_argument_guards(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
