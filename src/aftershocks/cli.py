@@ -53,7 +53,7 @@ def _import_analysis() -> None:
     from .diagnostics import bootstrap_ci, build_report, markov_relation, serialize_report
     from .events import EventSequence, detect_events, read_csv, read_events_csv, waiting_times, write_csv, write_events_csv
     from .omori import MIN_EVENTS, P_SEARCH_RANGE, OmoriFit, cumulative_count, fit_omori, fit_omori_mle, omori_model
-    from .stats import compute_returns, window_stats
+    from .stats import WindowStats, compute_returns, window_stats
     from .svgplot import line_chart
     from .synth import RNG_ALGORITHM, derive_seeds, gen_omori, gen_pareto_waits, gen_stationary
     from .waiting import HISTOGRAM_CSV_COLUMNS, build_histogram, fit_mu, fit_mu_mle, write_histogram_csv
@@ -343,6 +343,23 @@ def _run_analysis(config: RunConfig, tables: dict, notes: list[str]) -> dict:
     if config.crash is None:
         raise _UsageError("analyze requires a crash instant")
 
+    # the price and return series die with _detect_catalogs' frame, before the first fit
+    sw, horizon, catalogs = _detect_catalogs(config, notes)
+    fits = _fit_omori(catalogs, config, horizon)
+    boot_seeds = derive_seeds(config.seed, len(config.thresholds))
+    threshold_sections = []
+    for multiple, ev, fit, boot_seed in zip(config.thresholds, catalogs, fits, boot_seeds):
+        label = _threshold_label(multiple)
+        section = _analyze_catalog(ev, fit, config, label, horizon, tables, notes, boot_seed)
+        section["multiple"] = multiple
+        section["r_th"] = multiple * sw.sigma
+        threshold_sections.append(section)
+    return {"sigma": sw, "thresholds": threshold_sections}
+
+
+def _detect_catalogs(config: RunConfig, notes: list[str]) -> tuple[WindowStats, float, list[EventSequence]]:
+    """The ingest, returns, sigma and event stages of ``analyze``: the window
+    statistics, the fit horizon and one event catalog per threshold."""
     with _stage("ingest"):
         series = _load_series(config)
     if series.origin_wall_clock != config.crash:
@@ -376,16 +393,7 @@ def _run_analysis(config: RunConfig, tables: dict, notes: list[str]) -> dict:
     for multiple in config.thresholds:
         with _stage(f"events {_threshold_label(multiple)}"):
             catalogs.append(detect_events(returns, multiple * sw.sigma, window=(0, window)))
-    fits = _fit_omori(catalogs, config, horizon)
-    boot_seeds = derive_seeds(config.seed, len(config.thresholds))
-    threshold_sections = []
-    for multiple, ev, fit, boot_seed in zip(config.thresholds, catalogs, fits, boot_seeds):
-        label = _threshold_label(multiple)
-        section = _analyze_catalog(ev, fit, config, label, horizon, tables, notes, boot_seed)
-        section["multiple"] = multiple
-        section["r_th"] = multiple * sw.sigma
-        threshold_sections.append(section)
-    return {"sigma": sw, "thresholds": threshold_sections}
+    return sw, horizon, catalogs
 
 
 def _threshold_label(multiple: float) -> str:

@@ -103,8 +103,9 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence])
 
 
 def read_csv(path: str | Path, columns: Sequence[str]) -> list[list[float]]:
-    """The nonblank rows of one artifact table as floats, each as wide as its
-    header, which must begin with ``columns``; else DataError."""
+    """The nonblank rows of one artifact table, cut to ``columns``, as floats.
+    The header must begin with ``columns`` and every row must be as wide as
+    the header; else DataError. Cells past ``columns`` are not read."""
     with open_text(path) as fh:
         reader = csv.reader(fh)
         try:
@@ -115,7 +116,7 @@ def read_csv(path: str | Path, columns: Sequence[str]) -> list[list[float]]:
             for row in filter(None, reader):
                 if len(row) != len(header):
                     raise ValueError(f"{len(row)} cells under a header of {len(header)}")
-                rows.append([float(v) for v in row])
+                rows.append([float(v) for v in row[: len(columns)]])
         except UnicodeDecodeError:
             raise  # open_text words it
         except (ValueError, csv.Error) as exc:

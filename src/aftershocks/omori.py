@@ -428,8 +428,6 @@ def fit_omori_mle(
     }
 
     def negloglik(p: float, c: float) -> float:
-        if c == 0.0 and p >= 1.0 - LOG_BRANCH_WINDOW:
-            return math.inf
         lt, s_log = per_c[c]
         lam_unit = float(_unit(h, p, c, lt)[0])
         if not (lam_unit > 0 and math.isfinite(lam_unit)):
@@ -459,6 +457,9 @@ def fit_omori_mle(
     p_lo = max(P_SEARCH_RANGE[0], best[1] - P_SEARCH_STEP)
     p_hi = min(P_SEARCH_RANGE[1], best[1] + P_SEARCH_STEP)
     c_fix = best[2]
+    # at c = 0 the likelihood is convex in q = 1 - p with its minimum at
+    # q = 1 / mean(log(horizon / t)) >= 1 / 1454 (the log range of float64),
+    # so this search stays clear of p = 1, where the c = 0 model diverges
     p_ref, val = brent(lambda p: negloglik(p, c_fix), p_lo, p_hi, tol=1e-5)
     if val < best[0]:
         best = (val, p_ref, c_fix)

@@ -142,9 +142,12 @@ def fit_mu(
     y = np.log(counts)
     x_mean, y_mean = x.mean(), y.mean()
     dx = x - x_mean
-    sxx = float(np.sum(dx**2))
-    if sxx == 0.0:
+    # each log is good to about one ulp of the largest: a spread within 2**20
+    # of those leaves the slope fewer than six good digits (an infinite log
+    # has a NaN ulp and is refused below as a NaN slope)
+    if np.ptp(x) <= 2.0**20 * np.spacing(np.abs(x).max()):
         raise DataError("zero variance in log tau over the fit range")
+    sxx = float(np.sum(dx**2))
     slope = float(np.sum(dx * (y - y_mean)) / sxx)
     intercept = float(y_mean - slope * x_mean)
     mu = -slope - 1.0

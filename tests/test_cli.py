@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import importlib.util
 import inspect
@@ -7,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from dataclasses import fields
 from pathlib import Path
 
@@ -632,6 +634,31 @@ def test_wrappers_set_before_the_analysis_import_see_every_call(minute_bars_path
     run = _fresh_python(code, *argv)
     # one list-form fit of both thresholds; only the 2-sigma catalog reaches the collapse
     assert json.loads(run.stdout.splitlines()[-1]) == {"fit_omori": 1, "aging_curves": 1}
+
+
+def test_price_and_return_series_are_freed_before_the_omori_fit(minute_bars_path, tmp_path, monkeypatch):
+    # the series hold 32 bytes per input row; a run that kept them through the
+    # fits and the bootstrap peaked at ingest plus fitting
+    compute_returns, fit_omori = cli.compute_returns, cli.fit_omori
+    refs = []
+    freed = []
+
+    def watched_returns(series):
+        returns = compute_returns(series)
+        refs.extend([weakref.ref(series), weakref.ref(returns)])
+        return returns
+
+    def watched_fit(*args, **kwargs):
+        gc.collect()
+        freed.append([ref() is None for ref in refs])
+        return fit_omori(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "compute_returns", watched_returns)
+    monkeypatch.setattr(cli, "fit_omori", watched_fit)
+    argv = ["analyze", "--input", str(minute_bars_path), "--delimiter", ";", "--crash", CRASH,
+            "--resamples", "0", "--outdir", str(tmp_path)]
+    assert _run(*argv) == EXIT_OK
+    assert freed == [[True, True]]
 
 
 @pytest.mark.parametrize("text", ["-1,", "0,", "nan,5", "inf,", "10,5", "1,nan", "5,5", ",0"])
@@ -1360,6 +1387,19 @@ class TestReportCommand:
         capsys.readouterr()
         assert _run("report", "--outdir", str(run)) == EXIT_DATA
         assert capsys.readouterr().err == f"data error: {run / 'omori_catalog.csv'}: expected header 't,n_empirical,n_model'\n"
+
+    def test_table_wider_than_its_chart_is_charted_without_the_extra_column(self, tmp_path):
+        # the aging chart groups three cells a row; a fourth column used to end
+        # in "malformed report (ValueError: too many values to unpack)"
+        run = tmp_path / "sim"
+        argv = ["simulate", "--kind", "stationary", "--sim-horizon", "3000", "--resamples", "0", "--svg"]
+        assert _run(*argv, "--outdir", str(run)) == EXIT_OK
+        chart = (run / "aging_catalog.svg").read_bytes()
+        table = run / "corr_catalog.csv"
+        table.write_text("".join(f"{line},extra\n" for line in table.read_text().splitlines()))
+        (run / "aging_catalog.svg").unlink()
+        assert _run("report", "--outdir", str(run)) == EXIT_OK
+        assert (run / "aging_catalog.svg").read_bytes() == chart
 
     def test_report_json_directory_is_data_error(self, tmp_path, capsys):
         (tmp_path / "report.json").mkdir()

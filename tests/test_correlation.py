@@ -144,6 +144,19 @@ class TestCollapse:
             unit = np.sum((curve.c - ref.c) ** 2)
             assert best <= unit + 1e-12
 
+    def test_short_reference_leaves_small_factors_unscored(self):
+        # with a reference on n = 0..2, f = 0.2 maps only n = 0 inside its
+        # support: too few points to score, so that factor cannot win
+        n = np.arange(3)
+        curves = [CorrelationCurve(n_w=0, n=n, c=_master(n)), CorrelationCurve(n_w=10, n=n, c=_master(n / 1.5))]
+        assert collapse(curves).scale_factors[10] == pytest.approx(1.5, rel=0.01)
+
+    def test_curve_with_one_point_has_no_overlap(self):
+        n = np.arange(3)
+        curves = [CorrelationCurve(n_w=0, n=n, c=_master(n)), CorrelationCurve(n_w=10, n=[0], c=[1.0])]
+        with pytest.raises(DataError, match=r"no overlap with the reference after rescaling \(n_w=10\)"):
+            collapse(curves)
+
     def test_missing_reference(self):
         with pytest.raises(ValueError):
             collapse(_constructed_family(), reference_n_w=5)

@@ -238,6 +238,34 @@ class TestFitOmori:
         with pytest.raises(ValueError, match="horizon must be finite and positive"):
             fit_omori_mle(ev, horizon=horizon)
 
+    def test_underflowing_model_cells_are_inadmissible(self):
+        # on a 1e-200-minute scale t**q / q squares to zero for most p, so the
+        # refinement meets cells with sum(g * g) == 0; they score as
+        # inadmissible instead of dividing by zero
+        ev = EventSequence(times=np.arange(1.0, 21.0) * 1e-200)
+        fit = fit_omori(ev, grid_step=1e-200, horizon=2e-199, c_search=False)
+        assert P_SEARCH_RANGE[0] < fit.p < 1.0
+        assert 0 < fit.amplitude < math.inf
+
+    # No catalog found reaches the next two fallbacks: each needs the full-grid
+    # or scalar model to overflow or underflow where the coarse scan's or the
+    # table's did not, so they substitute a unit model that does.
+    def test_refinement_without_a_positive_amplitude_is_data_error(self, monkeypatch):
+        # sum(g * g) overflows at every full-grid cell: A = sum(y * g) / inf = 0
+        unit = omori._unit
+        monkeypatch.setattr(omori, "_unit", lambda *args, **kwargs: unit(*args, **kwargs) * 1e200)
+        ev = gen_omori(p=0.8, amplitude=5.0, c=0.0, horizon=2000.0, seed=4)
+        with np.errstate(over="ignore"), pytest.raises(DataError, match="do not support a positive amplitude"):
+            fit_omori(ev, grid_step=2.0, horizon=2000.0)
+
+    def test_rate_mle_without_an_admissible_scalar_cell_is_data_error(self, monkeypatch):
+        # the scalar likelihood's unit cumulative underflows at every (p, c) it
+        # probes, the table's at none
+        monkeypatch.setattr(omori, "_unit", lambda t, *args, **kwargs: np.zeros_like(t))
+        ev = gen_omori(p=0.8, amplitude=5.0, c=0.0, horizon=2000.0, seed=4)
+        with pytest.raises(DataError, match=r"rate model inadmissible for every searched \(p, c\)"):
+            fit_omori_mle(ev, horizon=2000.0)
+
     def test_c_pinned_when_search_disabled(self):
         ev = gen_omori(p=0.8, amplitude=5.0, c=0.0, horizon=2000.0, seed=4)
         fit = fit_omori(ev, grid_step=2.0, horizon=2000.0, c_search=False)

@@ -157,9 +157,17 @@ class TestFitMuMle:
             DataError,
             "zero variance in log tau",
         ),
+        # distinct float logs a few ulps apart: the slope is rounding noise
+        (
+            lambda: fit_mu(
+                WaitingHistogram(1.0, 1e15 + 2 * np.arange(5.0), np.array([5, 4, 3, 2, 2])), fit_range=(1.0, np.inf)
+            ),
+            DataError,
+            "zero variance in log tau",
+        ),
         (lambda: fit_mu_mle(WaitingTimes(taus=np.empty(0))), DataError, "no waiting times"),
     ],
-    ids=["bin-size", "lengths", "empty-histogram", "flat-log-tau", "no-waits"],
+    ids=["bin-size", "lengths", "empty-histogram", "flat-log-tau", "last-bits-log-tau", "no-waits"],
 )
 def test_argument_guards(call, error, message):
     with pytest.raises(error, match=message):
