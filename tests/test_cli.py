@@ -35,8 +35,8 @@ def _tree_digest(root: Path) -> dict[str, str]:
     }
 
 
-def _csv_digests(root: Path) -> dict[str, str]:
-    return {name: digest for name, digest in _tree_digest(root).items() if name.endswith(".csv")}
+def _digests(root: Path, suffix: str) -> dict[str, str]:
+    return {name: digest for name, digest in _tree_digest(root).items() if name.endswith(suffix)}
 
 
 # SHA-256 of every artifact table of the two golden runs, so a change to the
@@ -53,6 +53,20 @@ GOLDEN_COLLAPSE_CSV = {
     "collapsed_catalog.csv": "4e0c9bb7d1b02f44af9560295c6dd7c653c13e5f21a567bc3cbfce5f681b352e",
     "corr_catalog.csv": "b0858a68d9b67f32a790c3cc835ee783e9ace7971c9712dd5f4c345a227548f1",
     "scale_factors_catalog.csv": "46417468d8386f2bc9782f4e3c830086f3c5c3f1efd501d4aa255f34f9a5f0ce",
+}
+# SHA-256 of the charts of the two golden runs, so a change to the chart
+# writer cannot move a byte unseen
+GOLDEN_SIMULATE_SVG = {
+    "aging_catalog.svg": "0d517ca9cbede8601081be2e91adc481cdf8050405e59061379e7f99a3fbc7c0",
+    "collapse_catalog.svg": "42c9b1713e6bf3c4df1ebde0ba3680dd485f1063d502b7826b29fc791f054f15",
+    "omori_catalog.svg": "b47b91de3b7773422c92c55c5ec5f4af5f8357f5922320db4c2a713762adadf8",
+    "scale_factors_catalog.svg": "a81d04f6107304b5094f0794a637bdae279eb497e1176d9696180c8ccf40e99e",
+    "waiting_catalog.svg": "103258f2059658bb2d82e112637b8c3840ee2babd6e2417cc4caa73b14b8fc89",
+}
+GOLDEN_COLLAPSE_SVG = {
+    "aging_catalog.svg": "38a4e74796e3d9284abcd654b7460a36470bbda9042eaf34b86c435233eb3198",
+    "collapse_catalog.svg": "7e92918493882ea64f999e831cde1c9b126f08c04012a5a6e983e59328445a53",
+    "scale_factors_catalog.svg": "b785b24475a0bcd7be5e17d2a5ed721ef85290b34f04803b11410b92bc623c8e",
 }
 
 
@@ -1195,7 +1209,9 @@ class TestSimulate:
         assert code == EXIT_OK
         produced = (tmp_path / "golden-run" / "report.json").read_bytes()
         assert produced == golden_report_path.read_bytes()
-        assert _csv_digests(tmp_path / "golden-run") == GOLDEN_SIMULATE_CSV
+        assert _digests(tmp_path / "golden-run", ".csv") == GOLDEN_SIMULATE_CSV
+        assert _run("report", "--outdir", "golden-run") == EXIT_OK
+        assert _digests(tmp_path / "golden-run", ".svg") == GOLDEN_SIMULATE_SVG
 
     def test_schema_stable_against_golden(self, tmp_path, golden_report_path):
         # every field path in the golden report shows up in any same-kind run
@@ -1285,7 +1301,8 @@ class TestCollapseCommand:
         ) == EXIT_OK
         produced = (tmp_path / "col" / "report.json").read_bytes()
         assert produced == golden_collapse_report_path.read_bytes()
-        assert _csv_digests(tmp_path / "col") == GOLDEN_COLLAPSE_CSV
+        assert _digests(tmp_path / "col", ".csv") == GOLDEN_COLLAPSE_CSV
+        assert _digests(tmp_path / "col", ".svg") == GOLDEN_COLLAPSE_SVG
 
     @pytest.mark.parametrize("row,cell", [(100, "nan"), (199, "inf")])
     def test_non_finite_event_time_is_data_error(self, tmp_path, capsys, row, cell):
