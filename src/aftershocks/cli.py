@@ -576,7 +576,6 @@ def render_svgs(sections: list[dict], outdir: Path) -> list[str]:
     """Render the standard charts of report threshold sections from a run's
     CSV artifacts; returns the SVG file names written. Every label and table
     name must be a plain file name, and is checked before anything is written."""
-    _import_analysis()
 
     def table(name: str, columns: tuple[str, ...]) -> list[list[float]]:
         return read_csv(outdir / _plain_name(name), columns)
@@ -883,8 +882,8 @@ def cmd_report(args: argparse.Namespace) -> int:
         raise DataError(f"{report_path}: not a JSON object")
     try:
         svgs = _write_report(report, outdir, svg=True, tables={})
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        # a section or value of the wrong shape: the file is at fault, not the program
+    except (KeyError, TypeError, ValueError, AttributeError, ArithmeticError) as exc:
+        # a section or value of the wrong shape, or an overlay that overflows: the file is at fault
         raise DataError(f"{report_path}: malformed report ({type(exc).__name__}: {exc})") from None
     print(f"rendered {len(svgs)} charts in {outdir}")
     return EXIT_OK

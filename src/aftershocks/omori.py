@@ -188,32 +188,34 @@ def _coarse_scan(
     col_min = np.empty((len(c_values), n_y))
     col_arg = np.empty((len(c_values), n_y), dtype=int)
 
-    for j, c in enumerate(c_values):
-        col.fill(np.inf)
-        lt = np.log1p(grid / c) if c > 0 else np.log(grid)
-        # log-branch rows are scored below; c = 0 admits p < 1 only
-        rows = np.flatnonzero(~log_branch & ((q_all > 0) | (c > 0)))
-        for start in range(0, len(rows), n_rows):
-            idx = rows[start : start + n_rows]
-            q = q_all[idx]
-            g = block[: len(idx)]
-            np.exp(np.multiply(q[:, None], lt, out=g), out=g)
-            if c > 0:
-                g -= 1.0
-            with np.errstate(invalid="ignore", divide="ignore"):
+    # one errstate per scan: a cell whose terms overflow or divide by zero has
+    # an inf or nan rss, or a nonfinite syg or sgg, and is scored inadmissible
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for j, c in enumerate(c_values):
+            col.fill(np.inf)
+            lt = np.log1p(grid / c) if c > 0 else np.log(grid)
+            # log-branch rows are scored below; c = 0 admits p < 1 only
+            rows = np.flatnonzero(~log_branch & ((q_all > 0) | (c > 0)))
+            for start in range(0, len(rows), n_rows):
+                idx = rows[start : start + n_rows]
+                q = q_all[idx]
+                g = block[: len(idx)]
+                np.exp(np.multiply(q[:, None], lt, out=g), out=g)
+                if c > 0:
+                    g -= 1.0
                 syg = np.array([g @ row for row in ys])
                 sgg = np.einsum("ij,ij->i", g, g)
                 cell = sy2[:, None] - syg**2 / sgg
-            bad = (syg * np.sign(q) <= 0) | (sgg <= 0) | ~np.isfinite(cell)
-            cell[bad] = np.inf
-            col[:, idx] = cell
-        # log branch rows: g does not depend on p there
-        if c > 0 and np.any(log_branch):
-            sgg = float(lt @ lt)
-            for r, row in enumerate(ys):
-                syg = float(lt @ row)
-                col[r, log_branch] = sy2[r] - syg**2 / sgg if (syg > 0 and sgg > 0) else np.inf
-        col_min[j], col_arg[j] = col.min(axis=1), col.argmin(axis=1)
+                bad = (syg * np.sign(q) <= 0) | (sgg <= 0) | ~np.isfinite(cell)
+                cell[bad] = np.inf
+                col[:, idx] = cell
+            # log branch rows: g does not depend on p there
+            if c > 0 and np.any(log_branch):
+                sgg = float(lt @ lt)
+                for r, row in enumerate(ys):
+                    syg = float(lt @ row)
+                    col[r, log_branch] = sy2[r] - syg**2 / sgg if (syg > 0 and sgg > 0) else np.inf
+            col_min[j], col_arg[j] = col.min(axis=1), col.argmin(axis=1)
 
     # each row's first minimum in row-major order, as np.argmin over its
     # whole (p, c) table would take it: smallest p, then smallest c
@@ -359,22 +361,25 @@ def _refine(
             hi = min(hi, 1.0 - 2 * LOG_BRANCH_WINDOW)
         return brent(lambda p: score(p, c), lo, hi, tol=tol)[1]
 
-    score(p0, c0)
-    if c_search and c0 > 0:
-        # (p, c) ride a correlated ridge: refine c with p re-optimized at
-        # every candidate, not coordinate-wise
-        dlc = math.log(C_SEARCH_GRID[1] / C_SEARCH_GRID[0])
-        lc0 = math.log(c0)
-        brent(lambda lc: search_p(math.exp(lc)), lc0 - 1.5 * dlc, lc0 + 1.5 * dlc, tol=1e-4)
-        search_p(c0)
-        # The coarse scan runs on a decimated grid, so it can pick c0 > 0
-        # where c = 0 fits the full grid better. Refining p at c = 0 around
-        # the best coarse p there (always < 1) repeats the c-pinned refinement.
-        search_p(0.0, p0_pinned)
-    else:
-        search_p(c0)
-    # final polish of p at the winning c
-    search_p(best[2], best[1], steps=1, tol=1e-6)
+    # one errstate per fit: a grid / c that overflows gives an infinite
+    # log1p(grid / c), whose cells score an inf or nan rss and never win
+    with np.errstate(over="ignore"):
+        score(p0, c0)
+        if c_search and c0 > 0:
+            # (p, c) ride a correlated ridge: refine c with p re-optimized at
+            # every candidate, not coordinate-wise
+            dlc = math.log(C_SEARCH_GRID[1] / C_SEARCH_GRID[0])
+            lc0 = math.log(c0)
+            brent(lambda lc: search_p(math.exp(lc)), lc0 - 1.5 * dlc, lc0 + 1.5 * dlc, tol=1e-4)
+            search_p(c0)
+            # The coarse scan runs on a decimated grid, so it can pick c0 > 0
+            # where c = 0 fits the full grid better. Refining p at c = 0 around
+            # the best coarse p there (always < 1) repeats the c-pinned refinement.
+            search_p(0.0, p0_pinned)
+        else:
+            search_p(c0)
+        # final polish of p at the winning c
+        search_p(best[2], best[1], steps=1, tol=1e-6)
 
     rss, p_hat, c_hat, a_hat = best
     if a_hat <= 0:
@@ -419,13 +424,7 @@ def fit_omori_mle(
         raise DataError(f"need at least {MIN_EVENTS} events in (0, horizon], got {m}")
 
     c_values = _C_VALUES if c_search else _C_VALUES[:1]
-    # the terms that depend on c alone, once per c: log1p(horizon / c) for
-    # the unit cumulative and sum(log(t + c)) for the rate
     h = np.asarray([horizon])
-    per_c = {
-        c: (np.log1p(h / c) if c > 0 else None, float(np.sum(np.log(times + c))))
-        for c in c_values
-    }
 
     def negloglik(p: float, c: float) -> float:
         lt, s_log = per_c[c]
@@ -439,6 +438,13 @@ def fit_omori_mle(
     log_branch = np.abs(q) < LOG_BRANCH_WINDOW
     table = np.full((len(_P_VALUES), len(c_values)), np.inf)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        # the terms that depend on c alone, once per c: log1p(horizon / c) for the unit
+        # cumulative, infinite when horizon / c overflows (its cells are then inadmissible,
+        # or at p > 1 their limit), and sum(log(t + c)) for the rate
+        per_c = {
+            c: (np.log1p(h / c) if c > 0 else None, float(np.sum(np.log(times + c))))
+            for c in c_values
+        }
         for j, c in enumerate(c_values):
             lt, s_log = per_c[c]
             if c > 0:

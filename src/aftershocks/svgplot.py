@@ -8,6 +8,7 @@ pipeline's determinism contract relies on.
 from __future__ import annotations
 
 import math
+from html import escape
 from typing import Sequence
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf")
@@ -20,14 +21,22 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
+def _tag(name: str, body: str | None = None, **attrs) -> str:
+    """One element, the one place that writes markup: ``_`` in an attribute
+    name becomes ``-``, a float value is formatted with ``_fmt``, every other
+    value and the body are escaped, and an attribute set to None is left out."""
+    cells = "".join(
+        f' {key.replace("_", "-")}="{_fmt(v) if isinstance(v, float) else escape(str(v))}"'
+        for key, v in attrs.items() if v is not None
+    )
+    return f"<{name}{cells}/>" if body is None else f"<{name}{cells}>{escape(body)}</{name}>"
+
+
 def _transform(values, use_log: bool) -> list[float]:
     out = []
-    for v in values:
-        v = float(v)
-        if not math.isfinite(v) or (use_log and v <= 0):
-            out.append(math.nan)
-        else:
-            out.append(math.log10(v) if use_log else v)
+    for v in map(float, values):
+        kept = math.isfinite(v) and not (use_log and v <= 0)
+        out.append((math.log10(v) if use_log else v) if kept else math.nan)
     return out
 
 
@@ -36,11 +45,8 @@ def _ticks(lo: float, hi: float, use_log: bool) -> list[tuple[float, str]]:
         lo_d, hi_d = math.floor(lo), math.ceil(hi)
         step = max(1, int(math.ceil((hi_d - lo_d) / 6.0)))
         return [(float(d), f"1e{d:d}") for d in range(int(lo_d), int(hi_d) + 1, step)]
-    ticks = []
-    for i in range(5):
-        v = lo + (hi - lo) * i / 4.0
-        ticks.append((v, format(float(f"{v:.4g}"), "g")))
-    return ticks
+    linear = (lo + (hi - lo) * i / 4.0 for i in range(5))
+    return [(v, format(float(f"{v:.4g}"), "g")) for v in linear]
 
 
 def line_chart(
@@ -88,72 +94,40 @@ def line_chart(
     def sy(v: float) -> float:
         return _MARGIN_T + (y_hi - v) / (y_hi - y_lo) * plot_h
 
+    def line(x1, y1, x2, y2, stroke="black", width=1) -> str:
+        return _tag("line", x1=x1, y1=y1, x2=x2, y2=y2, stroke=stroke, stroke_width=width)
+
+    def text(x, y, body, size, anchor=None, transform=None) -> str:
+        return _tag("text", body, x=x, y=y, text_anchor=anchor, font_family="sans-serif",
+                    font_size=size, transform=transform)
+
+    x0, y0 = _MARGIN_L, _MARGIN_T + plot_h
+    mid_y = _MARGIN_T + plot_h / 2
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
-        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
-        f'<text x="{_fmt(_WIDTH / 2)}" y="20" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14">{title}</text>',
+        _tag("rect", width=_WIDTH, height=_HEIGHT, fill="white"),
+        text(_WIDTH / 2, 20, title, 14, "middle"),
+        line(x0, y0, x0 + plot_w, y0),  # axes
+        line(x0, y0, x0, _MARGIN_T),
     ]
-
-    # axes
-    x0, y0 = _MARGIN_L, _MARGIN_T + plot_h
-    parts.append(
-        f'<line x1="{_fmt(x0)}" y1="{_fmt(y0)}" x2="{_fmt(x0 + plot_w)}" y2="{_fmt(y0)}" '
-        f'stroke="black" stroke-width="1"/>'
-    )
-    parts.append(
-        f'<line x1="{_fmt(x0)}" y1="{_fmt(y0)}" x2="{_fmt(x0)}" y2="{_fmt(_MARGIN_T)}" '
-        f'stroke="black" stroke-width="1"/>'
-    )
     for v, label in _ticks(x_lo + pad_x, x_hi - pad_x, logx):
-        if not (x_lo <= v <= x_hi):
-            continue
-        parts.append(
-            f'<line x1="{_fmt(sx(v))}" y1="{_fmt(y0)}" x2="{_fmt(sx(v))}" y2="{_fmt(y0 + 4)}" '
-            f'stroke="black" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(sx(v))}" y="{_fmt(y0 + 18)}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{label}</text>'
-        )
+        if x_lo <= v <= x_hi:
+            parts += [line(sx(v), y0, sx(v), y0 + 4), text(sx(v), y0 + 18, label, 11, "middle")]
     for v, label in _ticks(y_lo + pad_y, y_hi - pad_y, logy):
-        if not (y_lo <= v <= y_hi):
-            continue
-        parts.append(
-            f'<line x1="{_fmt(x0 - 4)}" y1="{_fmt(sy(v))}" x2="{_fmt(x0)}" y2="{_fmt(sy(v))}" '
-            f'stroke="black" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(x0 - 8)}" y="{_fmt(sy(v) + 4)}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{label}</text>'
-        )
-    parts.append(
-        f'<text x="{_fmt(x0 + plot_w / 2)}" y="{_fmt(_HEIGHT - 8)}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">{xlabel}</text>'
-    )
-    parts.append(
-        f'<text x="14" y="{_fmt(_MARGIN_T + plot_h / 2)}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12" '
-        f'transform="rotate(-90 14 {_fmt(_MARGIN_T + plot_h / 2)})">{ylabel}</text>'
-    )
-
+        if y_lo <= v <= y_hi:
+            parts += [line(x0 - 4, sy(v), x0, sy(v)), text(x0 - 8, sy(v) + 4, label, 11, "end")]
+    parts.append(text(x0 + plot_w / 2, _HEIGHT - 8.0, xlabel, 12, "middle"))
+    parts.append(text(14, mid_y, ylabel, 12, "middle", f"rotate(-90 14 {_fmt(mid_y)})"))
     for i, (label, pts) in enumerate(txy):
         color = PALETTE[i % len(PALETTE)]
         if len(pts) >= 2:
             coords = " ".join(f"{_fmt(sx(x))},{_fmt(sy(y))}" for x, y in pts)
-            parts.append(f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>')
+            parts.append(_tag("polyline", points=coords, fill="none", stroke=color, stroke_width="1.5"))
         if markers or len(pts) < 2:
-            for x, y in pts:
-                parts.append(f'<circle cx="{_fmt(sx(x))}" cy="{_fmt(sy(y))}" r="2.5" fill="{color}"/>')
+            parts += [_tag("circle", cx=sx(x), cy=sy(y), r="2.5", fill=color) for x, y in pts]
         ly = _MARGIN_T + 14 + 14 * i
-        parts.append(
-            f'<line x1="{_fmt(x0 + plot_w - 120)}" y1="{_fmt(ly - 4)}" '
-            f'x2="{_fmt(x0 + plot_w - 100)}" y2="{_fmt(ly - 4)}" stroke="{color}" stroke-width="2"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(x0 + plot_w - 94)}" y="{_fmt(ly)}" font-family="sans-serif" '
-            f'font-size="11">{label}</text>'
-        )
+        parts.append(line(x0 + plot_w - 120, ly - 4, x0 + plot_w - 100, ly - 4, color, 2))
+        parts.append(text(x0 + plot_w - 94, ly, label, 11))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -11,6 +11,7 @@ import sys
 import weakref
 from dataclasses import fields
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -167,6 +168,14 @@ class TestAnalyze:
         report = json.loads((tmp_path / "off" / "report.json").read_text())
         assert report["config"]["c_search"] is False
         assert report["thresholds"][0]["omori"]["c"] == 0.0
+
+    def test_horizon_near_float_max_fits_without_overflow_warnings(self, minute_bars_path, tmp_path):
+        # the c search overflows in cells it scores inadmissible; the numpy
+        # warning it printed is an error in this suite, so the run exited 3
+        assert _analyze(
+            minute_bars_path, tmp_path, "--resamples", "0", "--c-search",
+            "--horizon", "1e200", "--grid-step", "1e194",
+        ) == EXIT_OK
 
     def test_verbose_logs_crash_snap_and_leaves_outputs_unchanged(
         self, minute_bars_path, tmp_path, capsys, monkeypatch
@@ -1417,6 +1426,46 @@ class TestReportCommand:
         (run / "aging_catalog.svg").unlink()
         assert _run("report", "--outdir", str(run)) == EXIT_OK
         assert (run / "aging_catalog.svg").read_bytes() == chart
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda section: section["waiting"]["lsq"].update(mu=-400.0),
+            lambda section: section["correlation"].update(a=1.0, gamma=400.0),
+        ],
+        ids=["waiting-fit", "scale-factor-law"],
+    )
+    def test_overlay_that_overflows_is_data_error(self, tmp_path, capsys, edit):
+        # a fitted law's overlay overflows a float: the report is at fault, and
+        # no chart is written, since every chart is built before one is written
+        run = tmp_path / "sim"
+        argv = ["simulate", "--kind", "omori", "--sim-horizon", "3000", "--resamples", "0"]
+        assert _run(*argv, "--outdir", str(run)) == EXIT_OK
+        report = json.loads((run / "report.json").read_text())
+        edit(report["thresholds"][0])
+        (run / "report.json").write_text(json.dumps(report))
+        capsys.readouterr()
+        assert _run("report", "--outdir", str(run)) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {run / 'report.json'}: malformed report (OverflowError: ")
+        assert not list(run.glob("*.svg"))
+
+    def test_label_with_markup_characters_gives_charts_that_parse(self, tmp_path):
+        # the label names the charts and their titles: its & and < are escaped
+        run = tmp_path / "sim"
+        argv = ["simulate", "--kind", "omori", "--sim-horizon", "3000", "--resamples", "0"]
+        assert _run(*argv, "--outdir", str(run)) == EXIT_OK
+        report = json.loads((run / "report.json").read_text())
+        report["thresholds"][0]["label"] = "a&b<c"
+        (run / "report.json").write_text(json.dumps(report))
+        assert _run("report", "--outdir", str(run)) == EXIT_OK
+        svgs = sorted(run.glob("*.svg"))
+        assert [p.name for p in svgs] == [
+            f"{kind}_a&b<c.svg" for kind in ("aging", "collapse", "omori", "scale_factors", "waiting")
+        ]
+        for svg in svgs:
+            title = ElementTree.parse(svg).getroot().find("{http://www.w3.org/2000/svg}text").text
+            assert title.endswith(" (a&b<c)")
 
     def test_report_json_directory_is_data_error(self, tmp_path, capsys):
         (tmp_path / "report.json").mkdir()

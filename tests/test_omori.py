@@ -266,6 +266,13 @@ class TestFitOmori:
         with pytest.raises(DataError, match=r"rate model inadmissible for every searched \(p, c\)"):
             fit_omori_mle(ev, horizon=2000.0)
 
+    def test_rate_mle_near_float_max_fits_without_overflow_warnings(self):
+        # horizon / c overflows at every searched c > 0; those cells are
+        # inadmissible, and the overflow used to warn (an error in this suite)
+        ev = EventSequence(np.arange(1.0, 11.0) * 5e-324)
+        fit = fit_omori_mle(ev, horizon=1e308, c_search=True)
+        assert math.isfinite(fit.p) and fit.amplitude > 0
+
     def test_c_pinned_when_search_disabled(self):
         ev = gen_omori(p=0.8, amplitude=5.0, c=0.0, horizon=2000.0, seed=4)
         fit = fit_omori(ev, grid_step=2.0, horizon=2000.0, c_search=False)

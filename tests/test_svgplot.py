@@ -1,4 +1,5 @@
 import re
+from xml.etree import ElementTree
 
 import pytest
 
@@ -28,3 +29,12 @@ def test_single_point_is_a_marker():
     svg = line_chart([("point", [3.0], [2.0])], title="chart", xlabel="x", ylabel="y")
     assert svg.count("<circle") == 1
     assert "<polyline" not in svg
+
+
+def test_markup_characters_in_text_are_escaped():
+    labels = {"title": 'a & b < "c"', "xlabel": "x > 0 & y", "ylabel": "<y>"}
+    series = [('one & "two"', [1.0, 2.0], [1.0, 2.0]), ("<three>", [1.0, 2.0], [2.0, 1.0])]
+    root = ElementTree.fromstring(line_chart(series, **labels))
+    texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert texts[0] == labels["title"]
+    assert texts[-4:] == [labels["xlabel"], labels["ylabel"], 'one & "two"', "<three>"]
