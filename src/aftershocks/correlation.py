@@ -161,11 +161,10 @@ def collapse(curves: Iterable[CorrelationCurve], reference_n_w: int = 0) -> Coll
         hi_k = math.log(coarse[min(len(coarse) - 1, k + 1)])
         f_ref, _ = brent(lambda lf: _collapse_objective(curve, ref, math.exp(lf))[0], lo_k, hi_k, tol=1e-7)
         # min keeps the first of equal values, so ties keep unit scale
-        best_f = min(
-            (1.0, float(coarse[k]), math.exp(f_ref)), key=lambda f: _collapse_objective(curve, ref, f)[0]
+        (sq, used), factors[curve.n_w] = min(
+            ((_collapse_objective(curve, ref, f), f) for f in (1.0, float(coarse[k]), math.exp(f_ref))),
+            key=lambda scored: scored[0][0],
         )
-        factors[curve.n_w] = best_f
-        sq, used = _collapse_objective(curve, ref, best_f)
         total_sq += sq
         total_pts += used
 

@@ -110,11 +110,9 @@ def bootstrap_ci(
     histogram = histogram_sampler(taus, bin_size)
 
     # mu first: its fit is cheap and is the one that fails on minute data,
-    # so a resample it loses never pays for the Omori refit. Each estimate
-    # is 0.0 + mu + p, summed in that order.
-    partial = []
+    # so a resample it loses never pays for the Omori refit
+    mus = []
     survivors = []
-    failures = 0
     for child in derive_seeds(seed, resamples):
         rng = _rng(child)
         idx = np.floor(rng.random(len(taus)) * len(taus)).astype(int)
@@ -123,15 +121,12 @@ def bootstrap_ci(
             arranged = np.sort(taus[idx])[rank_of]
             resampled = EventSequence(times=t0 + np.concatenate([[0.0], np.cumsum(arranged)]))
         except (DataError, ValueError):
-            failures += 1
             continue
-        partial.append(0.0 + mu)
+        mus.append(mu)
         survivors.append(resampled)
-    estimates = []
-    if survivors:
-        fits = fit_omori(survivors, horizon=horizon, grid_step=grid_step, c_search=c_search)
-        estimates = [value + fit.p for value, fit in zip(partial, fits) if isinstance(fit, OmoriFit)]
-        failures += len(survivors) - len(estimates)
+    fits = fit_omori(survivors, horizon=horizon, grid_step=grid_step, c_search=c_search)
+    estimates = [mu + fit.p for mu, fit in zip(mus, fits) if isinstance(fit, OmoriFit)]
+    failures = resamples - len(estimates)
     if failures > 0.1 * resamples:
         raise DataError(f"estimator failed on {failures}/{resamples} resamples")
     lo, hi = np.percentile(estimates, [2.5, 97.5])

@@ -160,33 +160,39 @@ def _coarse_scan(
     """Per row of ``ys``, a stack of count vectors on ``grid`` (one row per
     catalog), the best (p, c) cell by the closed-amplitude rss, ties to
     smallest p then smallest c, and the best p in the ``c_values[0]``
-    column; or a :class:`DataError` when no cell admits the row.
+    column; or a :class:`DataError` when no cell admits the row. Each row
+    keeps one running best (rss, p index, c index), which a c column's
+    least cell replaces when lower, or equal at a smaller p: the first
+    minimum np.argmin takes over the whole table.
 
     A cell's rss, sum(y**2) - sum(y*g)**2 / sum(g*g), does not change when
     g is scaled by a constant, so the scan leaves out the unit model's
-    factor c**q / q (q = 1 - p) and scores exp(q * lt) - 1 (c > 0) or
-    exp(q * lt) = t**q (c = 0). The factor's sign, that of q, carries into
-    the admissibility test sum(y*g) > 0. Rows that c = 0 does not admit
-    (p >= 1) are not computed.
+    factor c**q / q (q = 1 - p) and scores exp(q * lt) - 1 (c > 0),
+    exp(q * lt) = t**q (c = 0) or lt (the log branch, factor 1). One rule
+    scores every cell: it is inadmissible when sum(y*g) lacks the factor's
+    sign, sum(g*g) is not positive or the rss is not finite. Rows that
+    c = 0 does not admit (p >= 1) are not computed.
 
     g is computed in blocks of p rows of at most ``_BLOCK_BYTES`` (one row
-    when a single row is larger), one block at a time, so the scan holds one
-    block beside the counts, whatever the grid's length. Each block, which
-    does not depend on the counts, is computed once, and each row of ``ys``
-    is scored against it with its own matrix-vector product (gemv): one
-    matrix product g @ Y.T (gemm) would sum in another order and change the
-    last bits, whereas per-row products keep every catalog's cells those of
-    a scan of that catalog alone.
+    when a single row is larger), so the scan holds one block beside the
+    counts, whatever the grid's length. Each block is computed once and
+    scored against each row of ``ys`` with its own matrix-vector product
+    (gemv), which keeps every catalog's cells those of a scan of that
+    catalog alone; one matrix product g @ Y.T (gemm) would sum in another
+    order and change the last bits.
     """
     n_y, n_p = len(ys), len(p_values)
-    sy2 = np.array([float(row @ row) for row in ys])
+    sy2 = np.array([float(row @ row) for row in ys])[:, None]
     q_all = 1.0 - p_values
     log_branch = np.abs(q_all) < LOG_BRANCH_WINDOW
     n_rows = max(1, _BLOCK_BYTES // (8 * len(grid)))
     block = np.empty((min(n_rows, n_p), len(grid)))
     col = np.empty((n_y, n_p))
-    col_min = np.empty((len(c_values), n_y))
-    col_arg = np.empty((len(c_values), n_y), dtype=int)
+    best = [(math.inf, 0, 0)] * n_y
+
+    def score(syg: np.ndarray, sgg, sign) -> np.ndarray:
+        cell = sy2 - syg**2 / sgg
+        return np.where((syg * sign <= 0) | (sgg <= 0) | ~np.isfinite(cell), np.inf, cell)
 
     # one errstate per scan: a cell whose terms overflow or divide by zero has
     # an inf or nan rss, or a nonfinite syg or sgg, and is scored inadmissible
@@ -203,31 +209,21 @@ def _coarse_scan(
                 np.exp(np.multiply(q[:, None], lt, out=g), out=g)
                 if c > 0:
                     g -= 1.0
-                syg = np.array([g @ row for row in ys])
-                sgg = np.einsum("ij,ij->i", g, g)
-                cell = sy2[:, None] - syg**2 / sgg
-                bad = (syg * np.sign(q) <= 0) | (sgg <= 0) | ~np.isfinite(cell)
-                cell[bad] = np.inf
-                col[:, idx] = cell
-            # log branch rows: g does not depend on p there
+                col[:, idx] = score(np.array([g @ row for row in ys]), np.einsum("ij,ij->i", g, g), np.sign(q))
+            # the log branch's g is lt at every p: 1-D dots, which a gemv row per p
+            # would not keep equal in their last bits
             if c > 0 and np.any(log_branch):
-                sgg = float(lt @ lt)
-                for r, row in enumerate(ys):
-                    syg = float(lt @ row)
-                    col[r, log_branch] = sy2[r] - syg**2 / sgg if (syg > 0 and sgg > 0) else np.inf
-            col_min[j], col_arg[j] = col.min(axis=1), col.argmin(axis=1)
+                col[:, log_branch] = score(np.array([[lt @ row] for row in ys]), lt @ lt, 1.0)
+            arg = col.argmin(axis=1)
+            if j == 0:
+                pinned = arg
+            best = [min(b, (v, i, j)) for b, v, i in zip(best, col.min(axis=1).tolist(), arg.tolist())]
 
-    # each row's first minimum in row-major order, as np.argmin over its
-    # whole (p, c) table would take it: smallest p, then smallest c
-    best = col_min.min(axis=0)
-    first_p = np.where(col_min == best, col_arg, n_p)
-    best_j = first_p.argmin(axis=0)
-    best_i = first_p[best_j, np.arange(n_y)]
     return [
         (float(p_values[i]), float(c_values[j]), float(p_values[k]))
         if math.isfinite(v)
         else DataError("no admissible (p, c) cell: cumulative counts do not support the model")
-        for v, i, j, k in zip(best, best_i, best_j, col_arg[0])
+        for (v, i, j), k in zip(best, pinned)
     ]
 
 
@@ -269,8 +265,9 @@ def fit_omori(
     ``events`` may also be a list of catalogs, fitted on one grid with the
     same settings; ``horizon`` is then required, and a ``horizon`` or
     ``grid_step`` that is not finite and positive, or a grid of more than
-    ``MAX_GRID_POINTS`` points, raises ``ValueError`` for the whole call. The result is a list holding, per catalog, its fit or
-    the :class:`DataError` a call on that catalog alone would raise. The
+    ``MAX_GRID_POINTS`` points, raises ``ValueError`` for the whole call.
+    The result is a list holding, per catalog, its fit or the
+    :class:`DataError` a call on that catalog alone would raise. The
     catalogs share one coarse scan pass (see :func:`_coarse_scan`); each
     is then counted on the full grid and refined alone, so the call holds
     one full-grid count vector at a time, and each result equals that of a

@@ -177,6 +177,18 @@ class TestAnalyze:
             "--horizon", "1e200", "--grid-step", "1e194",
         ) == EXIT_OK
 
+    def test_c_search_admits_a_catalog_whose_grid_over_c_overflows(self, minute_bars_path, tmp_path):
+        # log1p(grid / c) is infinite on most of the grid at small c, where the
+        # log-branch cells scored a nan rss that refused every cell of the
+        # c search, while the c-pinned fit succeeded
+        assert _analyze(
+            minute_bars_path, tmp_path, "--resamples", "0", "--c-search",
+            "--horizon", "1e308", "--grid-step", "1e302",
+        ) == EXIT_OK
+        two = json.loads((tmp_path / "report.json").read_text())["thresholds"][0]
+        assert two["label"] == "thr2sigma"
+        assert "omori" in two
+
     def test_verbose_logs_crash_snap_and_leaves_outputs_unchanged(
         self, minute_bars_path, tmp_path, capsys, monkeypatch
     ):

@@ -382,7 +382,7 @@ def _coarse_scan_ref(y, grid, p_values, c_values):
             syg = float(g @ y)
             sgg = float(g @ g)
             val = sy2 - syg**2 / sgg if (syg > 0 and sgg > 0) else np.inf
-            rss[log_branch, j] = val
+            rss[log_branch, j] = val if math.isfinite(val) else np.inf
         elif c == 0:
             rss[log_branch | (p_values >= 1.0), j] = np.inf
     i, j = divmod(int(np.argmin(rss)), n_c)
@@ -430,9 +430,13 @@ class TestKernelsMatchReference:
         y = cumulative_count(ev, grid)
         default_p = np.arange(P_SEARCH_RANGE[0], P_SEARCH_RANGE[1] + P_SEARCH_STEP / 2.0, P_SEARCH_STEP)
         for p_values in (default_p, np.array(_KERNEL_P)):
-            for c_values in ([0.0], [0.0, *C_SEARCH_GRID], list(_KERNEL_C)):
-                # p = 1 exactly divides by q = 0 in a row the log branch overwrites
-                with np.errstate(divide="ignore", invalid="ignore"):
+            # at c = 1e-306, log1p(grid / c) is infinite past grid = 180: the
+            # cells it makes nonfinite are inadmissible, the other c still
+            # admit the catalog
+            for c_values in ([0.0], [0.0, *C_SEARCH_GRID], list(_KERNEL_C), [0.0, 1e-306, *C_SEARCH_GRID]):
+                # p = 1 exactly divides by q = 0 in a row the log branch
+                # overwrites, and grid / c overflows at c = 1e-306
+                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                     expected = _coarse_scan_ref(y, grid, p_values, c_values)
                     assert omori._coarse_scan(y[None], grid, p_values, c_values)[0] == expected
 
