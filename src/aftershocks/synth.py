@@ -74,7 +74,8 @@ def gen_omori(
     Unit-rate Poisson arrivals s_k, drawn until one passes the expected
     count (which the cap bounds), are mapped through the inverse of the
     cumulative law: for p != 1, t = (s(1-p)/A + c**(1-p))**(1/(1-p)) - c; for
-    p = 1, t = c(exp(s/A) - 1). The catalog ends at the first t not within
+    p = 1, t = c(exp(s/A) - 1), or exp(log(c) + s/A) - c where c(exp(s/A) - 1)
+    overflows. The catalog ends at the first t not within
     the horizon, an overflow or a rounding NaN included; a c so large that
     the expected count rounds to 0 gives an empty catalog.
 
@@ -110,7 +111,14 @@ def gen_omori(
     s = np.concatenate(chunks)
     s = s[s <= expected]
     with np.errstate(over="ignore", invalid="ignore"):
-        t = c * np.expm1(s / amplitude) if log_branch else (s * q / amplitude + c**q) ** (1.0 / q) - c
+        if log_branch:
+            t = c * np.expm1(s / amplitude)
+            # expm1 overflows past s / A = 709.8, where a subnormal c still
+            # keeps t finite; the times that did not overflow keep their bits
+            over = np.isinf(t)
+            t[over] = np.exp(math.log(c) + s[over] / amplitude) - c
+        else:
+            t = (s * q / amplitude + c**q) ** (1.0 / q) - c
     past = ~(t <= horizon)  # a rounding NaN counts as past the horizon
     times = t[: int(np.argmax(past))] if past.any() else t
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,15 @@ class TestGenOmori:
         # hundred events, so the size check must not refuse it
         ev = gen_omori(p=p, amplitude=1.0, c=1e-310, horizon=100.0, seed=0)
         assert 0 < len(ev) < 1000
+
+    def test_subnormal_c_at_p_1_draws_to_the_horizon(self):
+        # c * expm1(s / A) overflows past s / A = 709.8, which used to end the
+        # catalog at t = 0.0108 with 676 events; those 676 keep their bits
+        ev = gen_omori(p=1.0, amplitude=1.0, c=1e-310, horizon=100.0, seed=0)
+        digest = hashlib.sha256(ev.times[:676].tobytes()).hexdigest()
+        assert digest == "21238832a2b98c70623d8565f27326cdbba0f8c049d9cfc757556963f7c10c68"
+        assert ev.times[675] < 0.0108 < ev.times[676]
+        assert ev.times[-1] > 10.0
 
     def test_draw_that_float64_absorbs_is_empty(self):
         # horizon + c rounds to c, so the expected count is 0; the inverted
