@@ -189,6 +189,26 @@ class TestAnalyze:
         assert two["label"] == "thr2sigma"
         assert "omori" in two
 
+    def test_event_t_is_the_return_from_bar_t_to_bar_t_plus_1(self, minute_bars_path, tmp_path):
+        # the minute convention: event index t is the move from the bar at
+        # exchange minute t to the bar at minute t + 1, pinned through series.csv
+        assert _run(
+            "ingest", "--input", str(minute_bars_path), "--delimiter", ";", "--crash", CRASH,
+            "--outdir", str(tmp_path / "ingest"),
+        ) == EXIT_OK
+        assert _analyze(minute_bars_path, tmp_path / "analyze", "--resamples", "0") == EXIT_OK
+        r_th = json.loads((tmp_path / "analyze" / "report.json").read_text())["thresholds"][0]["r_th"]
+        events = (tmp_path / "analyze" / "events_thr2sigma.csv").read_text().splitlines()
+        assert events[1:4] == ["0", "1", "3"]
+        bars = {}
+        for row in (tmp_path / "ingest" / "series.csv").read_text().splitlines()[1:]:
+            t, wall_clock, x = row.split(",")
+            bars[int(t)] = (wall_clock, float(x))
+        moves = {t: (bars[t][0][-8:-3], bars[t + 1][0][-8:-3]) for t in (0, 1, 3)}
+        assert moves == {0: ("13:00", "13:01"), 1: ("13:01", "13:02"), 3: ("13:03", "13:04")}
+        crossed = [t for t in range(4) if abs(bars[t + 1][1] / bars[t][1] - 1.0) > r_th]
+        assert crossed == [0, 1, 3]
+
     def test_verbose_logs_crash_snap_and_leaves_outputs_unchanged(
         self, minute_bars_path, tmp_path, capsys, monkeypatch
     ):
