@@ -161,10 +161,8 @@ def collapse(curves: Iterable[CorrelationCurve], reference_n_w: int = 0) -> Coll
         hi_k = math.log(coarse[min(len(coarse) - 1, k + 1)])
         f_ref, _ = brent(lambda lf: _collapse_objective(curve, ref, math.exp(lf))[0], lo_k, hi_k, tol=1e-7)
         # min keeps the first of equal values, so ties keep unit scale
-        (sq, used), factors[curve.n_w] = min(
-            ((_collapse_objective(curve, ref, f), f) for f in (1.0, float(coarse[k]), math.exp(f_ref))),
-            key=lambda scored: scored[0][0],
-        )
+        scored = [(_collapse_objective(curve, ref, f), f) for f in (1.0, float(coarse[k]), math.exp(f_ref))]
+        (sq, used), factors[curve.n_w] = min(scored, key=lambda cand: cand[0][0])
         total_sq += sq
         total_pts += used
 

@@ -190,7 +190,7 @@ def _coarse_scan(
     col = np.empty((n_y, n_p))
     best = [(math.inf, 0, 0)] * n_y
 
-    def score(syg: np.ndarray, sgg, sign) -> np.ndarray:
+    def score(syg: np.ndarray, sgg: np.ndarray | float, sign: np.ndarray | float) -> np.ndarray:
         cell = sy2 - syg**2 / sgg
         return np.where((syg * sign <= 0) | (sgg <= 0) | ~np.isfinite(cell), np.inf, cell)
 
