@@ -75,9 +75,9 @@ def gen_omori(
     count (which the cap bounds), are mapped through the inverse of the
     cumulative law: for p != 1, t = (s(1-p)/A + c**(1-p))**(1/(1-p)) - c; for
     p = 1, t = c(exp(s/A) - 1), or exp(log(c) + s/A) - c where c(exp(s/A) - 1)
-    overflows. The catalog ends at the first t not within
-    the horizon, an overflow or a rounding NaN included; a c so large that
-    the expected count rounds to 0 gives an empty catalog.
+    overflows. The catalog ends at the first t not within the horizon, an
+    overflow or a rounding NaN included; a c so large that the expected
+    count rounds to 0 gives an empty catalog.
 
     ``round_to_minutes`` floors times to the minute grid and collapses the
     resulting duplicates (collapsed count is logged); estimator tests keep
