@@ -447,12 +447,11 @@ def _analyze_catalog(
     events_csv = section["events_csv"] = f"events_{label}.csv"
     tables[events_csv] = functools.partial(write_events_csv, ev)
 
-    omori_fit = None
     if len(ev) >= MIN_EVENTS:
         if isinstance(fit, Exception):
             with _stage(f"omori {label}"):
                 raise fit
-        omori_fit = section["omori"] = fit
+        section["omori"] = fit
         try:
             section["omori_mle"] = fit_omori_mle(ev, horizon=horizon, c_search=config.c_search)
         except DataError as exc:
@@ -466,19 +465,17 @@ def _analyze_catalog(
                 note(f"{key} p = {p:g} is the {end} end of the searched p range [{lo:g}, {hi:g}]; "
                      "the best-fitting p may lie beyond it")
         curve_csv = section["omori_csv"] = f"omori_{label}.csv"
-        tables[curve_csv] = functools.partial(_write_omori_curve_csv, ev, omori_fit, horizon)
+        tables[curve_csv] = functools.partial(_write_omori_curve_csv, ev, fit, horizon)
     else:
         note(f"too few events ({len(ev)}) for an Omori fit")
 
     waits = waiting_times(ev)
-    wsec = _waiting_section(waits, config, label, tables) if len(waits) else None
-    if wsec is not None:
-        section["waiting"] = wsec
+    if len(waits):
+        section["waiting"] = _waiting_section(waits, config, label, tables)
     elif len(ev):
         note("no waiting times to histogram")
 
-    lsq_fit = wsec.get("lsq") if wsec else None
-    if omori_fit is not None and lsq_fit is not None:
+    if "omori" in section and "lsq" in section.get("waiting", {}):
         ci = None
         if config.resamples:
             try:
@@ -497,7 +494,7 @@ def _analyze_catalog(
                 note(f"bootstrap failed ({exc}); Markov verdict uses the point estimate")
         else:
             note("bootstrap disabled; Markov verdict uses the point estimate")
-        section["markov"] = markov_relation(omori_fit.p, lsq_fit.mu, ci)
+        section["markov"] = markov_relation(section["omori"].p, section["waiting"]["lsq"].mu, ci)
 
     min_events = config.n_max + max(config.n_w) + 2
     if len(ev) >= min_events:

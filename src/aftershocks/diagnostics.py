@@ -176,17 +176,9 @@ def build_report(
     ``json.loads(serialize_report(r)) == r`` holds for the result. The
     ``artifacts`` manifest is left to the writer of the output tree.
     """
+    sections = dict(locals())
     report: dict[str, Any] = {"schema_version": SCHEMA_VERSION}
-    sections = [
-        ("config", config),
-        ("sigma", sigma),
-        ("thresholds", thresholds),
-        ("synthetic", synthetic),
-        ("correlation", correlation),
-        ("rng", rng),
-        ("notes", notes),
-    ]
-    for key, value in sections:
+    for key, value in sections.items():
         if value is None:
             continue
         if isinstance(value, (list, tuple, dict)) and not value:

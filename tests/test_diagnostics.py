@@ -209,6 +209,12 @@ class TestReport:
         )
         assert json.loads(serialize_report(report)) == report
 
+    def test_unknown_section_is_type_error(self):
+        # build_report takes its sections from its keyword parameters, so the
+        # signature is the one list of the top-level sections
+        with pytest.raises(TypeError, match="artifacts"):
+            build_report(artifacts={})
+
     def test_serialization_is_deterministic(self):
         report = build_report(config={"b": 2, "a": 1}, notes=["x"])
         assert serialize_report(report) == serialize_report(dict(reversed(report.items())))
