@@ -296,6 +296,9 @@ def fit_omori(
             _check_catalog(ev)
             if len(grid) < 3:
                 raise DataError("fitting grid has fewer than 3 points")
+            first, last = cumulative_count(ev, grid[[0, -1]])
+            if 0 < first == last:
+                raise DataError(f"the count is {first:g} at every point of the fitting grid, t = {grid[0]:g} to {grid[-1]:g}")
             members.append(n)
         except DataError as exc:
             results[n] = exc.with_traceback(None)

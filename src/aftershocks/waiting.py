@@ -93,7 +93,10 @@ def histogram_sampler(taus: np.ndarray, bin_size: float) -> Callable[[np.ndarray
     ``idx``, such as a bootstrap draw, from the bin counts of its draws."""
     if bin_size <= 0:
         raise ValueError("bin_size must be positive")
-    k, bin_of = np.unique(np.floor((taus - 1.0) / bin_size), return_inverse=True)
+    with np.errstate(over="ignore"):
+        k, bin_of = np.unique(np.floor((taus - 1.0) / bin_size), return_inverse=True)
+    if not np.isfinite(k).all():
+        raise DataError(f"bin size {bin_size:g} is too small for the largest wait, {taus.max():g}: its bin overflows")
     edges = 1.0 + k * bin_size
     integral = taus == np.floor(taus)
 
@@ -182,7 +185,10 @@ def fit_mu_mle(
     if n < 50:
         raise DataError(f"need at least 50 samples for the MLE, got {n}")
     # a dot product, not np.sum, whose pairwise order changes the last bits of mu
-    s = float(np.ones_like(samples) @ np.log(samples / lo))
+    with np.errstate(over="ignore"):
+        s = float(np.ones_like(samples) @ np.log(samples / lo))
+    if not math.isfinite(s):
+        raise DataError(f"sum of log(tau / tau_min) overflows at tau_min = {lo:g}")
     if s <= 0:
         raise DataError("all waiting times equal tau_min; exponent undefined")
     mu = n / s

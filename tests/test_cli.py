@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 import weakref
 from dataclasses import fields
 from pathlib import Path
@@ -169,25 +170,29 @@ class TestAnalyze:
         assert report["config"]["c_search"] is False
         assert report["thresholds"][0]["omori"]["c"] == 0.0
 
-    def test_horizon_near_float_max_fits_without_overflow_warnings(self, minute_bars_path, tmp_path):
-        # the c search overflows in cells it scores inadmissible; the numpy
-        # warning it printed is an error in this suite, so the run exited 3
+    def test_horizon_near_float_max_on_a_grid_past_every_event_is_refused(self, minute_bars_path, tmp_path, capsys):
+        # every grid point lies past the last event, so the count is the same
+        # at all of them and no (p, c) can be read from it; the c search's
+        # overflow paths on such a horizon are covered in test_omori.py
         assert _analyze(
-            minute_bars_path, tmp_path, "--resamples", "0", "--c-search",
+            minute_bars_path, tmp_path / "out", "--resamples", "0", "--c-search",
             "--horizon", "1e200", "--grid-step", "1e194",
-        ) == EXIT_OK
+        ) == EXIT_DATA
+        assert ("stage 'omori thr2sigma': the count is 96 at every point of the fitting grid, "
+                "t = 1e+194 to 1e+200") in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
-    def test_c_search_admits_a_catalog_whose_grid_over_c_overflows(self, minute_bars_path, tmp_path):
-        # log1p(grid / c) is infinite on most of the grid at small c, where the
-        # log-branch cells scored a nan rss that refused every cell of the
-        # c search, while the c-pinned fit succeeded
+    @pytest.mark.parametrize("c_search", ["--c-search", "--no-c-search"], ids=["c-search", "c-pinned"])
+    def test_grid_on_which_the_count_never_changes_is_refused(self, minute_bars_path, tmp_path, capsys, c_search):
+        # the c search fitted p = 1.079 at rss 0 on this grid, and the c-pinned
+        # fit p at the edge of its range, from a count that never changes
         assert _analyze(
-            minute_bars_path, tmp_path, "--resamples", "0", "--c-search",
+            minute_bars_path, tmp_path / "out", "--resamples", "0", c_search,
             "--horizon", "1e308", "--grid-step", "1e302",
-        ) == EXIT_OK
-        two = json.loads((tmp_path / "report.json").read_text())["thresholds"][0]
-        assert two["label"] == "thr2sigma"
-        assert "omori" in two
+        ) == EXIT_DATA
+        assert ("stage 'omori thr2sigma': the count is 96 at every point of the fitting grid, "
+                "t = 1e+302 to 1e+308") in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_event_t_is_the_return_from_bar_t_to_bar_t_plus_1(self, minute_bars_path, tmp_path):
         # the minute convention: event index t is the move from the bar at
@@ -752,6 +757,29 @@ def test_run_failing_after_ingest_writes_nothing(minute_bars_path, tmp_path, cap
     assert _run(*argv) == EXIT_DATA
     assert "stage 'omori thr2sigma': fitting grid has fewer than 3 points" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "kind", [["omori", "--sim-horizon", "3000", "--resamples", "0"], ["pareto"]], ids=["omori", "pareto"]
+)
+def test_bin_size_too_small_for_the_waits_writes_nothing(tmp_path, capsys, kind):
+    # (tau - 1) / bin_size overflowed to inf, and the omori run wrote a
+    # histogram with the bins nan and inf
+    argv = ["simulate", "--kind", *kind, "--bin-size", "1e-320", "--outdir", str(tmp_path / "out")]
+    assert _run(*argv) == EXIT_DATA
+    assert "data error: bin size 9.99989e-321 is too small for the largest wait" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_overflowing_tau_over_tau_min_is_an_mle_error(minute_bars_path, tmp_path):
+    # the sum of log(tau / tau_min) was inf, which reported mu = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _analyze(minute_bars_path, tmp_path, "--resamples", "0", "--fit-range", "1e-320,") == EXIT_OK
+    waiting = json.loads((tmp_path / "report.json").read_text())["thresholds"][0]["waiting"]
+    assert "mle" not in waiting
+    assert waiting["mle_error"] == "sum of log(tau / tau_min) overflows at tau_min = 9.99989e-321"
+    assert waiting["lsq"]["mu"] > 0
 
 
 def test_collapse_of_too_short_a_catalog_writes_nothing(tmp_path, capsys):

@@ -273,6 +273,24 @@ class TestFitOmori:
         fit = fit_omori_mle(ev, horizon=1e308, c_search=True)
         assert math.isfinite(fit.p) and fit.amplitude > 0
 
+    def test_fits_near_float_max_without_overflow_warnings(self):
+        # 60 events spread over each grid. On the first, grid / c overflows at
+        # the smallest searched c; on the second, the coarse scan's squares
+        # overflow. Those cells are inadmissible, and an overflow that warned
+        # is an error in this suite.
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(np.arange(1e305, 1e308 + 5e304, 1e305) / C_SEARCH_GRID[0]).all()
+        for scale in (1e305, 1e197):
+            grid_step, horizon = scale, scale * 1000.0
+            ev = EventSequence(times=np.sort(np.random.default_rng(7).uniform(scale, 900.0 * scale, 60)))
+            fits = (
+                fit_omori(ev, grid_step=grid_step, horizon=horizon, c_search=False),
+                fit_omori(ev, grid_step=grid_step, horizon=horizon, c_search=True),
+                fit_omori_mle(ev, horizon=horizon, c_search=True),
+            )
+            for fit in fits:
+                assert math.isfinite(fit.p) and 0 < fit.amplitude < math.inf
+
     def test_c_pinned_when_search_disabled(self):
         ev = gen_omori(p=0.8, amplitude=5.0, c=0.0, horizon=2000.0, seed=4)
         fit = fit_omori(ev, grid_step=2.0, horizon=2000.0, c_search=False)
@@ -508,6 +526,7 @@ class TestFitOmoriList:
         catalogs[2:2] = [
             EventSequence(times=np.arange(5.0) + 1.0),  # too few events
             EventSequence(times=np.arange(5000.0, 5012.0)),  # none on a 4000-minute grid
+            EventSequence(times=np.arange(1.0, 11.0) / 10.0),  # all before the first grid point
         ]
         catalogs.append(catalogs[0])
         kwargs = {"grid_step": 2.0, "horizon": horizon, "c_search": c_search}
@@ -524,6 +543,7 @@ class TestFitOmoriList:
         errors = [str(r) for r in listed if not isinstance(r, OmoriFit)]
         assert errors[0] == "need at least 10 events to fit, got 5"
         assert errors[1].startswith("no admissible (p, c) cell")
+        assert errors[2] == "the count is 10 at every point of the fitting grid, t = 2 to 4000"
 
     def test_value_errors_are_raised(self):
         ev = gen_omori(**_KERNEL_SPECS[0])

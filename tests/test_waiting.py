@@ -166,8 +166,23 @@ class TestFitMuMle:
             "zero variance in log tau",
         ),
         (lambda: fit_mu_mle(WaitingTimes(taus=np.empty(0))), DataError, "no waiting times"),
+        # (tau - 1) / bin_size overflows float64: the last bin would be inf
+        (
+            lambda: build_histogram(WaitingTimes(taus=np.array([1.0, 2.0, 378.0])), 1e-320),
+            DataError,
+            "bin size 9.99989e-321 is too small for the largest wait, 378",
+        ),
+        # tau / tau_min overflows float64: the log sum is inf, which gave mu = 0
+        (
+            lambda: fit_mu_mle(WaitingTimes(taus=np.arange(1.0, 61.0)), fit_range=(1e-320, None)),
+            DataError,
+            "sum of log\\(tau / tau_min\\) overflows",
+        ),
     ],
-    ids=["bin-size", "lengths", "empty-histogram", "flat-log-tau", "last-bits-log-tau", "no-waits"],
+    ids=[
+        "bin-size", "lengths", "empty-histogram", "flat-log-tau", "last-bits-log-tau", "no-waits",
+        "overflowing-bin", "overflowing-log-sum",
+    ],
 )
 def test_argument_guards(call, error, message):
     with pytest.raises(error, match=message):
