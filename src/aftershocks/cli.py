@@ -574,87 +574,59 @@ def render_svgs(sections: list[dict], outdir: Path) -> list[str]:
     CSV artifacts; returns the SVG file names written. Every label and table
     name must be a plain file name, and is checked before anything is written."""
 
-    def table(name: str, columns: tuple[str, ...]) -> list[list[float]]:
-        return read_csv(outdir / _plain_name(name), columns)
+    def columns(name: str, header: tuple[str, ...]) -> list[list[float]]:
+        rows = read_csv(outdir / _plain_name(name), header)
+        return [[row[i] for row in rows] for i in range(len(header))]
+
+    def curves(name: str, header: tuple[str, ...]) -> list[tuple[str, list[float], list[float]]]:
+        """The (n_w, x, y) table ``name`` as one series per n_w, in n_w order."""
+        grouped: dict[float, tuple[list[float], list[float]]] = {}
+        for n_w, x, y in zip(*columns(name, header)):
+            xs, ys = grouped.setdefault(n_w, ([], []))
+            xs.append(x)
+            ys.append(y)
+        return [(f"n_w={int(k)}", xs, ys) for k, (xs, ys) in sorted(grouped.items())]
 
     charts: dict[str, str] = {}
+
+    def chart(kind: str, label: str, series: list, title: str, xlabel: str, ylabel: str, **options) -> None:
+        """Build the chart ``{kind}_{label}.svg``, titled ``"{title} ({label})"``."""
+        svg = line_chart(series, title=f"{title} ({label})", xlabel=xlabel, ylabel=ylabel, **options)
+        charts[f"{kind}_{label}.svg"] = svg
+
     for section in sections:
         label = _plain_name(section["label"])
         if "omori_csv" in section:
-            rows = table(section["omori_csv"], OMORI_CSV_COLUMNS)
-            t = [r[0] for r in rows]
-            chart = line_chart(
-                [("empirical", t, [r[1] for r in rows]), ("model", t, [r[2] for r in rows])],
-                title=f"cumulative aftershocks ({label})",
-                xlabel="t [min]",
-                ylabel="N(t)",
-            )
-            charts[f"omori_{label}.svg"] = chart
+            t, empirical, model = columns(section["omori_csv"], OMORI_CSV_COLUMNS)
+            series = [("empirical", t, empirical), ("model", t, model)]
+            chart("omori", label, series, "cumulative aftershocks", "t [min]", "N(t)")
         waiting = section.get("waiting")
         if waiting and "histogram_csv" in waiting:
-            rows = table(waiting["histogram_csv"], HISTOGRAM_CSV_COLUMNS)
-            taus = [r[0] for r in rows]
-            series = [("counts", taus, [r[1] for r in rows])]
+            taus, counts = columns(waiting["histogram_csv"], HISTOGRAM_CSV_COLUMNS)
+            series = [("counts", taus, counts)]
             lsq = waiting.get("lsq")
             if lsq and lsq.get("amplitude"):
                 pos = [tv for tv in taus if tv > 0]
-                series.append(
-                    ("fit", pos, [lsq["amplitude"] * tv ** -(1.0 + lsq["mu"]) for tv in pos])
-                )
-            chart = line_chart(
-                series,
-                title=f"waiting-time histogram ({label})",
-                xlabel="tau [min]",
-                ylabel="count",
-                logx=True,
-                logy=True,
-                markers=True,
-            )
-            charts[f"waiting_{label}.svg"] = chart
+                series.append(("fit", pos, [lsq["amplitude"] * tv ** -(1.0 + lsq["mu"]) for tv in pos]))
+            chart("waiting", label, series, "waiting-time histogram", "tau [min]", "count",
+                  logx=True, logy=True, markers=True)
         csection = section.get("correlation")
         if csection:
-            chart = line_chart(
-                _group_curves(table(csection["curves_csv"], corr.CURVES_CSV_COLUMNS)),
-                title=f"aging curves ({label})",
-                xlabel="n",
-                ylabel="C(n+n_w, n_w)",
-            )
-            charts[f"aging_{label}.svg"] = chart
-            chart = line_chart(
-                _group_curves(table(csection["collapsed_csv"], corr.COLLAPSED_CSV_COLUMNS)),
-                title=f"collapsed curves ({label})",
-                xlabel="n / f(n_w)",
-                ylabel="C",
-            )
-            charts[f"collapse_{label}.svg"] = chart
-            rows = table(csection["scale_factors_csv"], corr.SCALE_FACTORS_CSV_COLUMNS)
-            n_ws = [r[0] for r in rows]
-            series = [("f", n_ws, [r[1] for r in rows])]
+            aging = curves(csection["curves_csv"], corr.CURVES_CSV_COLUMNS)
+            chart("aging", label, aging, "aging curves", "n", "C(n+n_w, n_w)")
+            collapsed = curves(csection["collapsed_csv"], corr.COLLAPSED_CSV_COLUMNS)
+            chart("collapse", label, collapsed, "collapsed curves", "n / f(n_w)", "C")
+            n_ws, f = columns(csection["scale_factors_csv"], corr.SCALE_FACTORS_CSV_COLUMNS)
+            series = [("f", n_ws, f)]
             if csection.get("a") is not None:
                 a, gamma = csection["a"], csection["gamma"]
                 # with gamma < 0 the law is infinite at n_w = 0
                 law_nws = [nw for nw in n_ws if nw > 0 or gamma >= 0]
                 series.append(("law", law_nws, [a * nw**gamma + 1.0 for nw in law_nws]))
-            chart = line_chart(
-                series,
-                title=f"collapse scale factors ({label})",
-                xlabel="n_w",
-                ylabel="f",
-                markers=True,
-            )
-            charts[f"scale_factors_{label}.svg"] = chart
-    for name, chart in charts.items():
-        (outdir / name).write_text(chart, encoding="utf-8")
+            chart("scale_factors", label, series, "collapse scale factors", "n_w", "f", markers=True)
+    for name, svg in charts.items():
+        (outdir / name).write_text(svg, encoding="utf-8")
     return list(charts)
-
-
-def _group_curves(rows: list[list[float]]) -> list[tuple[str, list[float], list[float]]]:
-    grouped: dict[float, tuple[list[float], list[float]]] = {}
-    for n_w, x, y in rows:
-        grouped.setdefault(n_w, ([], []))
-        grouped[n_w][0].append(x)
-        grouped[n_w][1].append(y)
-    return [(f"n_w={int(k)}", xs, ys) for k, (xs, ys) in sorted(grouped.items())]
 
 
 def _make_outdir(outdir: Path) -> None:
