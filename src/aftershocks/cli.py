@@ -653,6 +653,9 @@ def _write_report(report: dict, outdir: Path, svg: bool, tables: dict) -> list[s
     then write ``report.json``. Its artifacts list the files listed there
     already, the tables and the SVGs in name order, then ``report.json``.
     Returns the SVG names written."""
+    listed = report.get("artifacts", [])
+    if not isinstance(listed, list) or not all(isinstance(name, str) for name in listed):
+        raise TypeError("artifacts is not a list of file names")
     _make_outdir(outdir)
     for name, write in tables.items():
         write(outdir / name)
@@ -662,7 +665,7 @@ def _write_report(report: dict, outdir: Path, svg: bool, tables: dict) -> list[s
         if "correlation" in report:
             sections.append({"label": "catalog", "correlation": report["correlation"]})
         svgs = render_svgs(sections, outdir)
-    listed = set(report.get("artifacts", [])) | set(tables) | set(svgs)
+    listed = set(listed) | set(tables) | set(svgs)
     report["artifacts"] = sorted(listed - {"report.json"}) + ["report.json"]
     (outdir / "report.json").write_text(serialize_report(report), encoding="utf-8")
     return svgs

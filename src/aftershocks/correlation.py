@@ -69,11 +69,14 @@ def event_corr(times: np.ndarray, m: int, n: int) -> float:
         raise DataError(f"shifted windows too short: M={big} for (m={m}, n={n})")
     a = times[m : m + big]
     b = times[n : n + big]
-    # ndarray.mean's arithmetic without its Python wrapper
-    ac = a - np.add.reduce(a) / big
-    bc = b - np.add.reduce(b) / big
-    va = float(ac @ ac)
-    vb = float(bc @ bc)
+    with np.errstate(over="ignore"):
+        # ndarray.mean's arithmetic without its Python wrapper
+        ac = a - np.add.reduce(a) / big
+        bc = b - np.add.reduce(b) / big
+        va = float(ac @ ac)
+        vb = float(bc @ bc)
+    if not math.isfinite(va * vb):
+        raise DataError(f"the squared deviations of the shifted windows overflow float64 (m={m}, n={n})")
     if va == 0.0 or vb == 0.0:
         raise DataError("zero variance in a shifted window")
     return float((ac @ bc) / math.sqrt(va * vb))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +52,8 @@ def compute_returns(series: PriceSeries) -> ReturnSeries:
         raise DataError("need at least two prices to form returns")
     x = np.frombuffer(series.x)  # the price column's memory, not a copy
     t = np.arange(series.t_start, series.t_start + len(x) - 1)
-    return ReturnSeries(t=t, r=np.diff(x) / x[:-1])
+    with np.errstate(over="ignore"):  # a return past float64 is inf, which window_stats refuses
+        return ReturnSeries(t=t, r=np.diff(x) / x[:-1])
 
 
 def window_stats(returns: ReturnSeries, t0: int, length: int) -> WindowStats:
@@ -75,8 +77,11 @@ def window_stats(returns: ReturnSeries, t0: int, length: int) -> WindowStats:
     sample = returns.r[(returns.t >= lo) & (returns.t <= hi)]
     if sample.size == 0:
         raise DataError("window contains no samples")
-    mean = float(np.mean(sample))
-    variance = float(np.var(sample))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(np.mean(sample))
+        variance = float(np.var(sample))
+    if not (math.isfinite(mean) and math.isfinite(variance)):
+        raise DataError(f"returns in the window [{lo}, {hi}] overflow float64 (mean {mean:g}, variance {variance:g})")
     return WindowStats(
         mean=mean,
         variance=variance,

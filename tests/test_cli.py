@@ -790,6 +790,19 @@ def test_collapse_of_too_short_a_catalog_writes_nothing(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_event_times_whose_correlation_overflows_write_nothing(tmp_path, capsys):
+    # the squared deviations of times near 1e300 overflowed, and the nan
+    # correlations ended in "no overlap with the reference after rescaling"
+    argv = ["simulate", "--kind", "omori", "--p", "0.5", "--amplitude", "1e-148", "--sim-horizon", "1e300",
+            "--grid-step", "1e296", "--resamples", "0", "--outdir", str(tmp_path / "out")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _run(*argv) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "stage 'correlation catalog': the squared deviations of the shifted windows overflow float64" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_fitting_grid_over_the_cap_is_usage_error(tmp_path, capsys):
     # a 1e9-point grid was OOM-killed and a 1e15-point one ended in an
     # internal MemoryError
@@ -952,6 +965,39 @@ def test_degenerate_sigma_window_is_data_error(minute_bars_path, tmp_path, capsy
     )
     assert code == EXIT_DATA
     assert message in capsys.readouterr().err
+
+
+def _bars_with_close(minute_bars_path, tmp_path, line_no: int, close: str) -> Path:
+    """A copy of the fixture whose line ``line_no`` (1-based) closes at ``close``."""
+    lines = minute_bars_path.read_text().splitlines(keepends=True)
+    lines[line_no - 1] = lines[line_no - 1].rpartition(";")[0] + f";{close}\n"
+    bars = tmp_path / "bars.csv"
+    bars.write_text("".join(lines))
+    return bars
+
+
+def test_sigma_window_whose_returns_overflow_writes_nothing(minute_bars_path, tmp_path, capsys):
+    # a 1e-300 close on the 13:10 bar, in the window, made the variance inf: the
+    # run wrote its tree with a null sigma, then exited 3 printing the summary
+    bars = _bars_with_close(minute_bars_path, tmp_path, 612, "1e-300")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _analyze(bars, tmp_path / "out", "--resamples", "0") == EXIT_DATA
+    err = capsys.readouterr().err
+    message = "stage 'sigma': returns in the window [0, 1918] overflow float64 (mean 2.40649e+298, variance inf)"
+    assert f"data error: {message}" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_return_past_float64_before_the_crash_is_not_read(minute_bars_path, tmp_path):
+    # a 1e-310 close before the crash overflowed its return with a warning
+    assert _analyze(minute_bars_path, tmp_path / "plain", "--resamples", "0") == EXIT_OK
+    bars = _bars_with_close(minute_bars_path, tmp_path, 6, "1e-310")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _analyze(bars, tmp_path / "out", "--resamples", "0") == EXIT_OK
+    plain, report = (json.loads((tmp_path / run / "report.json").read_text()) for run in ("plain", "out"))
+    assert report["sigma"] == plain["sigma"] and report["thresholds"] == plain["thresholds"]
 
 
 _BARS = ["--input", "{bars}", "--delimiter", ";"]
@@ -1462,6 +1508,22 @@ class TestReportCommand:
         assert _run("report", "--outdir", str(run)) == EXIT_OK
         assert _tree_digest(run) == first
 
+    def test_header_only_tables_give_empty_charts(self, tmp_path):
+        run = tmp_path / "sim"
+        argv = ["simulate", "--kind", "omori", "--sim-horizon", "2000", "--resamples", "0", "--outdir", str(run)]
+        assert _run(*argv) == EXIT_OK
+        for kind in ("omori", "waiting", "corr", "collapsed", "scale_factors"):
+            table = run / f"{kind}_catalog.csv"
+            table.write_text(table.read_text().splitlines(keepends=True)[0])
+        assert _run("report", "--outdir", str(run)) == EXIT_OK
+        assert _digests(run, ".svg") == {
+            "aging_catalog.svg": "810c18faa4777ceb9c574f5bf511d67d26d9ea4208f3f8cb414da685bf4ecfa2",
+            "collapse_catalog.svg": "c40e3add621b1dd0ecd26868ea841c7d50c558cd740eeed383dbcf641ef52680",
+            "omori_catalog.svg": "9aad57f67c08c96120ac7dea35c7259b3b1128ce782815d6b27f262c178df541",
+            "scale_factors_catalog.svg": "33b0783ffa25b862d8612d9b6c04fb6eb408a1b07dcef23e7df2232fca4d636a",
+            "waiting_catalog.svg": "c6e44f7d03d60f2504681c95cf0e2a4e3476da407b593432254c949a8718ccd8",
+        }
+
     def test_missing_report_is_data_error(self, tmp_path):
         assert _run("report", "--outdir", str(tmp_path)) == EXIT_DATA
 
@@ -1563,11 +1625,21 @@ class TestReportCommand:
                 b'{"thresholds": [{"label": "catalog", "omori_csv": "/etc/hostname"}]}',
                 "report.json: malformed report (ValueError: '/etc/hostname' is not a plain file name",
             ),
+            # a string or dict listed its characters or keys, and [1] listed 1
+            *(
+                (
+                    "report.json",
+                    b'{"thresholds": [{"label": "catalog", "omori_csv": "omori_catalog.csv"}], "artifacts": '
+                    + artifacts + b"}",
+                    "report.json: malformed report (TypeError: artifacts is not a list of file names)",
+                )
+                for artifacts in (b'"report.json"', b'{"report.json": 1}', b'["report.json", 1]')
+            ),
         ],
         ids=[
             "not-json", "not-utf8", "not-object", "missing-csv", "bad-cell", "short-row",
             "thresholds-not-list", "section-without-label", "csv-name-not-string", "amplitude-not-number",
-            "label-escapes", "csv-name-absolute",
+            "label-escapes", "csv-name-absolute", "artifacts-string", "artifacts-dict", "artifacts-non-string",
         ],
     )
     def test_malformed_run_directory_is_data_error(self, tmp_path, capsys, name, content, message):
@@ -1584,3 +1656,4 @@ class TestReportCommand:
         assert _run("report", "--outdir", str(run)) == EXIT_DATA
         err = capsys.readouterr().err
         assert message in err and name in err
+        assert not list(run.glob("*.svg"))

@@ -217,15 +217,18 @@ def test_csv_writers(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "call,message",
+    "call,error,message",
     [
-        (lambda: CorrelationCurve(n_w=0, n=np.arange(3), c=np.ones(2)), "1-d and equally long"),
-        (lambda: event_corr(np.arange(10.0), -1, 0), "event indices must be nonnegative"),
-        (lambda: aging_curves(EventSequence(times=np.arange(10.0)), (0,), 0), "n_max must be at least 1"),
-        (lambda: aging_curves(EventSequence(times=np.arange(10.0)), (-1, 0), 2), "must be nonnegative"),
+        (lambda: CorrelationCurve(n_w=0, n=np.arange(3), c=np.ones(2)), ValueError, "1-d and equally long"),
+        (lambda: event_corr(np.arange(10.0), -1, 0), ValueError, "event indices must be nonnegative"),
+        (lambda: aging_curves(EventSequence(times=np.arange(10.0)), (0,), 0), ValueError, "n_max must be at least 1"),
+        (lambda: aging_curves(EventSequence(times=np.arange(10.0)), (-1, 0), 2), ValueError, "must be nonnegative"),
+        # an overflowing sum is refused without a warning, not turned into a nan correlation
+        (lambda: event_corr(np.arange(1.0, 11.0) * 1e200, 1, 0), DataError,
+         r"squared deviations of the shifted windows overflow float64 \(m=1, n=0\)"),
     ],
-    ids=["curve-shape", "negative-index", "n-max", "negative-n-w"],
+    ids=["curve-shape", "negative-index", "n-max", "negative-n-w", "overflowing-squares"],
 )
-def test_argument_guards(call, message):
-    with pytest.raises(ValueError, match=message):
+def test_argument_guards(call, error, message):
+    with pytest.raises(error, match=message):
         call()

@@ -42,6 +42,11 @@ class TestComputeReturns:
         with pytest.raises(DataError):
             compute_returns(_series([1.0]))
 
+    def test_return_past_float64_is_inf_without_a_warning(self):
+        # the suite turns a RuntimeWarning into an error
+        r = compute_returns(_series([1e-310, 1.0, 2.0]))
+        assert r.r.tolist() == [np.inf, 1.0]
+
 
 class TestWindowStats:
     def test_identical_values(self):
@@ -113,8 +118,16 @@ def test_sigma_scales_linearly(values, lam):
         (lambda: window_stats(ReturnSeries(t=np.empty(0), r=np.empty(0)), 0, 0), DataError, "empty return series"),
         # a hand-built series may skip minutes, so a contained window can hold none
         (lambda: window_stats(ReturnSeries(t=np.array([0, 10]), r=np.ones(2)), 3, 2), DataError, "no samples"),
+        # the mean and variance are taken without a warning, and refused when not finite
+        (lambda: window_stats(ReturnSeries(t=np.arange(3), r=np.array([1e300, -1e300, 0.0])), 0, 2), DataError,
+         r"returns in the window \[0, 2\] overflow float64 \(mean 0, variance inf\)"),
+        (lambda: window_stats(ReturnSeries(t=np.arange(3), r=np.array([1.0, 1.7e308, 1.7e308])), 1, 1), DataError,
+         r"returns in the window \[1, 2\] overflow float64 \(mean inf, variance inf\)"),
+        (lambda: window_stats(ReturnSeries(t=np.arange(2), r=np.array([np.inf, 0.0])), 0, 1), DataError,
+         r"returns in the window \[0, 1\] overflow float64"),
     ],
-    ids=["shape", "negative-length", "empty-series", "empty-window"],
+    ids=["shape", "negative-length", "empty-series", "empty-window", "overflowing-variance", "overflowing-mean",
+         "infinite-return"],
 )
 def test_argument_guards(call, error, message):
     with pytest.raises(error, match=message):
