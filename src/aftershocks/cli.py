@@ -8,10 +8,12 @@ output directory honors $AFTERSHOCKS_OUTDIR.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error;
 statistical verdicts never affect the exit status. All emitted files are
-deterministic functions of the configuration and seeds. The section
-builders only record their tables; :func:`_write_report` writes the whole
-tree once every stage has passed, so the report manifest is exactly the
-files the run wrote and a failed run writes nothing.
+deterministic functions of the configuration and seeds. This module
+declares every table's columns. The section builders only record their
+tables; :func:`_write_report` writes the whole tree once every stage has
+passed (the charts only once the files the report lists are checked), so
+the report manifest is exactly the files the run wrote and a failed run
+writes nothing.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ def _import_analysis() -> None:
     from .stats import WindowStats, compute_returns, window_stats
     from .svgplot import line_chart
     from .synth import RNG_ALGORITHM, derive_seeds, gen_omori, gen_pareto_waits, gen_stationary
-    from .waiting import HISTOGRAM_CSV_COLUMNS, build_histogram, fit_mu, fit_mu_mle, write_histogram_csv
+    from .waiting import build_histogram, fit_mu, fit_mu_mle
 
     # a copy: a trace function (coverage, pdb) refreshes locals() during the loop
     imported = dict(locals())
@@ -81,6 +83,14 @@ EXIT_DATA = 2
 EXIT_INTERNAL = 3
 
 ENV_OUTDIR = "AFTERSHOCKS_OUTDIR"
+
+# The columns of the tables the charts are drawn from: the section builders
+# record each table under its header, and render_svgs reads it back by it.
+OMORI_CSV_COLUMNS = ("t", "n_empirical", "n_model")
+HISTOGRAM_CSV_COLUMNS = ("tau", "count")
+CURVES_CSV_COLUMNS = ("n_w", "n", "C")
+COLLAPSED_CSV_COLUMNS = ("n_w", "n_scaled", "C")
+SCALE_FACTORS_CSV_COLUMNS = ("n_w", "f")
 
 _METHOD_NOTES = [
     "window statistics divide by the sample count (population form), not the nominal window length",
@@ -464,8 +474,10 @@ def _analyze_catalog(
                 end = "lower" if p <= lo else "upper"
                 note(f"{key} p = {p:g} is the {end} end of the searched p range [{lo:g}, {hi:g}]; "
                      "the best-fitting p may lie beyond it")
+        grid = np.linspace(0.0, horizon, 257)
+        rows = zip(grid, cumulative_count(ev, grid), omori_model(grid, fit.p, fit.amplitude, fit.c))
         curve_csv = section["omori_csv"] = f"omori_{label}.csv"
-        tables[curve_csv] = functools.partial(_write_omori_curve_csv, ev, fit, horizon)
+        tables[curve_csv] = functools.partial(write_csv, header=OMORI_CSV_COLUMNS, rows=rows)
     else:
         note(f"too few events ({len(ev)}) for an Omori fit")
 
@@ -525,16 +537,21 @@ def _correlation_section(ev: EventSequence, config: RunConfig, label: str, table
         section["a"], section["gamma"] = corr.fit_f(result.scale_factors)
     except DataError as exc:
         note(f"scale-factor law not fitted ({exc})")
-    tables[section["curves_csv"]] = functools.partial(corr.write_curves_csv, curves)
-    tables[section["collapsed_csv"]] = functools.partial(corr.write_collapsed_csv, curves, result.scale_factors)
-    tables[section["scale_factors_csv"]] = functools.partial(corr.write_scale_factors_csv, result.scale_factors)
+    f = result.scale_factors
+    points = [(cv.n_w, n, c) for cv in curves for n, c in zip(cv.n.tolist(), cv.c)]  # by n_w, then n
+    for key, header, rows in (
+        ("curves_csv", CURVES_CSV_COLUMNS, points),
+        ("collapsed_csv", COLLAPSED_CSV_COLUMNS, [(n_w, n / f[n_w], c) for n_w, n, c in points]),
+        ("scale_factors_csv", SCALE_FACTORS_CSV_COLUMNS, sorted(f.items())),
+    ):
+        tables[section[key]] = functools.partial(write_csv, header=header, rows=rows)
     return section
 
 
 def _waiting_section(waits, config: RunConfig, label: str, tables: dict) -> dict:
     hist = build_histogram(waits, config.bin_size)
     hist_csv = f"waiting_{label}.csv"
-    tables[hist_csv] = functools.partial(write_histogram_csv, hist)
+    tables[hist_csv] = functools.partial(write_csv, header=HISTOGRAM_CSV_COLUMNS, rows=zip(*hist.bins()))
     wsec: dict = {"bin_size": config.bin_size, "histogram_csv": hist_csv, "n_taus": len(waits)}
     try:
         wsec["lsq"] = fit_mu(hist, fit_range=config.fit_range)
@@ -545,16 +562,6 @@ def _waiting_section(waits, config: RunConfig, label: str, tables: dict) -> dict
     except DataError as exc:
         wsec["mle_error"] = str(exc)
     return wsec
-
-
-OMORI_CSV_COLUMNS = ("t", "n_empirical", "n_model")
-
-
-def _write_omori_curve_csv(ev: EventSequence, fit, horizon: float, path: Path) -> None:
-    grid = np.linspace(0.0, horizon, 257)
-    empirical = cumulative_count(ev, grid)
-    model = omori_model(grid, fit.p, fit.amplitude, fit.c)
-    write_csv(path, OMORI_CSV_COLUMNS, zip(grid, empirical, model))
 
 
 # ---------------------------------------------------------------------------
@@ -569,10 +576,10 @@ def _plain_name(name: str) -> str:
     return name
 
 
-def render_svgs(sections: list[dict], outdir: Path) -> list[str]:
-    """Render the standard charts of report threshold sections from a run's
-    CSV artifacts; returns the SVG file names written. Every label and table
-    name must be a plain file name, and is checked before anything is written."""
+def render_svgs(sections: list[dict], outdir: Path) -> dict[str, str]:
+    """The standard charts of report threshold sections, built from a run's
+    CSV artifacts, as ``{SVG file name: document}``; writes nothing. Every
+    label and table name must be a plain file name."""
 
     def columns(name: str, header: tuple[str, ...]) -> list[list[float]]:
         rows = read_csv(outdir / _plain_name(name), header)
@@ -612,11 +619,11 @@ def render_svgs(sections: list[dict], outdir: Path) -> list[str]:
                   logx=True, logy=True, markers=True)
         csection = section.get("correlation")
         if csection:
-            aging = curves(csection["curves_csv"], corr.CURVES_CSV_COLUMNS)
+            aging = curves(csection["curves_csv"], CURVES_CSV_COLUMNS)
             chart("aging", label, aging, "aging curves", "n", "C(n+n_w, n_w)")
-            collapsed = curves(csection["collapsed_csv"], corr.COLLAPSED_CSV_COLUMNS)
+            collapsed = curves(csection["collapsed_csv"], COLLAPSED_CSV_COLUMNS)
             chart("collapse", label, collapsed, "collapsed curves", "n / f(n_w)", "C")
-            n_ws, f = columns(csection["scale_factors_csv"], corr.SCALE_FACTORS_CSV_COLUMNS)
+            n_ws, f = columns(csection["scale_factors_csv"], SCALE_FACTORS_CSV_COLUMNS)
             series = [("f", n_ws, f)]
             if csection.get("a") is not None:
                 a, gamma = csection["a"], csection["gamma"]
@@ -624,9 +631,7 @@ def render_svgs(sections: list[dict], outdir: Path) -> list[str]:
                 law_nws = [nw for nw in n_ws if nw > 0 or gamma >= 0]
                 series.append(("law", law_nws, [a * nw**gamma + 1.0 for nw in law_nws]))
             chart("scale_factors", label, series, "collapse scale factors", "n_w", "f", markers=True)
-    for name, svg in charts.items():
-        (outdir / name).write_text(svg, encoding="utf-8")
-    return list(charts)
+    return charts
 
 
 def _make_outdir(outdir: Path) -> None:
@@ -648,27 +653,34 @@ def _make_outdir(outdir: Path) -> None:
 
 def _write_report(report: dict, outdir: Path, svg: bool, tables: dict) -> list[str]:
     """Write a run's output tree, the one place that does: make ``outdir``,
-    write ``tables``, with ``svg`` render the charts of the report's
+    write ``tables``, with ``svg`` build the charts of the report's
     threshold sections and of a ``collapse`` run's correlation section,
-    then write ``report.json``. Its artifacts list the files listed there
-    already, the tables and the SVGs in name order, then ``report.json``.
-    Returns the SVG names written."""
+    check the files that the report lists already, then write the charts
+    and ``report.json``. A listed file must be a plain file name, and a
+    file in ``outdir`` or one of the charts; else ``ValueError``, and no
+    chart is written. The artifacts list the listed files, the tables and
+    the SVGs in name order, then ``report.json``. Returns the SVG names."""
     listed = report.get("artifacts", [])
     if not isinstance(listed, list) or not all(isinstance(name, str) for name in listed):
         raise TypeError("artifacts is not a list of file names")
     _make_outdir(outdir)
     for name, write in tables.items():
         write(outdir / name)
-    svgs = []
+    charts = {}
     if svg:
         sections = list(report.get("thresholds", []))
         if "correlation" in report:
             sections.append({"label": "catalog", "correlation": report["correlation"]})
-        svgs = render_svgs(sections, outdir)
-    listed = set(listed) | set(tables) | set(svgs)
+        charts = render_svgs(sections, outdir)
+    for name in map(_plain_name, listed):
+        if name not in charts and not (outdir / name).is_file():
+            raise ValueError(f"{name!r} is not a file in the run directory")
+    for name, document in charts.items():
+        (outdir / name).write_text(document, encoding="utf-8")
+    listed = set(listed) | set(tables) | set(charts)
     report["artifacts"] = sorted(listed - {"report.json"}) + ["report.json"]
     (outdir / "report.json").write_text(serialize_report(report), encoding="utf-8")
-    return svgs
+    return list(charts)
 
 
 # ---------------------------------------------------------------------------

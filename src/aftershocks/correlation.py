@@ -13,18 +13,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from ._optim import brent
 from .errors import DataError
-from .events import EventSequence, write_csv
+from .events import EventSequence
 
-CURVES_CSV_COLUMNS = ("n_w", "n", "C")
-COLLAPSED_CSV_COLUMNS = ("n_w", "n_scaled", "C")
-SCALE_FACTORS_CSV_COLUMNS = ("n_w", "f")
 F_SEARCH_BOUNDS = (0.2, 50.0)
 _F_COARSE_POINTS = 57
 
@@ -187,27 +183,3 @@ def fit_f(scale_factors: Mapping[int, float]) -> tuple[float, float]:
     y = np.log([f - 1.0 for _, f in pts])
     slope, intercept = np.polyfit(x, y, 1)
     return float(np.exp(intercept)), float(slope)
-
-
-def write_curves_csv(curves: Iterable[CorrelationCurve], path: str | Path) -> None:
-    """Rows (n_w, n, C), curves ordered by n_w."""
-    rows = ([cv.n_w, n, c] for cv in sorted(curves, key=lambda cv: cv.n_w) for n, c in zip(cv.n.tolist(), cv.c))
-    write_csv(path, CURVES_CSV_COLUMNS, rows)
-
-
-def write_collapsed_csv(
-    curves: Iterable[CorrelationCurve],
-    scale_factors: Mapping[int, float],
-    path: str | Path,
-) -> None:
-    """Rows (n_w, n / f(n_w), C): the collapsed curves."""
-    rows = (
-        [cv.n_w, n / scale_factors[cv.n_w], c]
-        for cv in sorted(curves, key=lambda cv: cv.n_w)
-        for n, c in zip(cv.n.tolist(), cv.c)
-    )
-    write_csv(path, COLLAPSED_CSV_COLUMNS, rows)
-
-
-def write_scale_factors_csv(scale_factors: Mapping[int, float], path: str | Path) -> None:
-    write_csv(path, SCALE_FACTORS_CSV_COLUMNS, ([n_w, scale_factors[n_w]] for n_w in sorted(scale_factors)))

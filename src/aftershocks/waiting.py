@@ -11,15 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 from .errors import DataError
-from .events import WaitingTimes, write_csv
-
-HISTOGRAM_CSV_COLUMNS = ("tau", "count")
+from .events import WaitingTimes
 
 
 # eq=False: a generated == would compare the arrays elementwise
@@ -201,8 +198,3 @@ def fit_mu_mle(
         n_used=n,
         amplitude=None,
     )
-
-
-def write_histogram_csv(hist: WaitingHistogram, path: str | Path) -> None:
-    """Two-column CSV (tau, count), sorted by tau."""
-    write_csv(path, HISTOGRAM_CSV_COLUMNS, zip(*hist.bins()))

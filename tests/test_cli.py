@@ -1635,11 +1635,27 @@ class TestReportCommand:
                 )
                 for artifacts in (b'"report.json"', b'{"report.json": 1}', b'["report.json", 1]')
             ),
+            # the manifest holds the files the run wrote: each stays in the run
+            # directory and is there, or is a chart about to be written
+            *(
+                (
+                    "report.json",
+                    b'{"thresholds": [{"label": "catalog", "omori_csv": "omori_catalog.csv"}], "artifacts": '
+                    b'["omori_catalog.svg", "report.json", "' + listed + b'"]}',
+                    "report.json: malformed report (ValueError: " + message,
+                )
+                for listed, message in (
+                    (b"../outside.csv", "'../outside.csv' is not a plain file name"),
+                    (b"absent.csv", "'absent.csv' is not a file in the run directory"),
+                    (b".", "'.' is not a plain file name"),
+                )
+            ),
         ],
         ids=[
             "not-json", "not-utf8", "not-object", "missing-csv", "bad-cell", "short-row",
             "thresholds-not-list", "section-without-label", "csv-name-not-string", "amplitude-not-number",
             "label-escapes", "csv-name-absolute", "artifacts-string", "artifacts-dict", "artifacts-non-string",
+            "artifacts-escapes", "artifacts-absent", "artifacts-dot",
         ],
     )
     def test_malformed_run_directory_is_data_error(self, tmp_path, capsys, name, content, message):

@@ -12,12 +12,8 @@ from aftershocks import (
     fit_f,
     gen_stationary,
 )
-from aftershocks.correlation import (
-    CorrelationCurve,
-    write_collapsed_csv,
-    write_curves_csv,
-    write_scale_factors_csv,
-)
+from aftershocks import cli
+from aftershocks.correlation import CorrelationCurve
 
 F_TRUE = {10: 1.0482, 20: 1.0953, 30: 1.1419, 40: 1.1884, 50: 1.2346}
 
@@ -192,15 +188,17 @@ class TestFitF:
             fit_f({0: 1.0, 10: 1.0, 20: 0.99})
 
 
-def test_csv_writers(tmp_path):
-    curves = _constructed_family()
-    result = collapse(curves)
-    curves_csv = tmp_path / "curves.csv"
-    collapsed_csv = tmp_path / "collapsed.csv"
-    factors_csv = tmp_path / "factors.csv"
-    write_curves_csv(curves, curves_csv)
-    write_collapsed_csv(curves, result.scale_factors, collapsed_csv)
-    write_scale_factors_csv(result.scale_factors, factors_csv)
+def test_csv_writers(tmp_path, monkeypatch):
+    # the three tables a run records for the constructed family's collapse
+    monkeypatch.setattr(cli.corr, "aging_curves", lambda ev, n_w, n_max: _constructed_family(n_max=n_max))
+    tables, notes = {}, []
+    section = cli._correlation_section(EventSequence(np.arange(200.0)), cli.RunConfig(), "x", tables, notes.append)
+    assert notes == []
+    for name, write in tables.items():
+        write(tmp_path / name)
+    curves_csv, collapsed_csv, factors_csv = (
+        tmp_path / section[key] for key in ("curves_csv", "collapsed_csv", "scale_factors_csv")
+    )
 
     lines = curves_csv.read_text().splitlines()
     assert lines[0] == "n_w,n,C"

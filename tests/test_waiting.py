@@ -9,7 +9,8 @@ from aftershocks import (
     gen_pareto_waits,
 )
 from aftershocks.events import WaitingTimes
-from aftershocks.waiting import WaitingHistogram, histogram_sampler, write_histogram_csv
+from aftershocks import cli
+from aftershocks.waiting import WaitingHistogram, histogram_sampler
 
 
 class TestBuildHistogram:
@@ -189,10 +190,12 @@ def test_argument_guards(call, error, message):
         call()
 
 def test_histogram_csv(tmp_path):
-    hist = build_histogram(WaitingTimes(taus=np.array([1.0, 1.0, 2.0, 7.0])), 1.0)
-    path = tmp_path / "hist.csv"
-    write_histogram_csv(hist, path)
-    lines = path.read_text().splitlines()
+    # the histogram table a run records for these waits
+    tables = {}
+    section = cli._waiting_section(WaitingTimes(taus=np.array([1.0, 1.0, 2.0, 7.0])), cli.RunConfig(), "x", tables)
+    for name, write in tables.items():
+        write(tmp_path / name)
+    lines = (tmp_path / section["histogram_csv"]).read_text().splitlines()
     assert lines[0] == "tau,count"
     assert lines[1] == "1,2"
     assert lines[2] == "2,1"
