@@ -27,7 +27,6 @@ _EXPORTS = {
         "write_events_csv",
     ),
     "ingest": (
-        "MinuteBars",
         "PriceSeries",
         "align_origin",
         "compact_gaps",

@@ -162,10 +162,17 @@ _positive = functools.partial(_bounded, strict=True)
 _nonnegative = functools.partial(_bounded, strict=False)
 
 
+# bootstrap_ci holds every resample it fits until its last refit, so its
+# memory grows with the count
+MAX_RESAMPLES = 10_000
+
+
 def _parse_resamples(text: str) -> int:
     count = _nonnegative(int)(text)
     if 0 < count < 100:
         raise argparse.ArgumentTypeError(f"{text!r}: must be 0 (no bootstrap) or at least 100")
+    if count > MAX_RESAMPLES:
+        raise argparse.ArgumentTypeError(f"{text!r}: must be at most {MAX_RESAMPLES}")
     return count
 
 
@@ -521,7 +528,7 @@ def _correlation_section(ev: EventSequence, config: RunConfig, label: str, table
     """Aging curves of one catalog and their collapse; records the catalog's
     three correlation CSVs in ``tables``. ``note`` records why the
     scale-factor law is missing when it cannot be fitted."""
-    curves = corr.aging_curves(ev, config.n_w, config.n_max)
+    curves = corr.aging_curves(ev.times, config.n_w, config.n_max)
     result = corr.collapse(curves, reference_n_w=config.reference)
     section: dict = {
         "n_w": list(config.n_w),
@@ -538,7 +545,7 @@ def _correlation_section(ev: EventSequence, config: RunConfig, label: str, table
     except DataError as exc:
         note(f"scale-factor law not fitted ({exc})")
     f = result.scale_factors
-    points = [(cv.n_w, n, c) for cv in curves for n, c in zip(cv.n.tolist(), cv.c)]  # by n_w, then n
+    points = [(cv.n_w, n, c) for cv in curves for n, c in enumerate(cv.c)]  # by n_w, then n
     for key, header, rows in (
         ("curves_csv", CURVES_CSV_COLUMNS, points),
         ("collapsed_csv", COLLAPSED_CSV_COLUMNS, [(n_w, n / f[n_w], c) for n_w, n, c in points]),

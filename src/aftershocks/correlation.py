@@ -19,7 +19,6 @@ import numpy as np
 
 from ._optim import brent
 from .errors import DataError
-from .events import EventSequence
 
 F_SEARCH_BOUNDS = (0.2, 50.0)
 _F_COARSE_POINTS = 57
@@ -30,16 +29,18 @@ class CorrelationCurve:
     """C(n + n_w, n_w) sampled at n = 0, 1, ...."""
 
     n_w: int
-    n: np.ndarray
     c: np.ndarray
 
     def __post_init__(self) -> None:
-        n = np.asarray(self.n, dtype=int)
         c = np.asarray(self.c, dtype=float)
-        if n.shape != c.shape or n.ndim != 1:
-            raise ValueError("n and c must be 1-d and equally long")
-        object.__setattr__(self, "n", n)
+        if c.ndim != 1:
+            raise ValueError("c must be 1-d")
         object.__setattr__(self, "c", c)
+
+    @property
+    def n(self) -> np.ndarray:
+        """The lag n of every sample."""
+        return np.arange(len(self.c))
 
 
 @dataclass(frozen=True)
@@ -79,13 +80,12 @@ def event_corr(times: np.ndarray, m: int, n: int) -> float:
 
 
 def aging_curves(
-    events: EventSequence,
+    times: np.ndarray,
     n_w_list: Sequence[int] = (0, 10, 20, 30, 40, 50),
     n_max: int = 60,
 ) -> list[CorrelationCurve]:
-    """One correlation curve C(n + n_w, n_w), n = 0..n_max, per waiting
-    event time n_w; ordered by n_w."""
-    times = events.times
+    """One correlation curve C(n + n_w, n_w), n = 0..n_max, of the event
+    times ``times`` per waiting event time n_w; ordered by n_w."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     if any(n_w < 0 for n_w in n_w_list):
@@ -99,9 +99,7 @@ def aging_curves(
         )
     curves = []
     for n_w in sorted(n_w_list):
-        ns = np.arange(n_max + 1)
-        cs = np.array([event_corr(times, n + n_w, n_w) for n in ns])
-        curves.append(CorrelationCurve(n_w=int(n_w), n=ns, c=cs))
+        curves.append(CorrelationCurve(n_w=int(n_w), c=[event_corr(times, n + n_w, n_w) for n in range(n_max + 1)]))
     return curves
 
 

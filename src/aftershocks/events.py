@@ -78,12 +78,13 @@ def detect_events(
     """
     if r_th <= 0:
         raise ValueError("r_th must be positive")
-    if not len(returns):
-        return EventSequence(np.empty(0))
+    t_start = returns.t_start
     lo = 0 if window is None else max(0, int(window[0]))
-    hi = int(returns.t[-1]) if window is None else int(window[1])
-    mask = (returns.t >= lo) & (returns.t <= hi) & (np.abs(returns.r) > r_th)
-    return EventSequence(times=returns.t[mask].astype(float))
+    hi = t_start + len(returns) - 1 if window is None else int(window[1])
+    # [lo, hi] as positions in r; a slice that stops before it starts is empty
+    start, stop = max(lo - t_start, 0), max(hi + 1 - t_start, 0)
+    hits = np.flatnonzero(np.abs(returns.r[start:stop]) > r_th)
+    return EventSequence(times=(hits + (start + t_start)).astype(float))
 
 
 def waiting_times(events: EventSequence) -> WaitingTimes:

@@ -54,19 +54,6 @@ def _wall_datetime(seconds: int) -> datetime:
 
 
 @dataclass(frozen=True)
-class MinuteBars:
-    """Parsed minute bars in file order, as columns: the wall-clock
-    timestamp (``array('q')`` of seconds since 1970-01-01) and the positive
-    price (``array('d')``) of every row."""
-
-    wall_clock: array
-    price: array
-
-    def __len__(self) -> int:
-        return len(self.price)
-
-
-@dataclass(frozen=True)
 class PriceSeries:
     """Positive prices indexed on the compacted exchange-time axis.
 
@@ -123,15 +110,15 @@ def load_records(
     delimiter: str = ",",
     date_format: str = DEFAULT_DATE_FORMAT,
     time_format: str = DEFAULT_TIME_FORMAT,
-) -> MinuteBars:
+) -> PriceSeries:
     """Parse minute-bar records from a delimited text stream or file path.
 
     ``date_column``, ``time_column`` and ``price_column`` name the columns in
     the header row. Header cells are compared after stripping surrounding
     angle brackets, so ``<CLOSE>`` in a finam export matches ``CLOSE``.
 
-    Records come back in file order; nothing is sorted, deduplicated or
-    dropped here (that is :func:`compact_gaps`'s job, and it is strict).
+    Records come back in file order, indexed 0..n-1; nothing is sorted,
+    deduplicated or dropped (:func:`compact_gaps` checks the order).
     The date cell gives the day and the time cell the hour, minute and
     second of each timestamp; any other field either format parses is
     ignored. Each distinct cell is parsed once. Under the default formats a
@@ -189,7 +176,7 @@ def _parse_stream(
     delimiter: str,
     date_format: str,
     time_format: str,
-) -> MinuteBars:
+) -> PriceSeries:
     reader = csv.reader(stream, delimiter=delimiter)
     try:
         header = next(reader)
@@ -258,7 +245,7 @@ def _parse_stream(
     except csv.Error as exc:
         # raised while reading the row after the last one numbered
         raise DataError(f"malformed row {row_no + 1}: {exc}") from None
-    return MinuteBars(wall_clock=stamps, price=prices)
+    return PriceSeries(x=prices, wall_clock=stamps)
 
 
 def _parse_date(text: str, date_format: str) -> date:
@@ -336,13 +323,12 @@ def _plain_chunk(chunk, delimiter, needed, i_date, i_time, i_price, day_seconds,
     return array("q", stamps), array("d", prices)
 
 
-def compact_gaps(records: MinuteBars) -> PriceSeries:
-    """Map the k-th record to exchange-minute index k.
-
-    Timestamps must be strictly increasing: a duplicate is a hard error,
-    because silently dropping one would shift the event clock downstream.
+def compact_gaps(series: PriceSeries) -> PriceSeries:
+    """``series`` itself, once its timestamps are checked to strictly
+    increase. A duplicate is a hard error, because silently dropping one
+    would shift the event clock downstream.
     """
-    wall = records.wall_clock
+    wall = series.wall_clock
     # the first index whose stamp is not above the one before it
     bad = next(itertools.compress(itertools.count(1), map(operator.ge, wall, wall[1:])), None)
     if bad is not None:
@@ -350,7 +336,7 @@ def compact_gaps(records: MinuteBars) -> PriceSeries:
         if current == previous:
             raise DataError(f"duplicate timestamp {current} at record {bad + 1}")
         raise DataError(f"timestamps not sorted: record {bad + 1} ({current}) precedes {previous}")
-    return PriceSeries(x=records.price, wall_clock=wall)
+    return series
 
 
 def align_origin(series: PriceSeries, crash: datetime) -> PriceSeries:

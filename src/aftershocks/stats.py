@@ -16,20 +16,23 @@ class ReturnSeries:
     """Fractional one-minute returns on the compacted exchange-time axis.
 
     ``r[i]`` is the relative price change over the exchange minute starting
-    at index ``t[i]``. Gaps were removed upstream, so a single return may
-    span a no-trading period; that is deliberate.
+    at index ``t[i] = t_start + i``. Gaps were removed upstream, so a single
+    return may span a no-trading period; that is deliberate.
     """
 
-    t: np.ndarray
     r: np.ndarray
+    t_start: int
 
     def __post_init__(self) -> None:
-        t = np.asarray(self.t, dtype=int)
         r = np.asarray(self.r, dtype=float)
-        if t.shape != r.shape or t.ndim != 1:
-            raise ValueError("t and r must be 1-d and equally long")
-        object.__setattr__(self, "t", t)
+        if r.ndim != 1:
+            raise ValueError("r must be 1-d")
         object.__setattr__(self, "r", r)
+
+    @property
+    def t(self) -> range:
+        """Exchange-minute index of every return."""
+        return range(self.t_start, self.t_start + len(self.r))
 
     def __len__(self) -> int:
         return len(self.r)
@@ -51,15 +54,14 @@ def compute_returns(series: PriceSeries) -> ReturnSeries:
     if len(series) < 2:
         raise DataError("need at least two prices to form returns")
     x = np.frombuffer(series.x)  # the price column's memory, not a copy
-    t = np.arange(series.t_start, series.t_start + len(x) - 1)
     with np.errstate(over="ignore"):  # a return past float64 is inf, which window_stats refuses
-        return ReturnSeries(t=t, r=np.diff(x) / x[:-1])
+        return ReturnSeries(r=np.diff(x) / x[:-1], t_start=series.t_start)
 
 
 def window_stats(returns: ReturnSeries, t0: int, length: int) -> WindowStats:
     """Mean, variance and sigma of r(t) for t in [t0, t0 + length].
 
-    The divisor is the number of samples actually present in the window
+    The divisor is the number of samples in the window, ``length + 1``
     (population statistics), not the nominal window length; for the long
     windows used in practice the difference is negligible, and the honest
     estimator is preferred. Reports carry a note to that effect.
@@ -74,9 +76,7 @@ def window_stats(returns: ReturnSeries, t0: int, length: int) -> WindowStats:
             f"window [{lo}, {hi}] not contained in return series "
             f"[{returns.t[0]}, {returns.t[-1]}]"
         )
-    sample = returns.r[(returns.t >= lo) & (returns.t <= hi)]
-    if sample.size == 0:
-        raise DataError("window contains no samples")
+    sample = returns.r[lo - returns.t_start : hi - returns.t_start + 1]
     with np.errstate(over="ignore", invalid="ignore"):
         mean = float(np.mean(sample))
         variance = float(np.var(sample))

@@ -110,7 +110,7 @@ def test_criterion_4_correlation_normalization():
 def test_criterion_5_stationarity_null():
     ev = gen_stationary(rate=1.0, horizon=10_500.0, seed=7)
     assert len(ev) >= 10_000
-    curves = aging_curves(ev, (0, 10, 20, 30, 40, 50), 60)
+    curves = aging_curves(ev.times, (0, 10, 20, 30, 40, 50), 60)
     worst = 0.0
     for i in range(len(curves)):
         for j in range(i + 1, len(curves)):
@@ -124,7 +124,7 @@ def test_criterion_6_collapse_oracle():
     curves = []
     for n_w in (0, 10, 20, 30, 40, 50):
         f_star = a_true * n_w**gamma_true + 1.0
-        curves.append(CorrelationCurve(n_w=n_w, n=n, c=np.exp(-(n / f_star) / 25.0)))
+        curves.append(CorrelationCurve(n_w=n_w, c=np.exp(-(n / f_star) / 25.0)))
     result = collapse(curves, reference_n_w=0)
     a_hat, gamma_hat = fit_f(result.scale_factors)
     a_err = abs(a_hat - a_true) / a_true

@@ -20,7 +20,7 @@ import pytest
 from aftershocks import cli
 from aftershocks.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, RunConfig, main
 from aftershocks.errors import DataError
-from aftershocks.ingest import MinuteBars, PriceSeries, compact_gaps, write_series_csv
+from aftershocks.ingest import PriceSeries, compact_gaps, write_series_csv
 
 CRASH = "2014-12-15 13:00"
 
@@ -429,8 +429,8 @@ class TestIngest:
         # strictly increasing stamps that compact_gaps checks
         stamps, prices = [200000, 100], [1.0, 1.0]
         with pytest.raises(DataError, match="timestamps not sorted"):
-            compact_gaps(MinuteBars(wall_clock=stamps, price=prices))
-        series = compact_gaps(MinuteBars(wall_clock=sorted(stamps), price=prices))
+            compact_gaps(PriceSeries(x=prices, wall_clock=stamps))
+        series = compact_gaps(PriceSeries(x=prices, wall_clock=sorted(stamps)))
         write_series_csv(series, tmp_path / "series.csv")
         assert (tmp_path / "series.csv").read_text().splitlines()[1:] == [
             "0,1970-01-01 00:01:40,1", "1,1970-01-03 07:33:20,1",
@@ -1256,6 +1256,17 @@ class TestSimulate:
         assert _run("simulate", "--kind", "omori", "--config", str(tmp_path / "run.cfg"), "--outdir", outdir) == EXIT_USAGE
         assert "run.cfg:1: '99': must be 0 (no bootstrap) or at least 100" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_too_many_resamples_are_refused(self, tmp_path, capsys):
+        # the bootstrap holds its resamples: 1e9 of them exited 3 with a MemoryError
+        outdir = str(tmp_path / "out")
+        assert _run("simulate", "--kind", "omori", "--resamples", "10001", "--outdir", outdir) == EXIT_USAGE
+        assert "argument --resamples: '10001': must be at most 10000" in capsys.readouterr().err
+        (tmp_path / "run.cfg").write_text("resamples = 10001\n")
+        assert _run("simulate", "--kind", "omori", "--config", str(tmp_path / "run.cfg"), "--outdir", outdir) == EXIT_USAGE
+        assert "run.cfg:1: '10001': must be at most 10000" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        assert cli._parse_resamples("10000") == cli.MAX_RESAMPLES
 
     def test_too_few_events_for_the_rate_mle_are_noted(self, tmp_path):
         # the LSQ fit reads the whole catalog, the rate MLE only (0, --horizon]

@@ -18,7 +18,7 @@ from aftershocks.stats import ReturnSeries
 
 def _returns(r, t0=0):
     r = np.asarray(r, dtype=float)
-    return ReturnSeries(t=np.arange(t0, t0 + len(r)), r=r)
+    return ReturnSeries(r=r, t_start=t0)
 
 
 class TestDetectEvents:
@@ -156,3 +156,33 @@ def test_detect_events_on_empty_returns():
 def test_type_guards(build, error, message):
     with pytest.raises(error, match=message):
         build()
+
+
+def _detect_events_by_mask(t_start, r, r_th, window=None):
+    """Reference: detect_events as it was when ReturnSeries stored its index,
+    selecting the events with masks over an explicit index array."""
+    if not len(r):
+        return np.empty(0)
+    t = np.arange(t_start, t_start + len(r))
+    lo = 0 if window is None else max(0, int(window[0]))
+    hi = int(t[-1]) if window is None else int(window[1])
+    return t[(t >= lo) & (t <= hi) & (np.abs(r) > r_th)].astype(float)
+
+
+def test_detect_events_matches_the_mask_form():
+    # windows that start before the series, end after it, lie wholly outside
+    # it or have length 0 (or less), on series that start below, at and above
+    # t = 0, with thresholds that catch no minute, some and every one
+    rng = np.random.Generator(np.random.PCG64(34))
+    for t_start in (-5, 0, 3):
+        for n in (0, 1, 6, 11):
+            r = rng.standard_normal(n)
+            size = np.abs(r)
+            thresholds = [1.0] if not n else [2 * size.max(), float(np.median(size)), size.min() / 2]
+            windows = [None] + [(a, b) for a in range(t_start - 3, t_start + n + 3) for b in range(a - 1, t_start + n + 3)]
+            rs = ReturnSeries(r=r, t_start=t_start)
+            for r_th in thresholds:
+                for window in windows:
+                    got = detect_events(rs, r_th, window=window).times
+                    want = _detect_events_by_mask(t_start, r, r_th, window)
+                    assert got.dtype == want.dtype and got.tolist() == want.tolist(), (t_start, n, r_th, window)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from aftershocks import DataError, align_origin, compact_gaps, load_records, window_length_for_days
 from aftershocks import ingest
-from aftershocks.ingest import MinuteBars, PriceSeries
+from aftershocks.ingest import PriceSeries
 
 
 def _seconds(instant: datetime) -> int:
@@ -24,13 +24,13 @@ def _datetimes(stamps) -> list[datetime]:
     return [datetime(1970, 1, 1) + timedelta(seconds=s) for s in stamps]
 
 
-def _bars(walls: list[datetime], price: float = 1.0) -> MinuteBars:
-    return MinuteBars(
-        wall_clock=array("q", map(_seconds, walls)), price=array("d", [price] * len(walls))
+def _bars(walls: list[datetime], price: float = 1.0) -> PriceSeries:
+    return PriceSeries(
+        x=array("d", [price] * len(walls)), wall_clock=array("q", map(_seconds, walls))
     )
 
 
-def _records(*stamps: str, price: float = 1.0) -> MinuteBars:
+def _records(*stamps: str, price: float = 1.0) -> PriceSeries:
     return _bars([datetime.fromisoformat(s) for s in stamps], price)
 
 
@@ -92,7 +92,7 @@ def _load_both_ways(text, newline="\n", chunk_chars=None):
             records = load_records(io.StringIO(text, newline=newline))
         except DataError as exc:
             return f"{type(exc).__name__}: {exc}"
-        return _datetimes(records.wall_clock), records.price.tolist()
+        return _datetimes(records.wall_clock), records.x.tolist()
 
     with mock.patch.object(ingest, "_CHUNK_CHARS", chunk_chars or ingest._CHUNK_CHARS):
         got = load()
@@ -167,7 +167,7 @@ class TestLoadRecords:
             datetime(2014, 12, 15, 10, 0),
             datetime(2014, 12, 15, 10, 1),
         ]
-        assert records.price.tolist() == [58.17, 58.30]
+        assert records.x.tolist() == [58.17, 58.30]
 
     def test_zero_price_names_the_row(self):
         src = io.StringIO("DATE,TIME,CLOSE\n20141215,100000,58.17\n20141215,100100,0\n")
@@ -220,7 +220,7 @@ class TestLoadRecords:
         records = load_records(io.StringIO("DATE,TIME,CLOSE\n"))
         assert len(records) == 0
         assert records.wall_clock.typecode == "q"
-        assert records.price.typecode == "d"
+        assert records.x.typecode == "d"
 
     @given(rows=_csv_rows(), data=st.data())
     @settings(max_examples=300, deadline=None)
@@ -300,13 +300,13 @@ class TestLoadRecords:
         expected = load_records(io.StringIO(text))
         for source in (path, io.StringIO("\ufeff" + text)):
             records = load_records(source)
-            assert (records.wall_clock, records.price) == (expected.wall_clock, expected.price)
+            assert (records.wall_clock, records.x) == (expected.wall_clock, expected.x)
 
     def test_finam_style_brackets(self, minute_bars_path):
         records = load_records(minute_bars_path, delimiter=";")
         assert len(records) == 2520
         assert _datetimes(records.wall_clock[:1]) == [datetime(2014, 12, 12, 10, 0)]
-        assert min(records.price) > 0
+        assert min(records.x) > 0
 
 
 def _cells(width: int):
@@ -401,6 +401,8 @@ class TestCompactGaps:
     def test_no_records_dropped(self):
         records = _records("2014-12-15 09:00", "2014-12-15 09:05", "2014-12-15 09:06")
         assert len(compact_gaps(records)) == len(records)
+        # the series checked is the series returned: no second one is built
+        assert compact_gaps(records) is records
 
     @given(walls=_stamps, data=st.data())
     @settings(max_examples=300, deadline=None)
