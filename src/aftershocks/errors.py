@@ -15,10 +15,11 @@ class DataError(Exception):
 @contextmanager
 def open_text(path):
     """``path`` as UTF-8 text with ``newline=""``, closed when the block
-    ends. A failure to open it raises :class:`DataError` with the reason, and
-    undecodable bytes read anywhere in the block one with their byte offset."""
+    ends; a byte order mark at its start is dropped. A failure to open it
+    raises :class:`DataError` with the reason, and undecodable bytes read
+    anywhere in the block one with their byte offset in the file."""
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        fh = open(path, "r", encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror}") from None
     with fh:

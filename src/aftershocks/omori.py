@@ -15,6 +15,7 @@ of the rate is available as a cross-check.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -35,7 +36,7 @@ C_SEARCH_GRID = tuple(np.logspace(-1.0, 4.0, 26))
 _P_VALUES = np.arange(P_SEARCH_RANGE[0], P_SEARCH_RANGE[1] + P_SEARCH_STEP / 2.0, P_SEARCH_STEP)
 _C_VALUES = (0.0, *(float(c) for c in C_SEARCH_GRID))
 MIN_EVENTS = 10  # fewest events either fit accepts
-# most points of a fitting grid; the refinement's arrays at the cap take about 170 MB
+# most points of a fitting grid; a fit at the cap peaks at about 200 MB (170 MB with c pinned)
 MAX_GRID_POINTS = 1 << 22
 
 _BLOCK_BYTES = 1 << 19  # most bytes of model rows in one coarse-scan block
@@ -75,15 +76,12 @@ def _validate_params(p: float, amplitude: float, c: float) -> None:
         raise ValueError("c must be positive when p >= 1 (the model diverges at c = 0)")
 
 
-def _unit(
-    t: np.ndarray, p: float, c: float, lt: np.ndarray | None = None, out: np.ndarray | None = None
-) -> np.ndarray:
+def _unit(t: np.ndarray, p: float, c: float, lt: np.ndarray | None = None) -> np.ndarray:
     """Cumulative model with amplitude 1 (see :func:`omori_model`); t >= 0 is
     not checked. ``lt`` may carry ``log1p(t / c)``, the only term that
     depends on c and not on p, so a search over p at one c computes it once;
     the cached array is returned as is on the log branch and must not be
-    modified. The power branch at c > 0 is written into ``out`` when one is
-    given."""
+    modified."""
     if abs(p - 1.0) < LOG_BRANCH_WINDOW:
         return np.log1p(t / c) if lt is None else lt
     q = 1.0 - p
@@ -92,9 +90,7 @@ def _unit(
             lt = np.log1p(t / c)
         # c**q * expm1(q * log1p(t/c)) == ((t+c)**q - c**q): exact zero at
         # t = 0 and continuous across the p -> 1 branch switch.
-        g = np.expm1(np.multiply(q, lt, out=out), out=out)
-        return np.divide(np.multiply(g, c**q, out=out), q, out=out)
-    # numpy's ** takes scalar fast paths (**0.5 is sqrt) that power(out=) may not
+        return np.expm1(q * lt) * c**q / q
     return t**q / q
 
 
@@ -137,20 +133,16 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return sum(head.ravel().tolist()) + last
 
 
-def _lsq_cell(
-    y: np.ndarray, grid: np.ndarray, p: float, c: float, lt: np.ndarray | None, work: tuple
-) -> tuple[float, float]:
+def _lsq_cell(y: np.ndarray, grid: np.ndarray, p: float, c: float, lt: np.ndarray | None) -> tuple[float, float]:
     """Exact (rss, amplitude) for one (p, c) candidate; ``lt`` is
-    ``log1p(grid / c)`` for c > 0 (see :func:`_unit`). ``work`` is two
-    arrays shaped like ``grid``, for the model and the residual."""
-    g_out, resid = work
-    g = _unit(grid, p, c, lt, out=g_out)
+    ``log1p(grid / c)`` for c > 0 (see :func:`_unit`)."""
+    g = _unit(grid, p, c, lt)
     sgg = _dot(g, g)
     syg = _dot(y, g)
     if sgg <= 0 or syg <= 0:
         return math.inf, 0.0
     a = syg / sgg
-    np.subtract(y, np.multiply(a, g, out=resid), out=resid)
+    resid = y - a * g
     return _dot(resid, resid), a
 
 
@@ -333,21 +325,16 @@ def _refine(
     ``start``: the best p and c, and the best p at c = 0. Every cell a
     search scores updates one running best; the first cell seen wins ties."""
     p0, c0, p0_pinned = start
-    # Only the current c's log1p(grid / c) is held, in one reused array:
-    # the searches below move through c one value at a time, and an array
-    # per visited c would hold megabytes.
-    held_c, held_lt = math.nan, np.empty_like(grid)
-    work = (np.empty_like(grid), np.empty_like(grid))
+    # the searches below move through c one value at a time, so only the
+    # current c's log1p(grid / c) is held
+    log_ratio = functools.lru_cache(maxsize=1)(lambda c: np.log1p(grid / c))
     evaluations = 0
     best = (math.inf, p0, c0, 0.0)  # (rss, p, c, amplitude)
 
     def score(p: float, c: float) -> float:
-        nonlocal held_c, evaluations, best
+        nonlocal evaluations, best
         evaluations += 1
-        if c != held_c and c > 0:
-            held_c = c
-            np.log1p(np.divide(grid, c, out=held_lt), out=held_lt)
-        rss, a = _lsq_cell(y, grid, p, c, held_lt if c > 0 else None, work)
+        rss, a = _lsq_cell(y, grid, p, c, log_ratio(c) if c > 0 else None)
         if rss < best[0]:
             best = (rss, p, c, a)
         return rss

@@ -346,6 +346,17 @@ class TestConfigFile:
         assert config["c_search"] is False and config["svg"] is False
         assert not list(outdir.glob("*.svg"))
 
+    def test_byte_order_mark_before_first_key_is_dropped(self, minute_bars_path, tmp_path, golden_series_path):
+        # a config file saved by an editor that writes U+FEFF first
+        for name, bom in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_bytes(bom + b"delimiter = ;\n")
+            assert _run(
+                "ingest", "--config", str(cfg), "--input", str(minute_bars_path), "--crash", CRASH,
+                "--outdir", str(tmp_path / name),
+            ) == EXIT_OK
+            assert (tmp_path / name / "series.csv").read_bytes() == golden_series_path.read_bytes()
+
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("wibble = 3\n")
@@ -642,6 +653,20 @@ def test_ingest_imports_no_fitting_code(minute_bars_path, tmp_path):
     run = _fresh_python(code, *argv)
     assert json.loads(run.stdout.splitlines()[-1]) == {"package": [], "dir": [], "cli": [], "ingest": []}
     assert (tmp_path / "series.csv").is_file()
+
+
+def test_readme_library_import_loads_every_module_but_the_charts():
+    # the import statement of README's "Library use" example, as written there
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    statement = re.search(r"^from aftershocks import \(.*?\)$", readme, re.M | re.S).group(0)
+    code = (
+        "import json, sys\n"
+        f"{statement}\n"
+        "loaded = sorted(m.removeprefix('aftershocks.') for m in sys.modules if m.startswith('aftershocks.'))\n"
+        "print(json.dumps({'submodules': loaded, 'numpy': 'numpy' in sys.modules}))\n"
+    )
+    submodules = ["_optim", "correlation", "diagnostics", "errors", "events", "ingest", "omori", "stats", "synth", "waiting"]
+    assert json.loads(_fresh_python(code).stdout) == {"submodules": submodules, "numpy": True}
 
 
 def test_ingest_runs_without_numpy(minute_bars_path, tmp_path, golden_series_path):
@@ -1413,6 +1438,22 @@ class TestCollapseCommand:
         assert set(factors) == {"0", "10", "20"}
         assert (tmp_path / "col" / "scale_factors_catalog.csv").exists()
 
+    def test_byte_order_mark_gives_same_tables(self, tmp_path):
+        assert _run(
+            "simulate", "--kind", "omori", "--p", "0.5", "--amplitude", "5", "--sim-horizon", "5000",
+            "--seed", "2", "--resamples", "0", "--outdir", str(tmp_path / "sim"),
+        ) == EXIT_OK
+        plain = tmp_path / "sim" / "events_catalog.csv"
+        bom = tmp_path / "events_bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        for name, events in (("plain", plain), ("bom", bom)):
+            assert _run(
+                "collapse", "--events", str(events), "--n-w", "0,10,20", "--n-max", "30",
+                "--outdir", str(tmp_path / name),
+            ) == EXIT_OK
+        tables = _digests(tmp_path / "bom", ".csv")
+        assert tables and tables == _digests(tmp_path / "plain", ".csv")
+
     def test_golden_collapse_report(self, tmp_path, monkeypatch, golden_collapse_report_path):
         # byte-for-byte reproduction of a verified collapse run; the law fit
         # fails on this stationary catalog, so the report carries its note
@@ -1534,6 +1575,20 @@ class TestReportCommand:
             "scale_factors_catalog.svg": "33b0783ffa25b862d8612d9b6c04fb6eb408a1b07dcef23e7df2232fca4d636a",
             "waiting_catalog.svg": "c6e44f7d03d60f2504681c95cf0e2a4e3476da407b593432254c949a8718ccd8",
         }
+
+    def test_byte_order_mark_gives_same_charts(self, tmp_path):
+        run = tmp_path / "sim"
+        assert _run(
+            "simulate", "--kind", "omori", "--p", "0.5", "--amplitude", "5", "--sim-horizon", "5000",
+            "--seed", "2", "--resamples", "0", "--svg", "--outdir", str(run),
+        ) == EXIT_OK
+        charts = _digests(run, ".svg")
+        for svg in run.glob("*.svg"):
+            svg.unlink()
+        report = run / "report.json"
+        report.write_bytes(b"\xef\xbb\xbf" + report.read_bytes())
+        assert _run("report", "--outdir", str(run)) == EXIT_OK
+        assert charts and _digests(run, ".svg") == charts
 
     def test_missing_report_is_data_error(self, tmp_path):
         assert _run("report", "--outdir", str(tmp_path)) == EXIT_DATA

@@ -345,8 +345,8 @@ class TestFitOmori:
         assert fit_omori_mle(ev).evaluations is None
 
 
-# Reference kernels: the allocating formulas the in-place kernels replace,
-# kept verbatim so the kernels can be held to the same bits.
+# Reference kernels: plain allocating formulas, kept verbatim so the kernels
+# (the in-place, blocked _coarse_scan among them) can be held to the same bits.
 def _unit_ref(t, p, c, lt=None):
     if abs(p - 1.0) < LOG_BRANCH_WINDOW:
         return np.log1p(t / c) if lt is None else lt
@@ -424,18 +424,14 @@ class TestKernelsMatchReference:
         ev = gen_omori(**spec)
         grid = np.arange(1.0, spec["horizon"] + 0.5)
         y = cumulative_count(ev, grid)
-        # one set of buffers for every cell, as within a fit
-        lt = np.empty_like(grid)
-        work = (np.empty_like(grid), np.empty_like(grid))
         for c in _KERNEL_C:
-            if c > 0:
-                np.log1p(np.divide(grid, c, out=lt), out=lt)
+            # one log1p(grid / c) for every p at this c, as within a fit
+            lt = np.log1p(grid / c) if c > 0 else None
             for p in _KERNEL_P:
                 if c == 0 and p >= 1.0 - LOG_BRANCH_WINDOW:
                     continue  # inadmissible, never scored
-                held = lt if c > 0 else None
                 expected = _lsq_cell_ref(y, grid, p, c, np.log1p(grid / c) if c > 0 else None)
-                assert omori._lsq_cell(y, grid, p, c, held, work) == expected, (p, c)
+                assert omori._lsq_cell(y, grid, p, c, lt) == expected, (p, c)
             if c > 0:
                 # the log branch returns the held array itself: it must survive
                 assert np.array_equal(lt, np.log1p(grid / c))
@@ -493,6 +489,19 @@ class TestKernelsMatchReference:
         finally:
             tracemalloc.stop()
         assert peak < omori._BLOCK_BYTES + 4 * grid.nbytes
+
+    def test_refinement_memory_is_bounded(self):
+        # a c-pinned fit holds the grid, its counts and one cell's model and
+        # residual: no buffers allocated ahead of the cells
+        grid = np.arange(1.0, 200_000.5)
+        ev = gen_omori(p=0.6, amplitude=5.0, c=0.0, horizon=200_000.0, seed=3)
+        tracemalloc.start()
+        try:
+            fit_omori(ev, horizon=200_000.0, c_search=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5.5 * grid.nbytes
 
     @pytest.mark.parametrize("spec", _KERNEL_SPECS)
     @pytest.mark.parametrize("c_search", [False, True])
